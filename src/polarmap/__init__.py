@@ -23,6 +23,7 @@ from .oracle import (
     dominance_by_span,
     projective_size,
     scan_exhaustive,
+    scan_primes,
     scan_sampled,
 )
 from .parsing import (
@@ -37,7 +38,6 @@ from .polar import (
     is_cone,
     moving_part,
     polar_system,
-    reduced_part,
     restrict_arrangement,
 )
 from .poly import Polynomial, exact_rank, gcd, monic, restrict_to_hyperplane
@@ -74,6 +74,7 @@ __all__ = [
     "dominance_by_span",
     "projective_size",
     "scan_exhaustive",
+    "scan_primes",
     "scan_sampled",
     "format_canonical",
     "parse_arrangement",
@@ -84,7 +85,6 @@ __all__ = [
     "is_cone",
     "moving_part",
     "polar_system",
-    "reduced_part",
     "restrict_arrangement",
     "Polynomial",
     "exact_rank",

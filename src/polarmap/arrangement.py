@@ -54,18 +54,13 @@ class LinearFormProduct:
             raise ValueError("one multiplicity per form required")
         if any(not isinstance(m, int) or m < 1 for m in multiplicities):
             raise ValueError("multiplicities must be positive integers")
-        merged = {}
-        order = []
+        merged = {}  # first-occurrence order
         for row, mult in zip(forms, multiplicities):
             key = canonical_row(row)
-            if key in merged:
-                merged[key] += mult
-            else:
-                merged[key] = mult
-                order.append(key)
+            merged[key] = merged.get(key, 0) + mult
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "forms", tuple(order))
-        object.__setattr__(self, "multiplicities", tuple(merged[k] for k in order))
+        object.__setattr__(self, "forms", tuple(merged))
+        object.__setattr__(self, "multiplicities", tuple(merged.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearFormProduct is immutable")

@@ -10,43 +10,20 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .arrangement import LinearFormProduct, canonical_row
 from .errors import (InconsistencyError, ParseError, ReductionError,
                      ResourceBoundError)
+from .oracle import scan_primes
 from .parsing import parse_arrangement, parse_polynomial
 from .polar import moving_part, polar_system
-from .report import ReportDocument
-from .verdict import full_verdict, structural_verdict
-from .oracle import scan_exhaustive, scan_sampled
+from .verdict import build_report, full_verdict, structural_verdict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 EXIT_RESOURCE = 4
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    text: str | None = None
-    file: str | None = None
-    primes: tuple = (101,)
-    mode: str = "exhaustive"
-    targets: int = 64
-    seed: int = 0
-    workers: int | None = None
-    json_path: str | None = None
-    ambient: int | None = None
-    census_n: int | None = None
-    census_r: int | None = None
-    coefficients: tuple = (-1, 0, 1)
-
-    @property
-    def nvars(self):
-        return None if self.ambient is None else self.ambient + 1
 
 
 def _build_parser():
@@ -82,20 +59,25 @@ def _build_parser():
 
     p = sub.add_parser("polar", help="print the partial derivatives")
     add_input(p)
+    p.set_defaults(run=cmd_polar)
     p = sub.add_parser("moving", help="print base divisor and moving part")
     add_input(p)
+    p.set_defaults(run=cmd_moving)
     p = sub.add_parser("homaloidal",
                        help="decide homaloidality (any homogeneous input)")
     add_input(p)
     add_scan(p)
+    p.set_defaults(run=cmd_homaloidal)
     p = sub.add_parser("certify",
                        help="full verdict with descent certificate "
                             "(product-of-linear-forms input)")
     add_input(p)
     add_scan(p)
+    p.set_defaults(run=cmd_certify)
     p = sub.add_parser("classify",
                        help="census of square-free arrangements over a "
                             "small coefficient set")
+    p.set_defaults(run=cmd_classify)
     p.add_argument("--n", type=int, required=True, dest="census_n",
                    help="ambient projective dimension")
     p.add_argument("--r", type=int, required=True, dest="census_r",
@@ -106,62 +88,53 @@ def _build_parser():
     return parser
 
 
-def _config_from(args):
-    cfg = RunConfig(subcommand=args.subcommand)
-    if hasattr(args, "expr"):
-        cfg.text = args.expr
-        cfg.file = args.file
-        cfg.ambient = args.ambient
-    if hasattr(args, "prime"):
-        cfg.primes = tuple(args.prime) if args.prime else (101,)
-        cfg.mode = args.mode
-        cfg.targets = args.targets
-        cfg.seed = args.seed
-        cfg.workers = args.workers
-        cfg.json_path = args.json_path
-    if hasattr(args, "census_n"):
-        cfg.census_n = args.census_n
-        cfg.census_r = args.census_r
-        try:
-            cfg.coefficients = tuple(sorted(
-                int(c) for c in args.coefficients.split(",")))
-        except ValueError:
-            raise ValueError(f"bad coefficient set {args.coefficients!r}")
-    return cfg
+def _nvars(args):
+    return None if args.ambient is None else args.ambient + 1
 
 
-def _input_text(cfg):
-    if cfg.text is not None and cfg.file is not None:
+def _primes(args):
+    return tuple(args.prime) if args.prime else (101,)
+
+
+def _scan_args(args):
+    """scan_primes arguments after the map: primes, mode, targets, seed,
+    default domain bound, workers."""
+    return (_primes(args), args.mode, args.targets, args.seed, None,
+            args.workers)
+
+
+def _input_text(args):
+    if args.expr is not None and args.file is not None:
         raise ValueError("give an expression or --file, not both")
-    if cfg.file is not None:
-        with open(cfg.file, encoding="utf-8") as handle:
+    if args.file is not None:
+        with open(args.file, encoding="utf-8") as handle:
             return handle.read().strip()
-    if cfg.text is not None:
-        return cfg.text
+    if args.expr is not None:
+        return args.expr
     raise ValueError("no input: pass an expression or --file")
 
 
-def _emit_report(report, cfg):
+def _emit_report(report, args):
     text = report.to_json()
-    if cfg.json_path:
-        with open(cfg.json_path, "w", encoding="utf-8") as handle:
+    if args.json_path:
+        with open(args.json_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"homaloidal: {report.homaloidal} (degree {report.degree}, "
-              f"p={report.p}); report written to {cfg.json_path}")
+              f"p={report.p}); report written to {args.json_path}")
     else:
         print(text)
 
 
-def cmd_polar(cfg):
-    f = parse_polynomial(_input_text(cfg), nvars=cfg.nvars)
+def cmd_polar(args):
+    f = parse_polynomial(_input_text(args), nvars=_nvars(args))
     system = polar_system(f)
     for i, comp in enumerate(system.components):
         print(f"component {i}: {comp}")
     return EXIT_OK
 
 
-def cmd_moving(cfg):
-    f = parse_polynomial(_input_text(cfg), nvars=cfg.nvars)
+def cmd_moving(args):
+    f = parse_polynomial(_input_text(args), nvars=_nvars(args))
     if f.is_zero or not f.is_homogeneous() or f.homogeneous_degree() < 2:
         raise ValueError("moving part needs a homogeneous input of degree "
                          "at least 2 (the polar map of a linear form is "
@@ -173,61 +146,30 @@ def cmd_moving(cfg):
     return EXIT_OK
 
 
-def _scan_stability(rational_map, cfg):
-    """Scan at every configured prime; verdicts must not depend on the prime."""
-    scans = []
-    for p in cfg.primes:
-        if cfg.mode == "exhaustive":
-            scans.append(scan_exhaustive(rational_map, p,
-                                         workers=cfg.workers))
-        else:
-            scans.append(scan_sampled(rational_map, p, targets=cfg.targets,
-                                      seed=cfg.seed, workers=cfg.workers))
-    first = scans[0]
-    for p, scan in zip(cfg.primes[1:], scans[1:]):
-        if (scan.degree, scan.dominant, scan.homaloidal) != \
-                (first.degree, first.dominant, first.homaloidal):
-            raise InconsistencyError(
-                f"verdicts disagree between p={cfg.primes[0]} and p={p}")
-    return first
-
-
-def cmd_homaloidal(cfg):
-    text = _input_text(cfg)
+def cmd_homaloidal(args):
+    text = _input_text(args)
     try:
-        arrangement = parse_arrangement(text, nvars=cfg.nvars)
+        arrangement = parse_arrangement(text, nvars=_nvars(args))
     except (ParseError, ValueError):
         arrangement = None
     started = time.monotonic()
     if arrangement is not None:
-        report = full_verdict(arrangement, primes=cfg.primes, mode=cfg.mode,
-                              targets=cfg.targets, seed=cfg.seed,
-                              workers=cfg.workers, input_text=text)
-        _emit_report(report, cfg)
-        return EXIT_OK
-    f = parse_polynomial(text, nvars=cfg.nvars, require_homogeneous=True)
-    if f.is_zero or f.homogeneous_degree() < 1:
-        raise ValueError("input must be homogeneous of degree at least 1")
-    dec = moving_part(f)
-    scan = _scan_stability(dec.moving, cfg)
-    report = ReportDocument(
-        input=text, n=f.nvars - 1, field="Fp", p=cfg.primes[0],
-        seed=cfg.seed if cfg.mode == "sample" else None, mode=cfg.mode,
-        fiber_histogram=dict(scan.fiber_histogram),
-        image_size=scan.image_size, dominant=scan.dominant,
-        degree=scan.degree, homaloidal=scan.homaloidal, certificate=[],
-        millis=int((time.monotonic() - started) * 1000))
-    _emit_report(report, cfg)
+        report = full_verdict(arrangement, *_scan_args(args), input_text=text)
+    else:
+        f = parse_polynomial(text, nvars=_nvars(args), require_homogeneous=True)
+        if f.is_zero or f.homogeneous_degree() < 1:
+            raise ValueError("input must be homogeneous of degree at least 1")
+        scan = scan_primes(moving_part(f).moving, *_scan_args(args))[0]
+        report = build_report(text, f.nvars - 1, scan, [], started)
+    _emit_report(report, args)
     return EXIT_OK
 
 
-def cmd_certify(cfg):
-    text = _input_text(cfg)
-    arrangement = parse_arrangement(text, nvars=cfg.nvars)
-    report = full_verdict(arrangement, primes=cfg.primes, mode=cfg.mode,
-                          targets=cfg.targets, seed=cfg.seed,
-                          workers=cfg.workers, input_text=text)
-    _emit_report(report, cfg)
+def cmd_certify(args):
+    text = _input_text(args)
+    arrangement = parse_arrangement(text, nvars=_nvars(args))
+    report = full_verdict(arrangement, *_scan_args(args), input_text=text)
+    _emit_report(report, args)
     return EXIT_OK
 
 
@@ -240,66 +182,56 @@ def _census_rows(nvars, coefficients):
     return sorted(rows)
 
 
-def cmd_classify(cfg):
-    if cfg.census_n < 1 or cfg.census_n > 3:
+def cmd_classify(args):
+    try:
+        coefficients = tuple(sorted(
+            int(c) for c in args.coefficients.split(",")))
+    except ValueError:
+        raise ValueError(f"bad coefficient set {args.coefficients!r}")
+    if args.census_n < 1 or args.census_n > 3:
         raise ValueError("census supports 1 <= n <= 3")
-    if cfg.census_r < 0 or cfg.census_r > 5:
+    if args.census_r < 0 or args.census_r > 5:
         raise ValueError("census supports 0 <= r <= 5")
-    nvars = cfg.census_n + 1
-    rows = _census_rows(nvars, cfg.coefficients)
+    nvars = args.census_n + 1
+    rows = _census_rows(nvars, coefficients)
     count = homaloidal_count = full_rank_count = 0
-    for chosen in combinations(rows, cfg.census_r + 1):
+    for chosen in combinations(rows, args.census_r + 1):
         F = LinearFormProduct(chosen, nvars=nvars)
         structural = structural_verdict(F)
-        dec = moving_part(F)
-        for p in cfg.primes:
-            if cfg.mode == "exhaustive":
-                scan = scan_exhaustive(dec.moving, p, workers=cfg.workers)
-            else:
-                scan = scan_sampled(dec.moving, p, targets=cfg.targets,
-                                    seed=cfg.seed, workers=cfg.workers)
-            if scan.homaloidal != structural:
-                raise InconsistencyError(
-                    f"census disagreement at p={p} on {F}: structural "
-                    f"{structural}, oracle {scan.homaloidal}")
+        scan = scan_primes(moving_part(F).moving, *_scan_args(args))[0]
+        if scan.homaloidal != structural:
+            raise InconsistencyError(
+                f"census disagreement at p={scan.p} on {F}: structural "
+                f"{structural}, oracle {scan.homaloidal}")
         count += 1
         homaloidal_count += structural
         full_rank_count += F.rank() == nvars and F.r == F.n
-    coeffs = ",".join(str(c) for c in cfg.coefficients)
-    primes = ",".join(str(p) for p in cfg.primes)
-    print(f"census n={cfg.census_n} r={cfg.census_r} "
-          f"coefficients {{{coeffs}}} primes {{{primes}}}")
+    primes = _primes(args)
+    coeffs = ",".join(str(c) for c in coefficients)
+    listed = ",".join(str(p) for p in primes)
+    print(f"census n={args.census_n} r={args.census_r} "
+          f"coefficients {{{coeffs}}} primes {{{listed}}}")
     print(f"arrangements: {count}")
     print(f"homaloidal: {homaloidal_count}")
     print(f"full-rank n+1-form sets (independent count): {full_rank_count}")
     print("disagreements: 0")
-    if cfg.json_path:
+    if args.json_path:
         import json
-        summary = {"n": cfg.census_n, "r": cfg.census_r,
-                   "coefficients": list(cfg.coefficients),
-                   "primes": list(cfg.primes), "arrangements": count,
+        summary = {"n": args.census_n, "r": args.census_r,
+                   "coefficients": list(coefficients),
+                   "primes": list(primes), "arrangements": count,
                    "homaloidal": homaloidal_count,
                    "full_rank": full_rank_count, "disagreements": 0}
-        with open(cfg.json_path, "w", encoding="utf-8") as handle:
+        with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return EXIT_OK
 
 
-_DISPATCH = {
-    "polar": cmd_polar,
-    "moving": cmd_moving,
-    "homaloidal": cmd_homaloidal,
-    "certify": cmd_certify,
-    "classify": cmd_classify,
-}
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return _DISPATCH[cfg.subcommand](cfg)
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,6 +16,7 @@ never as silently different answers.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,7 @@ import numpy as np
 
 from .arrangement import LinearFormProduct
 from .errors import InconsistencyError, ReductionError, ResourceBoundError
-from .fields import PrimeField, is_prime
+from .fields import PrimeField
 from .polar import moving_part
 from .poly import exact_rank
 
@@ -112,20 +113,20 @@ def resolve_workers(workers=None):
 
 
 def _component_tables(rational_map, p):
-    """Reduce the components mod p into (exponent rows, coefficient) tables."""
+    """Reduce the components mod p into (exponent rows, coefficient) tables.
+
+    Every kernel user builds its tables here, so this is where primes too
+    large for the int32 kernel are refused.
+    """
     fld = PrimeField(p)
+    if p >= 46341:
+        # kernel arithmetic runs in int32; products must stay below 2^31
+        raise ResourceBoundError(f"prime {p} too large for the 32-bit scan")
     tables = []
-    any_terms = False
     for comp in rational_map.components:
-        reduced = comp.reduce_mod(fld)
-        exps = []
-        coeffs = []
-        for e, c in sorted(reduced.terms.items()):
-            exps.append(e)
-            coeffs.append(c)
-        any_terms = any_terms or bool(coeffs)
-        tables.append((exps, coeffs))
-    if not any_terms:
+        terms = sorted(comp.reduce_mod(fld).terms.items())
+        tables.append(([e for e, _ in terms], [c for _, c in terms]))
+    if not any(coeffs for _, coeffs in tables):
         raise ReductionError(f"every component vanishes mod {p}; pick another prime")
     return tables
 
@@ -135,7 +136,7 @@ def _chunk_points(n, p, pivot, lo, hi):
 
     The block for pivot position k holds p^(n-k) points, indexed by the
     base-p digits of the free coordinates.  int32 is safe throughout the
-    scan: the domain bound keeps p < 46341, so products stay below 2^31.
+    scan: _component_tables keeps p < 46341, so products stay below 2^31.
     """
     count = hi - lo
     coords = np.zeros((count, n + 1), dtype=np.int32)
@@ -151,6 +152,8 @@ def _evaluate_images(tables, coords, p):
     count, nvars = coords.shape
     images = np.zeros((count, len(tables)), dtype=np.int32)
     power_cache = {}
+    # terms are < p each: after this many the int32 sum must be reduced
+    terms_per_reduction = (2 ** 31 - 1) // (p - 1) - 1
 
     def power_column(v, e):
         key = (v, e)
@@ -165,7 +168,7 @@ def _evaluate_images(tables, coords, p):
         if not coeffs:
             continue
         acc = images[:, j]
-        for e, c in zip(exps, coeffs):
+        for t, (e, c) in enumerate(zip(exps, coeffs), 1):
             term = None
             for v, k in enumerate(e):
                 if k:
@@ -175,8 +178,9 @@ def _evaluate_images(tables, coords, p):
                 term = np.full(count, c, dtype=np.int32)
             elif c != 1:
                 term = term * np.int32(c) % p
-            # terms are < p each, so the running sum stays far below 2^31
             acc += term
+            if t % terms_per_reduction == 0:
+                np.mod(acc, p, out=acc)
         np.mod(acc, p, out=acc)
     return images
 
@@ -193,16 +197,10 @@ def pow_mod_array(column, e, p):
     return result
 
 
-_INVERSE_TABLES = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _inverse_table(p):
-    table = _INVERSE_TABLES.get(p)
-    if table is None:
-        table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)],
-                         dtype=np.int32)
-        _INVERSE_TABLES[p] = table
-    return table
+    return np.array([0] + [pow(v, p - 2, p) for v in range(1, p)],
+                    dtype=np.int32)
 
 
 def _normalized_keys(images, p):
@@ -226,15 +224,9 @@ def _normalized_keys(images, p):
 
 
 def _block_tasks(n, p):
-    tasks = []
-    for pivot in range(n + 1):
-        size = p ** (n - pivot)
-        lo = 0
-        while lo < size:
-            hi = min(lo + _CHUNK, size)
-            tasks.append((pivot, lo, hi))
-            lo = hi
-    return tasks
+    return [(pivot, lo, min(lo + _CHUNK, p ** (n - pivot)))
+            for pivot in range(n + 1)
+            for lo in range(0, p ** (n - pivot), _CHUNK)]
 
 
 def _exhaustive_chunk(args):
@@ -271,17 +263,12 @@ def _run_tasks(fn, args_list, workers):
 
 
 def _check_domain(n, p, max_domain):
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     domain = projective_size(n, p)
     if domain > max_domain:
         raise ResourceBoundError(
             f"P^{n}(F_{p}) has {domain} points, over the bound {max_domain}")
     if p ** (n + 1) >= 2 ** 62:
         raise ResourceBoundError("image keys would overflow 64-bit integers")
-    if p >= 46341:
-        # scan arithmetic runs in int32; products must stay below 2^31
-        raise ResourceBoundError(f"prime {p} too large for the 32-bit scan")
     return domain
 
 
@@ -317,22 +304,18 @@ def scan_exhaustive(rational_map, p, max_domain=DEFAULT_MAX_DOMAIN, workers=None
     domain points sit in size-1 fibers.
     """
     n = rational_map.n
-    domain = _check_domain(n, p, max_domain)
+    # building the tables refuses a composite or too large p first
     tables = _component_tables(rational_map, p)
+    domain = _check_domain(n, p, max_domain)
     workers = resolve_workers(workers)
     args_list = [(tables, n, p, pivot, lo, hi) for pivot, lo, hi in _block_tasks(n, p)]
-    key_parts = []
-    count_parts = []
-    base_points = 0
-    for uniq, counts, base in _run_tasks(_exhaustive_chunk, args_list, workers):
-        key_parts.append(uniq)
-        count_parts.append(counts)
-        base_points += base
-    all_keys = np.concatenate(key_parts)
-    all_counts = np.concatenate(count_parts)
-    final_keys, inverse = np.unique(all_keys, return_inverse=True)
+    parts = list(_run_tasks(_exhaustive_chunk, args_list, workers))
+    base_points = sum(base for _, _, base in parts)
+    final_keys, inverse = np.unique(
+        np.concatenate([uniq for uniq, _, _ in parts]), return_inverse=True)
     fiber_sizes = np.zeros(len(final_keys), dtype=np.int64)
-    np.add.at(fiber_sizes, inverse, all_counts)
+    np.add.at(fiber_sizes, inverse,
+              np.concatenate([counts for _, counts, _ in parts]))
     image_size = int(len(final_keys))
     if image_size == 0:
         raise ReductionError(f"no points survive outside the base locus mod {p}")
@@ -355,68 +338,69 @@ def scan_exhaustive(rational_map, p, max_domain=DEFAULT_MAX_DOMAIN, workers=None
         homaloidal=homaloidal)
 
 
-def _sample_targets(rational_map, p, targets, seed):
-    """Seeded random non-base domain points and their image points."""
-    fld = PrimeField(p)
-    components = [c.reduce_mod(fld) for c in rational_map.components]
+def _candidates(seed, p, width, rows):
+    """Seeded uniform rows over F_p: batches of `rows`, at most 200 batches.
+
+    Coordinates are drawn row after row, in the order one-at-a-time
+    drawing would use, so a seed picks the same points in any batching.
+    """
     rng = random.Random(seed)
-    nvars = rational_map.nvars
-    picked = []
-    images = []
-    attempts = 0
-    while len(picked) < targets:
-        attempts += 1
-        if attempts > 200 * targets:
-            raise ReductionError(
-                f"could not find {targets} non-base sample points mod {p}")
-        coords = [rng.randrange(p) for _ in range(nvars)]
-        if not any(coords):
-            continue
-        value = [c.evaluate(coords) for c in components]
-        if not any(value):
-            continue
-        picked.append(ProjectivePoint(coords, p))
-        images.append(ProjectivePoint(value, p))
-    return picked, images
+    for _ in range(200):
+        yield np.array([rng.randrange(p) for _ in range(rows * width)],
+                       dtype=np.int64).reshape(rows, width)
+
+
+def _sample_targets(tables, nvars, p, targets, seed):
+    """Image keys and image rows of seeded random non-base domain points."""
+    keys, rows = [], []
+    found = 0
+    for coords in _candidates(seed, p, nvars, targets):
+        images = _evaluate_images(tables, coords.astype(np.int32), p)
+        batch_keys, _ = _normalized_keys(images, p)
+        usable = coords.any(axis=1) & (batch_keys != 0)
+        keys.append(batch_keys[usable])
+        rows.append(images[usable])
+        found += int(usable.sum())
+        if found >= targets:
+            return np.concatenate(keys)[:targets], np.concatenate(rows)[:targets]
+    raise ReductionError(
+        f"could not find {targets} non-base sample points mod {p}")
 
 
 def scan_sampled(rational_map, p, targets=64, seed=0,
                  max_domain=SAMPLED_MAX_DOMAIN, workers=None):
     """Fiber sizes of seeded random targets, counted in one domain pass.
 
-    The histogram counts distinct sampled image points by fiber size; the
-    degree estimate is the fiber size attained by the most targets
-    (smaller size on ties); dominance is the full-rank span test on the
-    sampled images; homaloidal additionally requires degree 1 and 75% of
-    targets in size-1 fibers.
+    The histogram counts distinct sampled image points by fiber size, and
+    the degree estimate reads it with _degree_estimate, the rule of
+    exhaustive mode; dominance is the full-rank span test on the sampled
+    images; homaloidal additionally requires degree 1 and 75% of targets
+    in size-1 fibers.  Every target is the image of a sampled point, so a
+    target counted with an empty fiber raises InconsistencyError.
     """
     n = rational_map.n
+    tables = _component_tables(rational_map, p)
     domain = _check_domain(n, p, max_domain)
     if targets < n + 2:
         raise ValueError(f"need at least n+2 = {n + 2} targets for the span test")
-    tables = _component_tables(rational_map, p)
     workers = resolve_workers(workers)
-    _, image_points = _sample_targets(rational_map, p, targets, seed)
-    per_target_keys = np.array([pt.key() for pt in image_points], dtype=np.int64)
-    target_keys = np.unique(per_target_keys)
+    per_target_keys, image_rows = _sample_targets(
+        tables, rational_map.nvars, p, targets, seed)
+    target_keys, target_index = np.unique(per_target_keys, return_inverse=True)
     args_list = [(tables, n, p, pivot, lo, hi, target_keys)
                  for pivot, lo, hi in _block_tasks(n, p)]
-    fiber_counts = np.zeros(len(target_keys), dtype=np.int64)
-    base_points = 0
-    for counts, base in _run_tasks(_sampled_chunk, args_list, workers):
-        fiber_counts += counts
-        base_points += base
-    key_to_size = {int(k): int(c) for k, c in zip(target_keys, fiber_counts)}
-    target_sizes = [key_to_size[int(k)] for k in per_target_keys]
-    histogram = {}
-    for k, c in zip(target_keys, fiber_counts):
-        histogram[int(c)] = histogram.get(int(c), 0) + 1
-    tally = {}
-    for size in target_sizes:
-        tally[size] = tally.get(size, 0) + 1
-    degree = max(tally.items(), key=lambda item: (item[1], -item[0]))[0]
-    dominant = dominance_by_span(image_points, p)
-    size1_targets = tally.get(1, 0)
+    parts = list(_run_tasks(_sampled_chunk, args_list, workers))
+    fiber_counts = sum(counts for counts, _ in parts)
+    base_points = sum(base for _, base in parts)
+    if not fiber_counts.all():
+        raise InconsistencyError(
+            f"{int((fiber_counts == 0).sum())} sampled image points have no "
+            f"preimage in the scan mod {p}: enumeration or keying is broken")
+    sizes, size_counts = np.unique(fiber_counts, return_counts=True)
+    histogram = {int(s): int(c) for s, c in zip(sizes, size_counts)}
+    degree = _degree_estimate(histogram, len(target_keys), p)
+    dominant = dominance_by_span(image_rows.tolist(), p)
+    size1_targets = int((fiber_counts[target_index] == 1).sum())
     homaloidal = (dominant and degree == 1 and
                   _SAMPLED_SIZE1_DEN * size1_targets >=
                   _SAMPLED_SIZE1_NUM * targets)
@@ -425,6 +409,39 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
         domain_size=domain, base_points=base_points,
         image_size=int(len(target_keys)), fiber_histogram=histogram,
         degree=degree, dominant=dominant, homaloidal=homaloidal)
+
+
+def scan_primes(rational_map, primes, mode="exhaustive", targets=64, seed=0,
+                max_domain=None, workers=None):
+    """One scan per prime in the given mode; the verdicts must agree.
+
+    Returns the DegreeReports in the order of primes.  dominant and
+    homaloidal must match at every prime.  degree is compared only when it
+    is below p-1 at every prime, i.e. a generic fiber size: larger values
+    are _degree_estimate's fallback, which for a non-dominant cone grows
+    with p.  max_domain None takes the mode's default bound.  A
+    disagreement raises InconsistencyError.
+    """
+    if not primes:
+        raise ValueError("need at least one prime")
+    if mode == "exhaustive":
+        bound = DEFAULT_MAX_DOMAIN if max_domain is None else max_domain
+        reports = [scan_exhaustive(rational_map, p, bound, workers)
+                   for p in primes]
+    elif mode == "sample":
+        bound = SAMPLED_MAX_DOMAIN if max_domain is None else max_domain
+        reports = [scan_sampled(rational_map, p, targets, seed, bound, workers)
+                   for p in primes]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    first = reports[0]
+    compare_degree = all(r.degree < r.p - 1 for r in reports)
+    for r in reports[1:]:
+        if (r.dominant, r.homaloidal) != (first.dominant, first.homaloidal) or \
+                (compare_degree and r.degree != first.degree):
+            raise InconsistencyError(
+                f"verdicts disagree between p={first.p} and p={r.p}")
+    return reports
 
 
 def dominance_by_span(points, p):
@@ -458,40 +475,31 @@ def check_contraction(F, i, p, samples=100, seed=0):
         raise TypeError("check_contraction takes a LinearFormProduct")
     if not 0 <= i <= F.r:
         raise IndexError(f"form index {i} out of range")
-    fld = PrimeField(p)
-    row = [c % p for c in F.forms[i]]
-    pivot = next((t for t, c in enumerate(row) if c), None)
-    if pivot is None:
+    tables = _component_tables(moving_part(F).moving, p)
+    forms = np.array([[int(c) % p for c in form] for form in F.forms],
+                     dtype=np.int64)
+    row = forms[i]
+    if not row.any():
         raise ReductionError(f"form {i} vanishes mod {p}; pick another prime")
-    dual = ProjectivePoint(F.forms[i], p)
-    moving = [c.reduce_mod(fld) for c in moving_part(F).moving.components]
-    other_forms = [[c % p for c in F.forms[j]] for j in range(len(F.forms)) if j != i]
-    nvars = F.nvars
-    inv_pivot = pow(row[pivot], -1, p)
-    rng = random.Random(seed)
+    pivot = int(np.flatnonzero(row)[0])
+    dual_key = _normalized_keys(row[None, :], p)[0][0]
+    others = np.delete(forms, i, axis=0)
+    free_slots = [t for t in range(F.nvars) if t != pivot]
+    minus_inv_pivot = p - pow(int(row[pivot]), -1, p)
     found = 0
-    attempts = 0
-    while found < samples:
-        attempts += 1
-        if attempts > 200 * samples:
-            raise ReductionError(
-                f"hyperplane {i} yields no usable sample points mod {p}; "
-                "retry with a larger prime")
-        free = [rng.randrange(p) for _ in range(nvars - 1)]
-        if not any(free):
-            continue
-        coords = []
-        it = iter(free)
-        for t in range(nvars):
-            coords.append(0 if t == pivot else next(it))
-        coords[pivot] = -inv_pivot * sum(row[t] * coords[t] for t in range(nvars)) % p
-        if any(sum(f[t] * coords[t] for t in range(nvars)) % p == 0
-               for f in other_forms):
-            continue
-        value = [c.evaluate(coords) for c in moving]
-        if not any(value):
-            continue
-        found += 1
-        if ProjectivePoint(value, p) != dual:
+    for free in _candidates(seed, p, len(free_slots), samples):
+        coords = np.zeros((samples, F.nvars), dtype=np.int64)
+        coords[:, free_slots] = free
+        coords[:, pivot] = coords @ row % p * minus_inv_pivot % p
+        usable = free.any(axis=1) & (coords @ others.T % p != 0).all(axis=1)
+        keys, _ = _normalized_keys(
+            _evaluate_images(tables, coords.astype(np.int32), p), p)
+        keys = keys[usable & (keys != 0)][:samples - found]
+        if (keys != dual_key).any():
             return False
-    return True
+        found += len(keys)
+        if found == samples:
+            return True
+    raise ReductionError(
+        f"hyperplane {i} yields no usable sample points mod {p}; "
+        "retry with a larger prime")

@@ -168,13 +168,11 @@ def _collect_indices(node, out):
     kind = node[0]
     if kind == "var":
         out.add(node[1])
-    elif kind in ("neg", "group"):
+    elif kind in ("neg", "group", "pow"):
         _collect_indices(node[1], out)
     elif kind in ("add", "sub", "mul"):
         _collect_indices(node[1], out)
         _collect_indices(node[2], out)
-    elif kind == "pow":
-        _collect_indices(node[1], out)
 
 
 def _resolve_nvars(node, nvars):
@@ -276,16 +274,11 @@ def parse_arrangement(text, nvars=None):
     mults = []
     for factor in factors:
         pos = factor[-1]
-        if factor[0] == "pow":
-            if factor[2] < 1:
-                raise ParseError("multiplicity must be at least 1", pos[0], pos[1])
-            base = _eval_ast(factor[1], nvars)
-            rows.append(_linear_row(base, nvars, pos))
-            mults.append(factor[2])
-        else:
-            value = _eval_ast(factor, nvars)
-            rows.append(_linear_row(value, nvars, pos))
-            mults.append(1)
+        node, mult = factor[1:3] if factor[0] == "pow" else (factor, 1)
+        if mult < 1:
+            raise ParseError("multiplicity must be at least 1", pos[0], pos[1])
+        rows.append(_linear_row(_eval_ast(node, nvars), nvars, pos))
+        mults.append(mult)
     return LinearFormProduct(rows, mults, nvars)
 
 

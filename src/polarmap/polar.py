@@ -170,11 +170,6 @@ def moving_part(source):
     return PolarDecomposition(base, moving, reduced)
 
 
-def reduced_part(F):
-    """Forget multiplicities: same forms, each taken once."""
-    return F.reduced()
-
-
 def is_cone(f):
     """True iff the partials are linearly dependent over the field.
 

@@ -65,10 +65,6 @@ class Polynomial:
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(field, nvars, {exps: field.one})
 
-    @classmethod
-    def monomial(cls, field, nvars, exps, coeff=1):
-        return cls(field, nvars, {tuple(exps): coeff})
-
     # -- basic queries -----------------------------------------------------
 
     @property

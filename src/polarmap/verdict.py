@@ -7,8 +7,8 @@ inductive_certificate rederives the same answer by restricting to a
 factor hyperplane one dimension at a time, down to the two-points-in-P^1
 base case, recording every step so the descent can be replayed.
 full_verdict runs both plus the fiber-counting oracle on the moving parts
-of F and of its square-free reduction, and treats any disagreement
-between the four routes as a hard error.
+of F and (when F has a repeated form) of its square-free reduction, and
+treats any disagreement between the four routes as a hard error.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from fractions import Fraction
 from .arrangement import LinearFormProduct
 from .errors import InconsistencyError
 from .fields import QQ
-from .oracle import (DEFAULT_MAX_DOMAIN, SAMPLED_MAX_DOMAIN, scan_exhaustive,
-                     scan_sampled)
+from .oracle import scan_primes
 from .polar import RationalMap, moving_part, restrict_arrangement
 from .poly import Polynomial
 from .report import ReportDocument
@@ -33,12 +32,7 @@ class CremonaMap:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents):
-        exponents = tuple(exponents)
-        if len(exponents) < 2:
-            raise ValueError("need at least two variables")
-        if any(not isinstance(m, int) or m < 1 for m in exponents):
-            raise ValueError("exponents must be positive integers")
-        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "exponents", _checked_exponents(exponents))
 
     def __setattr__(self, name, value):
         raise AttributeError("CremonaMap is immutable")
@@ -98,6 +92,15 @@ def structural_verdict(F):
     return F.r == F.n and F.rank() == F.nvars
 
 
+def _checked_exponents(exponents):
+    exponents = tuple(exponents)
+    if len(exponents) < 2:
+        raise ValueError("need at least two variables")
+    if any(not isinstance(m, int) or m < 1 for m in exponents):
+        raise ValueError("exponents must be positive integers")
+    return exponents
+
+
 def monomial_moving_part(exponents):
     """The moving polar map of X_0^{m_0}...X_n^{m_n} in closed form.
 
@@ -105,12 +108,8 @@ def monomial_moving_part(exponents):
     their gcd prod X_j^{m_j - 1} gives exactly this, so it must agree
     with moving_part of the expanded monomial.
     """
-    exponents = tuple(exponents)
+    exponents = _checked_exponents(exponents)
     nvars = len(exponents)
-    if nvars < 2:
-        raise ValueError("need at least two variables")
-    if any(not isinstance(m, int) or m < 1 for m in exponents):
-        raise ValueError("exponents must be positive integers")
     components = []
     for i, m in enumerate(exponents):
         exps = tuple(0 if j == i else 1 for j in range(nvars))
@@ -164,14 +163,11 @@ def inductive_certificate(F):
             return Certificate(True, tuple(chain), base, None)
         reduced = current.reduced()
         dropped = reduced != current
-        chosen = None
-        restricted = None
-        for i in range(reduced.r + 1):
-            candidate = restrict_arrangement(reduced, i)
-            if candidate.is_squarefree():
-                chosen, restricted = i, candidate
+        for chosen in range(reduced.r + 1):
+            restricted = restrict_arrangement(reduced, chosen)
+            if restricted.is_squarefree():
                 break
-        if chosen is None:
+        else:
             chosen, restricted = 0, restrict_arrangement(reduced, 0)
         chain.append(CertificateStep(chosen, restricted, dropped))
         current = restricted
@@ -188,18 +184,16 @@ def replay_certificate(F, certificate):
     return True
 
 
-def _scan(rational_map, p, mode, targets, seed, max_domain, workers):
-    if mode == "exhaustive":
-        if max_domain is None:
-            max_domain = DEFAULT_MAX_DOMAIN
-        return scan_exhaustive(rational_map, p, max_domain=max_domain,
-                               workers=workers)
-    if mode == "sample":
-        if max_domain is None:
-            max_domain = SAMPLED_MAX_DOMAIN
-        return scan_sampled(rational_map, p, targets=targets, seed=seed,
-                            max_domain=max_domain, workers=workers)
-    raise ValueError(f"unknown mode {mode!r}")
+def build_report(text, n, scan, certificate, started):
+    """The JSON report of a verdict: the fields of the scan at the first
+    prime, the certificate entries, and the time since `started`."""
+    return ReportDocument(
+        input=text, n=n, field="Fp", p=scan.p, seed=scan.seed, mode=scan.mode,
+        fiber_histogram=dict(scan.fiber_histogram),
+        image_size=scan.image_size, dominant=scan.dominant,
+        degree=scan.degree, homaloidal=scan.homaloidal,
+        certificate=certificate,
+        millis=int((time.monotonic() - started) * 1000))
 
 
 def full_verdict(F, primes=(101,), mode="exhaustive", targets=64, seed=0,
@@ -207,14 +201,13 @@ def full_verdict(F, primes=(101,), mode="exhaustive", targets=64, seed=0,
     """Check homaloidality four ways and insist the answers coincide.
 
     Routes: structural_verdict, inductive_certificate, and the oracle's
-    homaloidal flag on the moving part of F and of its reduction, at
-    every listed prime.  A homaloidal F additionally gets the restriction
-    cross-check (its first descent restriction must itself be structurally
-    homaloidal).  Any mismatch raises InconsistencyError: it means a bug
-    or a bad prime, and neither may pass silently.
+    homaloidal flag on the moving part of F and, when F has a repeated
+    form, of its reduction, at every listed prime (scan_primes also
+    requires the primes to agree).  A homaloidal F additionally gets the
+    restriction cross-check (its first descent restriction must itself be
+    structurally homaloidal).  Any mismatch raises InconsistencyError: it
+    means a bug or a bad prime, and neither may pass silently.
     """
-    if not primes:
-        raise ValueError("need at least one prime")
     started = time.monotonic()
     structural = structural_verdict(F)
     certificate = inductive_certificate(F)
@@ -222,28 +215,20 @@ def full_verdict(F, primes=(101,), mode="exhaustive", targets=64, seed=0,
         raise InconsistencyError(
             f"certificate says {certificate.verdict}, rank criterion says "
             f"{structural} for {F}")
-    dec = moving_part(F)
-    dec_red = moving_part(F.reduced())
-    scans = []
-    for p in primes:
-        scan = _scan(dec.moving, p, mode, targets, seed, max_domain, workers)
-        scan_red = _scan(dec_red.moving, p, mode, targets, seed, max_domain,
-                         workers)
-        if scan.homaloidal != scan_red.homaloidal:
+    scan_args = (primes, mode, targets, seed, max_domain, workers)
+    first = scan_primes(moving_part(F).moving, *scan_args)[0]
+    # a square-free F is its own reduction, whose scan would repeat this one
+    if not F.is_squarefree():
+        first_red = scan_primes(moving_part(F.reduced()).moving, *scan_args)[0]
+        if first.homaloidal != first_red.homaloidal:
             raise InconsistencyError(
-                f"oracle flags differ between F and F_red at p={p}: "
-                f"{scan.homaloidal} vs {scan_red.homaloidal}")
-        if scan.homaloidal != structural:
-            raise InconsistencyError(
-                f"oracle says homaloidal={scan.homaloidal} at p={p}, "
-                f"structure says {structural} for {F}")
-        scans.append(scan)
-    first = scans[0]
-    for p, scan in zip(primes[1:], scans[1:]):
-        if (scan.degree, scan.dominant, scan.homaloidal) != \
-                (first.degree, first.dominant, first.homaloidal):
-            raise InconsistencyError(
-                f"verdicts disagree between p={primes[0]} and p={p}")
+                f"oracle flags differ between F and F_red at p={first.p}: "
+                f"{first.homaloidal} vs {first_red.homaloidal}")
+    # scan_primes made homaloidal agree at every prime: the first speaks for all
+    if first.homaloidal != structural:
+        raise InconsistencyError(
+            f"oracle says homaloidal={first.homaloidal} at p={first.p}, "
+            f"structure says {structural} for {F}")
     entries = certificate.entries()
     if structural and F.n >= 2:
         i0 = certificate.chain[0].index
@@ -258,12 +243,5 @@ def full_verdict(F, primes=(101,), mode="exhaustive", targets=64, seed=0,
     if len(primes) > 1:
         entries.append({"prime_stability": {
             "primes": list(primes), "agree": True}})
-    millis = int((time.monotonic() - started) * 1000)
-    return ReportDocument(
-        input=input_text if input_text is not None else str(F),
-        n=F.n, field="Fp", p=primes[0],
-        seed=seed if mode == "sample" else None, mode=mode,
-        fiber_histogram=dict(first.fiber_histogram),
-        image_size=first.image_size, dominant=first.dominant,
-        degree=first.degree, homaloidal=first.homaloidal,
-        certificate=entries, millis=millis)
+    return build_report(input_text if input_text is not None else str(F),
+                        F.n, first, entries, started)

@@ -178,3 +178,28 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "component 0: x1" in proc.stdout
+
+
+def test_certify_cone_at_two_primes(capsys):
+    code, out, err = run(capsys, "certify", "x1*x2*(x1-x2)", "--ambient", "2",
+                         "-p", "101", "-p", "211")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["homaloidal"] is False and report["dominant"] is False
+
+
+def test_homaloidal_cone_at_two_primes(capsys):
+    code, out, err = run(capsys, "homaloidal", "x0*x1", "--ambient", "2",
+                         "-p", "101", "-p", "211")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["homaloidal"] is False and report["dominant"] is False
+
+
+def test_classify_at_two_primes(capsys):
+    code, out, err = run(capsys, "classify", "--n", "2", "--r", "2",
+                         "-p", "101", "-p", "211")
+    assert code == 0, err
+    assert "arrangements: 286" in out
+    assert "homaloidal: 246" in out
+    assert "primes {101,211}" in out

@@ -3,14 +3,18 @@ resource guards, and the sampled mode's seeded determinism."""
 
 import random
 
+import numpy as np
 import pytest
 
+from polarmap import oracle
 from polarmap.arrangement import LinearFormProduct
-from polarmap.errors import ReductionError, ResourceBoundError
-from polarmap.fields import QQ, is_prime
+from polarmap.errors import (InconsistencyError, ReductionError,
+                             ResourceBoundError)
+from polarmap.fields import QQ, PrimeField, is_prime
 from polarmap.oracle import (DegreeReport, ProjectivePoint, _degree_estimate,
                              check_contraction, dominance_by_span,
-                             projective_size, scan_exhaustive, scan_sampled)
+                             projective_size, scan_exhaustive, scan_primes,
+                             scan_sampled)
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, polar_system, moving_part
 from polarmap.poly import Polynomial
@@ -280,3 +284,112 @@ def test_worker_merge_matches_serial():
     assert scan_exhaustive(pm, 11, workers=2) == scan_exhaustive(pm, 11, workers=1)
     assert scan_sampled(pm, 11, targets=8, seed=3, workers=2) == \
         scan_sampled(pm, 11, targets=8, seed=3, workers=1)
+
+
+def first_prime_from(p):
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("moving, p, degree", [
+    (lambda: polar_of("x0^3 + x1^3 + x2^3 + x0*x1*x2"), 103, 4),
+    (lambda: polar_of("x0^4 + 3*x0^3*x1 + 2*x0^2*x1^2 + x0*x1^3 + x1^4"),
+     103, 3),
+    (lambda: moving_of("x0*x1*x2*(x0+x1+x2)"), 101, 3),
+], ids=["hesse_cubic", "binary_quartic", "four_lines"])
+def test_sampled_degree_is_the_exhaustive_rule(moving, p, degree, seed):
+    # the targets are images of random points, so they over-represent big
+    # fibers; the most common target size is not the generic degree
+    rep = scan_sampled(moving(), p, targets=64, seed=seed)
+    assert rep.degree == degree
+    assert not rep.homaloidal
+
+
+def test_sampled_targets_match_the_reference_evaluator():
+    # the kernel's sampled targets against Polynomial.evaluate plus
+    # ProjectivePoint, drawing the same seeded points one at a time
+    for m, p, seed in ((polar_of("x0*x1*x2*x3*x4"), 31, 0),
+                       (moving_of("x0^2*x1*(x0+x1+x2)"), 13, 4),
+                       (polar_of("x0^3 + x1^3 + x2^3 + x0*x1*x2"), 103, 7)):
+        components = [c.reduce_mod(PrimeField(p)) for c in m.components]
+        rng = random.Random(seed)
+        expected = []
+        while len(expected) < 16:
+            coords = [rng.randrange(p) for _ in range(m.nvars)]
+            value = [c.evaluate(coords) for c in components]
+            if any(coords) and any(value):
+                expected.append(ProjectivePoint(value, p).key())
+        keys, rows = oracle._sample_targets(
+            oracle._component_tables(m, p), m.nvars, p, 16, seed)
+        assert keys.tolist() == expected
+        assert [ProjectivePoint(r, p).key() for r in rows.tolist()] == expected
+
+
+def test_sampled_scan_raises_on_an_empty_target_fiber(monkeypatch):
+    # every target is the image of a domain point; if the scan's points
+    # miss it, enumeration or keying is broken and must not pass silently
+    real = oracle._chunk_points
+
+    def stuck_points(n, p, pivot, lo, hi):
+        coords = real(n, p, pivot, lo, hi)
+        coords[:] = 1
+        return coords
+
+    monkeypatch.setattr(oracle, "_chunk_points", stuck_points)
+    with pytest.raises(InconsistencyError):
+        scan_sampled(polar_of("x0*x1*x2"), 101, targets=8, seed=0)
+
+
+def test_int32_accumulation_is_exact():
+    # 48,516 terms of value p-1: the unreduced int32 sum would wrap
+    p = 46337
+    form = Polynomial(QQ, 3, {(a, b, 310 - a - b): -1
+                              for a in range(311) for b in range(311 - a)})
+    assert len(form.terms) == 48516
+    tables = oracle._component_tables(RationalMap([form] * 3), p)
+    images = oracle._evaluate_images(tables, np.ones((1, 3), dtype=np.int32), p)
+    assert images.tolist() == [[44158] * 3]
+    assert (-48516) % p == 44158
+
+
+def test_check_contraction_shares_the_scan_prime_bound():
+    F = parse_arrangement("x0*x1*x2")
+    with pytest.raises(ResourceBoundError):
+        check_contraction(F, 0, first_prime_from(46341), samples=10)
+    assert check_contraction(F, 0, first_prime_from(46000), samples=10)
+
+
+def test_scan_primes_returns_one_report_per_prime():
+    m = moving_of("x0*x1*x2*(x0+x1+x2)")
+    reps = scan_primes(m, (101, 211))
+    assert [r.p for r in reps] == [101, 211]
+    assert reps[0] == scan_exhaustive(m, 101)
+    assert [r.degree for r in reps] == [3, 3]
+    reps = scan_primes(m, (101,), mode="sample", targets=64, seed=0)
+    assert reps[0] == scan_sampled(m, 101, targets=64, seed=0)
+    with pytest.raises(ValueError):
+        scan_primes(m, ())
+    with pytest.raises(ValueError):
+        scan_primes(m, (101,), mode="montecarlo")
+    with pytest.raises(ResourceBoundError):
+        scan_primes(m, (101,), max_domain=100)
+
+
+def test_scan_primes_twisted_cube():
+    cube = moving_of("x0*x1*(x0+x1)*(x0-x1)")
+    # p = 109 and 227 are not 5 or 7 mod 12: both see the degree
+    assert [r.degree for r in scan_primes(cube, (109, 227))] == [3, 3]
+    # at p = 101 cubing is a bijection, so the map reads as birational
+    with pytest.raises(InconsistencyError):
+        scan_primes(cube, (101, 109))
+
+
+def test_scan_primes_cone_degree_is_not_compared():
+    # a cone's fibers have size about p; the fallback degree grows with p,
+    # while dominant and homaloidal agree
+    reps = scan_primes(moving_of("x0*x1*(x0-x1)", nvars=3), (101, 211))
+    assert [r.degree >= r.p - 1 for r in reps] == [True, True]
+    assert reps[0].degree != reps[1].degree
+    assert not any(r.dominant or r.homaloidal for r in reps)

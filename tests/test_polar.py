@@ -11,7 +11,6 @@ from polarmap.polar import (
     is_cone,
     moving_part,
     polar_system,
-    reduced_part,
     restrict_arrangement,
 )
 from polarmap.poly import restrict_to_hyperplane
@@ -127,11 +126,11 @@ def test_moving_part_reconstructs_partials():
 
 def test_reduced_part():
     A = parse_arrangement("x0^2*x1*x2")
-    assert reduced_part(A).multiplicities == (1, 1, 1)
+    assert A.reduced().multiplicities == (1, 1, 1)
     B = parse_arrangement("x0*x1*x2")
-    assert reduced_part(B) == B
+    assert B.reduced() == B
     C = parse_arrangement("x0^3", nvars=1)
-    assert reduced_part(C).multiplicities == (1,)
+    assert C.reduced().multiplicities == (1,)
 
 
 def test_is_cone_examples():

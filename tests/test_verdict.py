@@ -213,8 +213,9 @@ def test_full_verdict_input_text_passthrough():
 
 def test_twisted_cube_map_needs_the_right_primes():
     # real/imaginary parts of (x0 + i*x1)^3: a degree-3 self-map of P^1
-    # that is a bijection on F_p points whenever 3 divides neither p-1
-    # (split torus) nor p+1 (non-split), i.e. at half of all primes.
+    # that is a bijection on F_p points exactly when p = 5 or 7 mod 12
+    # (3 divides neither the split torus order p-1 when p = 1 mod 4 nor
+    # the non-split order p+1 when p = 3 mod 4), i.e. at half of all primes.
     # Fiber counting alone cannot see the degree there; the structural
     # cross-check turns that into a loud error instead of a wrong answer.
     F = parse_arrangement("x0*x1*(x0+x1)*(x0-x1)")
