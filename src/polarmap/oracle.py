@@ -2,10 +2,12 @@
 
 Every point of P^n(F_p) is written with its first nonzero coordinate
 normalized to 1, enumerated in blocks by the position of that pivot, and
-pushed through the map in vectorized chunks.  Exhaustive mode buckets the
-whole domain by image point and reads the degree off the fiber-size
-histogram; sampled mode picks seeded random targets, then counts their
-preimages in one pass over the domain.
+pushed through the map in vectorized chunks.  Exhaustive mode counts the
+fiber of every image point in one dense int32 array indexed by projective
+position (pivot block, then the free digits: exactly projective_size(n, p)
+entries) and reads the degree off the fiber-size histogram; sampled mode
+picks seeded random targets, then counts their preimages in one pass over
+the domain.
 
 Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
@@ -16,6 +18,7 @@ never as silently different answers.
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 import random
@@ -30,8 +33,10 @@ from .fields import PrimeField
 from .polar import moving_part
 from .poly import exact_rank
 
-# exhaustive mode keys every domain point, so its memory grows with the
-# image; sampled mode streams in constant memory and can afford more
+# exhaustive mode holds one int32 fiber count per domain point (the quadric
+# in P^3 at p=577, 1.92e8 points, peaks at 845 MiB, 4.6 bytes/pt) and
+# refuses 2^31 points whatever the bound; sampled mode streams in constant
+# memory and can afford more
 DEFAULT_MAX_DOMAIN = 200_000_000
 SAMPLED_MAX_DOMAIN = 2_000_000_000
 _CHUNK = 1 << 20
@@ -40,7 +45,7 @@ _CHUNK = 1 << 20
 # is shared by at least this fraction of the image: special loci (e.g. a
 # contracted hyperplane) occupy ~1/p of the image and fall well below it,
 # while every Frobenius class of a finite map sits well above it.
-_DEGREE_IMAGE_FRACTION = 0.005
+_DEGREE_IMAGE_NUM, _DEGREE_IMAGE_DEN = 5, 1000
 
 # Exhaustive homaloidal knob: at least 90% of non-base domain points must
 # sit in fibers of size 1.  Sampled knob: at least 75% of targets (random
@@ -229,6 +234,35 @@ def _block_tasks(n, p):
             for lo in range(0, p ** (n - pivot), _CHUNK)]
 
 
+def _projective_index(keys, n, p):
+    """int32 position in P^n(F_p) of each normalized key; -1 if none has it.
+
+    A key with pivot k is p^k + p^(k+1)*m with 0 <= m < p^(n-k).  Its index
+    is m plus the sizes of the blocks of smaller pivot, which makes the
+    index a bijection from the points onto range(projective_size(n, p)).
+    Pivot-0 keys (key % p == 1, all but about 1/p of the rows) map to
+    key // p in one pass; the rest are resolved one pivot at a time.
+    """
+    quot = keys // p
+    digit = keys - quot * p
+    block = p ** n
+    valid = (digit == 1) & (quot >= 0) & (quot < block)
+    index = np.where(valid, quot, -1).astype(np.int32)
+    # a valid key with pivot k >= 1 has quot >= p^(k-1) > 0
+    rest = np.flatnonzero((digit == 0) & (quot > 0))
+    quot = quot[rest]
+    offset = 0
+    for _ in range(n):
+        offset += block
+        block //= p
+        quot, digit = np.divmod(quot, p)
+        hit = (digit == 1) & (quot < block)
+        index[rest[hit]] = offset + quot[hit]
+        zero = digit == 0
+        rest, quot = rest[zero], quot[zero]
+    return index
+
+
 def _exhaustive_chunk(args):
     tables, n, p, pivot, lo, hi = args
     coords = _chunk_points(n, p, pivot, lo, hi)
@@ -236,8 +270,7 @@ def _exhaustive_chunk(args):
     keys, base = _normalized_keys(images, p)
     if base:
         keys = keys[keys != 0]
-    uniq, counts = np.unique(keys, return_counts=True)
-    return uniq, counts, base
+    return _projective_index(keys, n, p), base
 
 
 def _sampled_chunk(args):
@@ -251,6 +284,12 @@ def _sampled_chunk(args):
     hits = target_keys[positions] == keys
     counts = np.bincount(positions[hits], minlength=len(target_keys))
     return counts, base
+
+
+def _scan_workers(workers, domain):
+    """resolve_workers, except that a domain of one chunk runs in-process:
+    starting a process pool costs more than such a scan."""
+    return resolve_workers(workers) if domain > _CHUNK else 1
 
 
 def _run_tasks(fn, args_list, workers):
@@ -282,7 +321,7 @@ def _degree_estimate(histogram, image_size, p):
     never counted as generic, which assumes p-1 exceeds the true degree
     (pick a larger prime otherwise).
     """
-    threshold = max(2, -(-image_size * 5 // 1000))
+    threshold = max(2, -(-image_size * _DEGREE_IMAGE_NUM // _DEGREE_IMAGE_DEN))
     eligible = [size for size, count in histogram.items()
                 if size < p - 1 and count >= threshold]
     if eligible:
@@ -307,20 +346,33 @@ def scan_exhaustive(rational_map, p, max_domain=DEFAULT_MAX_DOMAIN, workers=None
     # building the tables refuses a composite or too large p first
     tables = _component_tables(rational_map, p)
     domain = _check_domain(n, p, max_domain)
-    workers = resolve_workers(workers)
+    if domain >= 2 ** 31:
+        raise ResourceBoundError(
+            f"P^{n}(F_{p}) has {domain} points, past the int32 fiber counts")
+    workers = _scan_workers(workers, domain)
     args_list = [(tables, n, p, pivot, lo, hi) for pivot, lo, hi in _block_tasks(n, p)]
-    parts = list(_run_tasks(_exhaustive_chunk, args_list, workers))
-    base_points = sum(base for _, _, base in parts)
-    final_keys, inverse = np.unique(
-        np.concatenate([uniq for uniq, _, _ in parts]), return_inverse=True)
-    fiber_sizes = np.zeros(len(final_keys), dtype=np.int64)
-    np.add.at(fiber_sizes, inverse,
-              np.concatenate([counts for _, counts, _ in parts]))
-    image_size = int(len(final_keys))
+    fibers = np.zeros(domain, dtype=np.int32)
+    ones = np.ones(min(_CHUNK, domain), dtype=np.int32)
+    base_points = 0
+    for index, base in _run_tasks(_exhaustive_chunk, args_list, workers):
+        # np.add.at would wrap a negative index silently
+        if index.size and (index.min() < 0 or index.max() >= domain):
+            raise InconsistencyError(
+                f"an image key mod {p} has no projective index: keying is broken")
+        # numpy >= 1.25 runs ufunc.at on matching int32 arrays in a fast
+        # path; a scalar 1 takes the slow generic loop
+        np.add.at(fibers, index, ones[:index.size])
+        base_points += base
+    tally = collections.Counter()
+    for lo in range(0, domain, _CHUNK):
+        # slice by slice: a whole-array unique or bincount would copy it
+        sizes, counts = np.unique(fibers[lo:lo + _CHUNK], return_counts=True)
+        tally.update(dict(zip(sizes.tolist(), counts.tolist())))
+    del tally[0]
+    histogram = dict(sorted(tally.items()))
+    image_size = sum(histogram.values())
     if image_size == 0:
         raise ReductionError(f"no points survive outside the base locus mod {p}")
-    sizes, counts = np.unique(fiber_sizes, return_counts=True)
-    histogram = {int(s): int(c) for s, c in zip(sizes, counts)}
     mapped = sum(s * c for s, c in histogram.items())
     if base_points + mapped != domain:
         raise InconsistencyError(
@@ -383,7 +435,7 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
     domain = _check_domain(n, p, max_domain)
     if targets < n + 2:
         raise ValueError(f"need at least n+2 = {n + 2} targets for the span test")
-    workers = resolve_workers(workers)
+    workers = _scan_workers(workers, domain)
     per_target_keys, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
     target_keys, target_index = np.unique(per_target_keys, return_inverse=True)

@@ -1,0 +1,169 @@
+"""Exhaustive fiber counting: the dense projective index against the
+unique-and-merge counter it replaced, index bijectivity, int32 bounds and
+in-process scans of small domains."""
+
+import numpy as np
+import pytest
+
+from polarmap import oracle
+from polarmap.cli import main
+from polarmap.errors import InconsistencyError, ResourceBoundError
+from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
+from polarmap.parsing import parse_arrangement, parse_polynomial
+from polarmap.polar import moving_part, polar_system
+
+
+def polar_of(text):
+    return polar_system(parse_polynomial(text))
+
+
+def moving_of(text, nvars=None):
+    return moving_part(parse_arrangement(text, nvars=nvars)).moving
+
+
+def reference_counts(rational_map, p):
+    """(fiber histogram, base points, image size) by the former counter:
+    np.unique per chunk, then one global unique(return_inverse) merge."""
+    n = rational_map.n
+    tables = oracle._component_tables(rational_map, p)
+    uniqs, counts, base_points = [], [], 0
+    for pivot, lo, hi in oracle._block_tasks(n, p):
+        coords = oracle._chunk_points(n, p, pivot, lo, hi)
+        keys, base = oracle._normalized_keys(
+            oracle._evaluate_images(tables, coords, p), p)
+        u, c = np.unique(keys[keys != 0], return_counts=True)
+        uniqs.append(u)
+        counts.append(c)
+        base_points += base
+    final_keys, inverse = np.unique(np.concatenate(uniqs), return_inverse=True)
+    fiber_sizes = np.zeros(len(final_keys), dtype=np.int64)
+    np.add.at(fiber_sizes, inverse, np.concatenate(counts))
+    sizes, size_counts = np.unique(fiber_sizes, return_counts=True)
+    histogram = {int(s): int(c) for s, c in zip(sizes, size_counts)}
+    return histogram, base_points, len(final_keys)
+
+
+class CountingPool(oracle.ProcessPoolExecutor):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        CountingPool.built += 1
+        super().__init__(*args, **kwargs)
+
+
+class RefusedPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started for a one-chunk scan")
+
+
+DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
+
+CASES = {
+    "smooth_quadric_p3": (lambda: polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 101),
+    "cremona_p2": (lambda: polar_of("x0*x1*x2"), 101),
+    "cremona_p3": (lambda: polar_of("x0*x1*x2*x3"), 101),
+    "twisted_cube_p109": (lambda: moving_of("x0*x1*(x0+x1)*(x0-x1)"), 109),
+    "twisted_cube_p101": (lambda: moving_of("x0*x1*(x0+x1)*(x0-x1)"), 101),
+    "cone": (lambda: moving_of("x0*x1*(x0-x1)", nvars=3), 101),
+    "four_lines": (lambda: moving_of("x0*x1*x2*(x0+x1+x2)"), 101),
+    "det_cubic_p7": (lambda: polar_of(DET_CUBIC), 7),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dense_counter_matches_the_merge_counter(monkeypatch, name, workers):
+    build, p = CASES[name]
+    rational_map = build()
+    histogram, base, image = reference_counts(rational_map, p)
+    if workers == 2:
+        # every case fits in one default chunk and would run in-process;
+        # smaller chunks send it through the pool and the slice loop
+        domain = projective_size(rational_map.n, p)
+        monkeypatch.setattr(oracle, "_CHUNK", max(16, domain // 6))
+        CountingPool.built = 0
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+    rep = scan_exhaustive(rational_map, p, workers=workers)
+    assert list(rep.fiber_histogram.items()) == list(histogram.items())
+    assert rep.base_points == base
+    assert rep.image_size == image
+    if workers == 2:
+        assert CountingPool.built == 1
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (3, 2), (5, 2), (1, 3),
+                                  (1, 101), (2, 5), (3, 7), (4, 3)])
+def test_projective_index_is_a_bijection(n, p):
+    # the identity map keys every point of P^n(F_p) once; the index must
+    # hit every position of the count array once
+    indices = []
+    for pivot, lo, hi in oracle._block_tasks(n, p):
+        keys, base = oracle._normalized_keys(
+            oracle._chunk_points(n, p, pivot, lo, hi), p)
+        assert base == 0
+        index = oracle._projective_index(keys, n, p)
+        assert index.dtype == np.int32
+        indices.append(index)
+    assert sorted(np.concatenate(indices).tolist()) == \
+        list(range(projective_size(n, p)))
+
+
+def test_projective_index_rejects_keys_no_point_has():
+    n, p = 2, 5
+    bad = [0, 2, -1, -(p - 1), p ** (n + 1), p ** (n + 1) + 1,
+           1 - p * 2 ** 40, p * (p + 2), p ** 2 * p ** n,
+           p + p ** 2 * p ** (n - 1)]
+    index = oracle._projective_index(np.array(bad, dtype=np.int64), n, p)
+    assert index.tolist() == [-1] * len(bad)
+
+
+@pytest.mark.parametrize("bad_key", [-1, -(13 - 1), 2, 13 ** 3, 13 ** 3 + 1,
+                                     1 - 13 * 2 ** 40])
+def test_scan_raises_on_a_key_without_index(monkeypatch, bad_key):
+    real = oracle._normalized_keys
+
+    def corrupted(images, p):
+        keys, base = real(images, p)
+        keys[0] = bad_key
+        return keys, base
+
+    monkeypatch.setattr(oracle, "_normalized_keys", corrupted)
+    with pytest.raises(InconsistencyError):
+        scan_exhaustive(polar_of("x0^2 + x1^2 + x2^2"), 13)
+
+
+def test_int32_domain_refused_before_allocating(monkeypatch):
+    # |P^3(F_1297)| = 2,183,119,794 >= 2^31: the int32 counts cannot hold it,
+    # whatever bound the caller passes
+    assert projective_size(3, 1297) >= 2 ** 31
+
+    def no_tasks(n, p):
+        raise AssertionError("tasks built for a domain past the int32 bound")
+
+    monkeypatch.setattr(oracle, "_block_tasks", no_tasks)
+    with pytest.raises(ResourceBoundError):
+        scan_exhaustive(polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 1297,
+                        max_domain=10 ** 10)
+
+
+def test_one_chunk_scans_run_in_process(monkeypatch):
+    pm = polar_of("x0*x1*x2")
+    serial = (scan_exhaustive(pm, 101, workers=1),
+              scan_sampled(pm, 101, targets=8, seed=3, workers=1))
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RefusedPool)
+    assert scan_exhaustive(pm, 101, workers=2) == serial[0]
+    assert scan_sampled(pm, 101, targets=8, seed=3, workers=2) == serial[1]
+
+
+def run_classify(capsys, path, workers):
+    assert main(["classify", "--n", "2", "--r", "2", "--workers", workers,
+                 "--json", str(path)]) == 0
+    return capsys.readouterr().out, path.read_bytes()
+
+
+def test_classify_is_identical_at_one_and_two_workers(monkeypatch, capsys,
+                                                      tmp_path):
+    serial = run_classify(capsys, tmp_path / "w1.json", "1")
+    # every scan of classify --n 2 fits in one chunk: no pool at all
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RefusedPool)
+    assert run_classify(capsys, tmp_path / "w2.json", "2") == serial

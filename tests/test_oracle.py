@@ -252,6 +252,16 @@ def test_degree_estimate_rules():
     assert _degree_estimate({100: 1, 3: 1}, 2, 101) == 3
 
 
+def test_degree_estimate_reads_the_image_fraction_knob(monkeypatch):
+    # default 5/1000 of a 1000-point image: a size needs 5 image points
+    assert _degree_estimate({1: 995, 3: 5}, 1000, 101) == 3
+    assert _degree_estimate({1: 996, 3: 4}, 1000, 101) == 1
+    # rounds up: 5/1000 of 1001 points is 5.005, so 5 points fall short
+    assert _degree_estimate({1: 996, 3: 5}, 1001, 101) == 1
+    monkeypatch.setattr(oracle, "_DEGREE_IMAGE_NUM", 4)
+    assert _degree_estimate({1: 996, 3: 4}, 1000, 101) == 3
+
+
 def test_rejects_composite_modulus():
     with pytest.raises(ValueError):
         scan_exhaustive(polar_of("x0*x1*x2"), 100)
@@ -279,7 +289,9 @@ def test_bad_prime_raises_not_lies():
         scan_exhaustive(m, 2)
 
 
-def test_worker_merge_matches_serial():
+def test_worker_merge_matches_serial(monkeypatch):
+    # a one-chunk domain runs in-process; small chunks keep the pool in play
+    monkeypatch.setattr(oracle, "_CHUNK", 16)
     pm = polar_of("x0*x1*x2")
     assert scan_exhaustive(pm, 11, workers=2) == scan_exhaustive(pm, 11, workers=1)
     assert scan_sampled(pm, 11, targets=8, seed=3, workers=2) == \
