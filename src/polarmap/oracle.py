@@ -2,7 +2,13 @@
 
 Every point of P^n(F_p) is written with its first nonzero coordinate
 normalized to 1, enumerated in blocks by the position of that pivot, and
-pushed through the map in vectorized chunks.  Exhaustive mode counts the
+pushed through the map in vectorized chunks.  Inside a block the last
+coordinate x_n varies fastest, so every chunk (a multiple of p points) is
+a grid of prefixes (x_0..x_{n-1}) times the p values of x_n: each
+component f_j = sum_k g_{j,k}(x_0..x_{n-1}) x_n^k is evaluated once per
+prefix as the coefficients g_{j,k}, then expanded over x_n by Horner's
+rule.  Random sample points have no such grid and are evaluated row by
+row.  Exhaustive mode counts the
 fiber of every image point in one dense int32 array indexed by projective
 position (pivot block, then the free digits: exactly projective_size(n, p)
 entries) and reads the degree off the fiber-size histogram; sampled mode
@@ -125,7 +131,8 @@ def _component_tables(rational_map, p):
     """
     fld = PrimeField(p)
     if p >= 46341:
-        # kernel arithmetic runs in int32; products must stay below 2^31
+        # kernel arithmetic runs in int32; products of two residues and
+        # Horner steps, (p-1)^2 + (p-1), must stay below 2^31
         raise ResourceBoundError(f"prime {p} too large for the 32-bit scan")
     tables = []
     for comp in rational_map.components:
@@ -140,8 +147,11 @@ def _chunk_points(n, p, pivot, lo, hi):
     """Points lo..hi of the pivot block: coords (0,..,0,1,free digits).
 
     The block for pivot position k holds p^(n-k) points, indexed by the
-    base-p digits of the free coordinates.  int32 is safe throughout the
-    scan: _component_tables keeps p < 46341, so products stay below 2^31.
+    base-p digits of the free coordinates.  The scans call it with n-1 to
+    build the prefixes of a chunk (_block_images); the random-point
+    evaluators build their own rows.  int32 is safe throughout the scan:
+    _component_tables keeps p < 46341, so a product of two residues, and
+    a Horner step (p-1)^2 + (p-1), stay below 2^31.
     """
     count = hi - lo
     coords = np.zeros((count, n + 1), dtype=np.int32)
@@ -229,9 +239,75 @@ def _normalized_keys(images, p):
 
 
 def _block_tasks(n, p):
-    return [(pivot, lo, min(lo + _CHUNK, p ** (n - pivot)))
+    """(pivot, lo, hi) chunks tiling every pivot block once.
+
+    A chunk holds a multiple of p points (at least p, at most _CHUNK when
+    _CHUNK >= p), so below the last pivot lo and hi are multiples of p and
+    a chunk is whole rows of the x_n grid; the last block is one point.
+    """
+    step = max(p, _CHUNK // p * p)
+    return [(pivot, lo, min(lo + step, p ** (n - pivot)))
             for pivot in range(n + 1)
-            for lo in range(0, p ** (n - pivot), _CHUNK)]
+            for lo in range(0, p ** (n - pivot), step)]
+
+
+def _split_tables(tables, n):
+    """Split each component by the power of x_n, for _block_images.
+
+    Returns (prefix tables, powers): prefix tables are _component_tables
+    rows over x_0..x_{n-1}, one per (component j, power k) that occurs,
+    holding g_{j,k}; powers[j] maps each such k to its prefix table.
+    """
+    prefix_tables, powers = [], []
+    for exps, coeffs in tables:
+        by_power = {}
+        for e, c in zip(exps, coeffs):
+            rows = by_power.setdefault(e[n], ([], []))
+            rows[0].append(e[:n])
+            rows[1].append(c)
+        powers.append({})
+        for k in sorted(by_power):
+            powers[-1][k] = len(prefix_tables)
+            prefix_tables.append(by_power[k])
+    return prefix_tables, powers
+
+
+def _block_images(split, n, p, pivot, lo, hi):
+    """Images of points lo..hi of a pivot block, one row per point.
+
+    Below the last pivot the chunk is (hi - lo) / p prefixes times the p
+    values t of x_n: the g_{j,k} are evaluated once per prefix, then each
+    component is expanded over t by Horner's rule with one reduction per
+    step (acc < p, so acc * t + g <= (p-1)^2 + (p-1) < 2^31).  The last
+    block, the single point (0,..,0,1), is a zero prefix at t = 1.
+    """
+    prefix_tables, powers = split
+    if pivot == n:
+        prefixes = np.zeros((1, n), dtype=np.int32)
+        last = np.ones(1, dtype=np.int32)
+    else:
+        prefixes = _chunk_points(n - 1, p, pivot, lo // p, hi // p)
+        last = np.arange(p, dtype=np.int32)
+    values = _evaluate_images(prefix_tables, prefixes, p)
+    # component-major, so each expansion runs on contiguous memory; the
+    # transpose returned is the usual (points, components) view
+    images = np.empty((len(powers), len(prefixes), len(last)), dtype=np.int32)
+    for acc, component in zip(images, powers):
+        if not component:
+            acc[:] = 0
+            continue
+        top = max(component)
+        if top == 0:
+            acc[:] = values[:, component[0], None]
+            continue
+        np.multiply(values[:, component[top], None], last, out=acc)
+        for k in range(top - 1, -1, -1):
+            if k in component:
+                acc += values[:, component[k], None]
+            acc %= p
+            if k:
+                acc *= last
+    return images.reshape(len(powers), -1).T
 
 
 def _projective_index(keys, n, p):
@@ -264,20 +340,16 @@ def _projective_index(keys, n, p):
 
 
 def _exhaustive_chunk(args):
-    tables, n, p, pivot, lo, hi = args
-    coords = _chunk_points(n, p, pivot, lo, hi)
-    images = _evaluate_images(tables, coords, p)
-    keys, base = _normalized_keys(images, p)
+    split, n, p, pivot, lo, hi = args
+    keys, base = _normalized_keys(_block_images(split, n, p, pivot, lo, hi), p)
     if base:
         keys = keys[keys != 0]
     return _projective_index(keys, n, p), base
 
 
 def _sampled_chunk(args):
-    tables, n, p, pivot, lo, hi, target_keys = args
-    coords = _chunk_points(n, p, pivot, lo, hi)
-    images = _evaluate_images(tables, coords, p)
-    keys, base = _normalized_keys(images, p)
+    split, n, p, pivot, lo, hi, target_keys = args
+    keys, base = _normalized_keys(_block_images(split, n, p, pivot, lo, hi), p)
     # target keys are >= 1, so base rows (key 0) never register a hit
     positions = np.searchsorted(target_keys, keys)
     positions[positions == len(target_keys)] = 0
@@ -293,6 +365,9 @@ def _scan_workers(workers, domain):
 
 
 def _run_tasks(fn, args_list, workers):
+    # a fork pool starts all its processes at the first submit: never more
+    # than there are tasks
+    workers = min(workers, len(args_list))
     if workers <= 1:
         for args in args_list:
             yield fn(args)
@@ -350,9 +425,12 @@ def scan_exhaustive(rational_map, p, max_domain=DEFAULT_MAX_DOMAIN, workers=None
         raise ResourceBoundError(
             f"P^{n}(F_{p}) has {domain} points, past the int32 fiber counts")
     workers = _scan_workers(workers, domain)
-    args_list = [(tables, n, p, pivot, lo, hi) for pivot, lo, hi in _block_tasks(n, p)]
+    split = _split_tables(tables, n)
+    tasks = _block_tasks(n, p)
+    args_list = [(split, n, p, pivot, lo, hi) for pivot, lo, hi in tasks]
     fibers = np.zeros(domain, dtype=np.int32)
-    ones = np.ones(min(_CHUNK, domain), dtype=np.int32)
+    # a task holds at least p points, which can exceed a small _CHUNK
+    ones = np.ones(max(hi - lo for _, lo, hi in tasks), dtype=np.int32)
     base_points = 0
     for index, base in _run_tasks(_exhaustive_chunk, args_list, workers):
         # np.add.at would wrap a negative index silently
@@ -439,7 +517,8 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
     per_target_keys, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
     target_keys, target_index = np.unique(per_target_keys, return_inverse=True)
-    args_list = [(tables, n, p, pivot, lo, hi, target_keys)
+    split = _split_tables(tables, n)
+    args_list = [(split, n, p, pivot, lo, hi, target_keys)
                  for pivot, lo, hi in _block_tasks(n, p)]
     parts = list(_run_tasks(_sampled_chunk, args_list, workers))
     fiber_counts = sum(counts for counts, _ in parts)

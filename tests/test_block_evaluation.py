@@ -1,0 +1,155 @@
+"""Block-structured scan evaluation: the prefix-then-Horner evaluator
+against the per-row evaluator it replaced in the scans, chunk tiling, and
+the pool size cap."""
+
+import numpy as np
+import pytest
+
+from polarmap import oracle
+from polarmap.fields import QQ
+from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
+from polarmap.parsing import parse_arrangement, parse_polynomial
+from polarmap.polar import RationalMap, moving_part, polar_system
+from polarmap.poly import Polynomial
+
+
+def polar_of(text, nvars=None):
+    return polar_system(parse_polynomial(text, nvars=nvars))
+
+
+def moving_of(text, nvars=None):
+    return moving_part(parse_arrangement(text, nvars=nvars)).moving
+
+
+def map_of(*texts):
+    return RationalMap([parse_polynomial(t, nvars=len(texts)) for t in texts])
+
+
+def dense_binary(degree, coeff):
+    """Every monomial x0^a x1^(degree-a) with the same coefficient."""
+    return Polynomial(QQ, 2, {(a, degree - a): coeff for a in range(degree + 1)})
+
+
+DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
+QUARTIC = "x0^4 + 3*x0^3*x1 + 2*x0^2*x1^2 + x0*x1^3 + x1^4"
+
+CASES = {
+    "det_cubic_p7": (lambda: polar_of(DET_CUBIC), 7),
+    "det_cubic_p31": (lambda: polar_of(DET_CUBIC), 31),
+    "det_cubic_p3": (lambda: polar_of(DET_CUBIC), 3),
+    "quadric_p2": (lambda: polar_of("x0^2 + x1^2 + x2^2"), 101),
+    "quadric_p3": (lambda: polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 101),
+    "cremona_p2": (lambda: polar_of("x0*x1*x2"), 101),
+    "cremona_p3": (lambda: polar_of("x0*x1*x2*x3"), 101),
+    "cremona_p2_mod2": (lambda: polar_of("x0*x1*x2"), 2),
+    "cremona_p3_mod3": (lambda: polar_of("x0*x1*x2*x3"), 3),
+    "det_cubic_p2": (lambda: polar_of(DET_CUBIC), 2),
+    "twisted_cube_p109": (lambda: moving_of("x0*x1*(x0+x1)*(x0-x1)"), 109),
+    "binary_quartic_polar": (lambda: polar_of(QUARTIC), 103),
+    "binary_quartic_degree4": (lambda: map_of(QUARTIC, "x0*x1^3"), 103),
+    # first component zero, the others involve x_n
+    "cone_zero_component": (lambda: polar_of("x1*x2*(x1-x2)", nvars=3), 101),
+    # no component involves x_n, the last one is zero
+    "independent_of_last": (lambda: moving_of("x0*x1*(x0-x1)", nvars=3), 101),
+    "independent_of_last_full": (lambda: map_of("x0^2", "x0*x1", "x1^2"), 31),
+    # every Horner step reaches (p-1)^2 + (p-1), just below 2^31
+    "int32_edge": (lambda: RationalMap([dense_binary(60, -1),
+                                        Polynomial(QQ, 2, {(0, 60): -1})]),
+                   46337),
+}
+
+
+def per_row_images(tables, n, p, pivot, lo, hi):
+    """The reference: build every point of the chunk, evaluate row by row."""
+    return oracle._evaluate_images(
+        tables, oracle._chunk_points(n, p, pivot, lo, hi), p)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_block_images_match_the_per_row_evaluator(name):
+    build, p = CASES[name]
+    rational_map = build()
+    n = rational_map.n
+    tables = oracle._component_tables(rational_map, p)
+    split = oracle._split_tables(tables, n)
+    tasks = oracle._block_tasks(n, p)
+    assert tasks[-1] == (n, 0, 1)
+    for pivot, lo, hi in tasks:
+        expected = per_row_images(tables, n, p, pivot, lo, hi)
+        images = oracle._block_images(split, n, p, pivot, lo, hi)
+        assert images.dtype == np.int32
+        assert images.shape == expected.shape
+        assert np.array_equal(images, expected), (pivot, lo, hi)
+
+
+def test_the_edge_case_runs_horner_at_the_largest_prime():
+    # the largest prime the tables accept, a coefficient of value p-1 at
+    # every power of x_n: 60 Horner steps, each up to (p-1)^2 + (p-1)
+    p = 46337
+    assert (p - 1) ** 2 + (p - 1) < 2 ** 31
+    tables = oracle._component_tables(CASES["int32_edge"][0](), p)
+    prefix_tables, powers = oracle._split_tables(tables, 1)
+    assert sorted(powers[0]) == list(range(61))
+    assert all(coeffs == [p - 1] for _, coeffs in prefix_tables)
+
+
+@pytest.mark.parametrize("n, p, chunk", [
+    (1, 2, 1 << 20), (3, 2, 1), (3, 7, 5), (3, 7, 7), (3, 7, 50),
+    (2, 101, 16), (2, 101, 1000), (5, 3, 10), (4, 11, 1 << 20), (1, 101, 1),
+])
+def test_tasks_tile_each_block_once_in_whole_rows(monkeypatch, n, p, chunk):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    tasks = oracle._block_tasks(n, p)
+    for pivot in range(n + 1):
+        bounds = [(lo, hi) for k, lo, hi in tasks if k == pivot]
+        assert bounds[0][0] == 0
+        assert bounds[-1][1] == p ** (n - pivot)
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        for lo, hi in bounds:
+            assert 0 < hi - lo <= max(p, chunk)
+            if pivot < n:
+                assert lo % p == 0 and hi % p == 0
+    assert sum(hi - lo for _, lo, hi in tasks) == projective_size(n, p)
+
+
+def test_chunks_smaller_than_p_give_the_same_scans(monkeypatch):
+    # every task then holds p points, more than _CHUNK
+    pm = polar_of("x0*x1*x2")
+    reports = (scan_exhaustive(pm, 11, workers=1),
+               scan_sampled(pm, 11, targets=8, seed=3, workers=1))
+    monkeypatch.setattr(oracle, "_CHUNK", 4)
+    assert scan_exhaustive(pm, 11, workers=1) == reports[0]
+    assert scan_sampled(pm, 11, targets=8, seed=3, workers=1) == reports[1]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 64, 10 ** 6])
+def test_pool_never_exceeds_the_task_count(monkeypatch, workers):
+    pm = polar_of("x0*x1*x2")
+    p = 11
+    reports = (scan_exhaustive(pm, p, workers=1),
+               scan_sampled(pm, p, targets=8, seed=3, workers=1))
+    monkeypatch.setattr(oracle, "_CHUNK", 16)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    tasks = len(oracle._block_tasks(pm.n, p))
+    assert tasks == p + 2
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert scan_exhaustive(pm, p, workers=workers) == reports[0]
+    assert scan_sampled(pm, p, targets=8, seed=3, workers=workers) == reports[1]
+    assert RecordingPool.sizes == [min(workers, tasks)] * 2
