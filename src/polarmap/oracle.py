@@ -13,7 +13,9 @@ fiber of every image point in one dense int32 array indexed by projective
 position (pivot block, then the free digits: exactly projective_size(n, p)
 entries) and reads the degree off the fiber-size histogram; sampled mode
 picks seeded random targets, then counts their preimages in one pass over
-the domain.
+the domain, keying only the rows that pass a boolean table over the
+targets' coordinate ratios (y_1/y_0, y_2/y_0); a dropped row provably hits
+no target (scan_sampled).
 
 Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
@@ -347,9 +349,37 @@ def _exhaustive_chunk(args):
     return _projective_index(keys, n, p), base
 
 
+def _ratio_table(target_keys, n, p):
+    """Boolean prefilter over the ratios (y_1/y_0, y_2/y_0) of the targets.
+
+    A point y hits a target t with t_0 != 0 only if y_0 != 0 and its
+    ratios equal (t_1, t_2), the digits 1 and 2 of t's normalized key.
+    Entry r_1 + p*r_2 is set for each such target; with one ratio (n = 1,
+    or p^2 above 2^20, where 64 targets fill at most 64/p of the ratios
+    anyway) the table has p entries, indexed by r_1.  Rows with y_0 = 0,
+    which include every base row and every preimage of a target with
+    t_0 = 0, are kept by _sampled_chunk whatever the table says.
+    """
+    size = p * p if n >= 2 and p * p <= 1 << 20 else p
+    table = np.zeros(size, dtype=bool)
+    pivot0 = target_keys[target_keys % p == 1]
+    table[pivot0 // p % size] = True
+    return table
+
+
 def _sampled_chunk(args):
-    split, n, p, pivot, lo, hi, target_keys = args
-    keys, base = _normalized_keys(_block_images(split, n, p, pivot, lo, hi), p)
+    split, n, p, pivot, lo, hi, target_keys, table = args
+    images = _block_images(split, n, p, pivot, lo, hi)
+    # the prefilter drops only rows whose ratios no target has; the full
+    # key comparison below stays the only hit test.  Products of two
+    # residues stay below p^2 < 2^31, the ratio index below the table size
+    scale = _inverse_table(p)[images[:, 0]]
+    ratio = images[:, 1] * scale % p
+    if table.size > p:
+        ratio += images[:, 2] * scale % p * p
+    keep = table[ratio]
+    keep |= images[:, 0] == 0
+    keys, base = _normalized_keys(images[keep], p)
     # target keys are >= 1, so base rows (key 0) never register a hit
     positions = np.searchsorted(target_keys, keys)
     positions[positions == len(target_keys)] = 0
@@ -507,6 +537,15 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
     images; homaloidal additionally requires degree 1 and 75% of targets
     in size-1 fibers.  Every target is the image of a sampled point, so a
     target counted with an empty fiber raises InconsistencyError.
+
+    Only rows that pass the ratio prefilter (_ratio_table, built once per
+    scan) are keyed and matched.  The filter is exact: a point and a
+    target are equal in P^n only if they vanish at the same coordinates
+    and have the same ratios, so a dropped row (y_0 != 0, ratios of no
+    target with t_0 != 0) cannot hit any target.  Rows with y_0 = 0,
+    among them every base row, are all kept, so base_points stays exact;
+    the full-key comparison remains the only hit test, and a filter that
+    lost a target's ratio would leave that target's fiber empty and raise.
     """
     n = rational_map.n
     tables = _component_tables(rational_map, p)
@@ -518,7 +557,8 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
         tables, rational_map.nvars, p, targets, seed)
     target_keys, target_index = np.unique(per_target_keys, return_inverse=True)
     split = _split_tables(tables, n)
-    args_list = [(split, n, p, pivot, lo, hi, target_keys)
+    table = _ratio_table(target_keys, n, p)
+    args_list = [(split, n, p, pivot, lo, hi, target_keys, table)
                  for pivot, lo, hi in _block_tasks(n, p)]
     parts = list(_run_tasks(_sampled_chunk, args_list, workers))
     fiber_counts = sum(counts for counts, _ in parts)
