@@ -18,7 +18,6 @@ from .errors import (
 from .fields import QQ, PrimeField, RationalField, is_prime
 from .oracle import (
     DegreeReport,
-    ProjectivePoint,
     check_contraction,
     dominance_by_span,
     projective_size,
@@ -69,7 +68,6 @@ __all__ = [
     "RationalField",
     "is_prime",
     "DegreeReport",
-    "ProjectivePoint",
     "check_contraction",
     "dominance_by_span",
     "projective_size",

@@ -51,8 +51,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0,
                        help="RNG seed in sampled mode")
         p.add_argument("--workers", type=int, default=None,
-                       help="scan worker processes (default 1 or "
-                            "POLARMAP_WORKERS)")
+                       help="scan worker processes, at least 1 (default 1)")
         p.add_argument("--json", dest="json_path", metavar="PATH",
                        help="write the JSON report here; stdout then keeps "
                             "a one-line summary")
@@ -185,7 +184,7 @@ def _census_rows(nvars, coefficients):
 def cmd_classify(args):
     try:
         coefficients = tuple(sorted(
-            int(c) for c in args.coefficients.split(",")))
+            {int(c) for c in args.coefficients.split(",")}))
     except ValueError:
         raise ValueError(f"bad coefficient set {args.coefficients!r}")
     if args.census_n < 1 or args.census_n > 3:

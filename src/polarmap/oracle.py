@@ -8,14 +8,15 @@ a grid of prefixes (x_0..x_{n-1}) times the p values of x_n: each
 component f_j = sum_k g_{j,k}(x_0..x_{n-1}) x_n^k is evaluated once per
 prefix as the coefficients g_{j,k}, then expanded over x_n by Horner's
 rule.  Random sample points have no such grid and are evaluated row by
-row.  Exhaustive mode counts the
-fiber of every image point in one dense int32 array indexed by projective
-position (pivot block, then the free digits: exactly projective_size(n, p)
-entries) and reads the degree off the fiber-size histogram; sampled mode
-picks seeded random targets, then counts their preimages in one pass over
-the domain, keying only the rows that pass a boolean table over the
-targets' coordinate ratios (y_1/y_0, y_2/y_0); a dropped row provably hits
-no target (scan_sampled).
+row.  _normalized_keys turns each image row into its index in
+P^n(F_p) (pivot block, then the free digits: 0..projective_size(n, p) - 1,
+and -1 for a base row); that index is the only encoding of a point.
+Exhaustive mode counts the fiber of every image point in one dense int32
+array indexed by it and reads the degree off the fiber-size histogram;
+sampled mode picks seeded random targets, then counts their preimages in
+one pass over the domain, indexing only the rows that pass a boolean table
+over the targets' coordinate ratios (y_1/y_0, y_2/y_0); a dropped row
+provably hits no target (scan_sampled).
 
 Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -63,41 +63,6 @@ _EXHAUSTIVE_SIZE1_NUM, _EXHAUSTIVE_SIZE1_DEN = 9, 10
 _SAMPLED_SIZE1_NUM, _SAMPLED_SIZE1_DEN = 3, 4
 
 
-class ProjectivePoint:
-    """Point of P^n(F_p), first nonzero coordinate scaled to 1."""
-
-    __slots__ = ("coords", "p")
-
-    def __init__(self, coords, p):
-        reduced = [int(c) % p for c in coords]
-        pivot = next((i for i, c in enumerate(reduced) if c), None)
-        if pivot is None:
-            raise ValueError("all coordinates are zero")
-        inv = pow(reduced[pivot], -1, p)
-        object.__setattr__(self, "coords", tuple(c * inv % p for c in reduced))
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectivePoint is immutable")
-
-    def key(self):
-        total = 0
-        for c in reversed(self.coords):
-            total = total * self.p + c
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return self.p == other.p and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.p, self.coords))
-
-    def __repr__(self):
-        return "[" + ":".join(str(c) for c in self.coords) + "]"
-
-
 @dataclass
 class DegreeReport:
     p: int
@@ -115,14 +80,6 @@ class DegreeReport:
 
 def projective_size(n, p):
     return (p ** (n + 1) - 1) // (p - 1)
-
-
-def resolve_workers(workers=None):
-    """Explicit argument, else POLARMAP_WORKERS, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("POLARMAP_WORKERS")
-    return max(1, int(env)) if env else 1
 
 
 def _component_tables(rational_map, p):
@@ -221,23 +178,46 @@ def _inverse_table(p):
 
 
 def _normalized_keys(images, p):
-    """(keys incl. zeros for base points, base count) for an image block.
+    """(index of each image row in P^n(F_p), base count) for an image block.
 
-    Key encoding: sum of coord_j * p^j after scaling the first nonzero
-    coordinate to 1.  Base points (image identically zero) get key 0,
-    which no projective point produces (a normalized point has some
-    coordinate equal to 1), so callers can drop or ignore them cheaply.
+    A row with pivot k (its first nonzero coordinate) is scaled so that
+    c_k = 1; its index is the size of the blocks of smaller pivot,
+    projective_size(n, p) - projective_size(n - k, p), plus the free
+    digits sum_{j>k} c_j p^(j-k-1).  This numbers the points of P^n(F_p)
+    0..projective_size(n, p) - 1.  Base rows (image identically zero) get
+    -1, so callers drop or ignore them with index >= 0.
+
+    A Horner pass over c_n..c_1 gives S = sum_{j>=1} c_j p^(j-1), which is
+    the index of a pivot-0 row (about (p-1)/p of the rows); a row with
+    pivot k >= 1 has S = p^(k-1) + p^k * (free digits).  Indices are int32
+    while P^n(F_p) has fewer than 2^31 points, which covers every
+    exhaustive scan, and int64 up to 2^63 points; S stays below p^n.
     """
-    nvars = images.shape[1]
+    n = images.shape[1] - 1
+    size = projective_size(n, p)
+    if size >= 2 ** 63:
+        raise ResourceBoundError(
+            f"P^{n}(F_{p}) has {size} points, past the 64-bit point index")
+    dtype = np.int32 if size < 2 ** 31 else np.int64
     pivots = np.argmax(images != 0, axis=1)
     pivot_values = np.take_along_axis(images, pivots[:, None], axis=1)[:, 0]
-    base_points = int((pivot_values == 0).sum())
     scale = _inverse_table(p)[pivot_values]
-    keys = (images[:, nvars - 1] * scale % p).astype(np.int64)
-    for j in range(nvars - 2, -1, -1):
-        keys *= p
-        keys += images[:, j] * scale % p
-    return keys, base_points
+    index = np.zeros(len(images), dtype=dtype)
+    for j in range(n, 0, -1):
+        index *= p
+        index += images[:, j] * scale % p
+    moved = np.flatnonzero(pivots)
+    if moved.size:
+        k = pivots[moved]
+        starts = np.array([size - projective_size(n - i, p)
+                           for i in range(n + 1)], dtype=dtype)
+        powers = np.array([p ** i for i in range(n + 1)], dtype=dtype)
+        index[moved] = starts[k] + index[moved] // powers[k]
+    base = pivot_values == 0
+    base_points = int(base.sum())
+    if base_points:
+        index[base] = -1
+    return index, base_points
 
 
 def _block_tasks(n, p):
@@ -312,66 +292,37 @@ def _block_images(split, n, p, pivot, lo, hi):
     return images.reshape(len(powers), -1).T
 
 
-def _projective_index(keys, n, p):
-    """int32 position in P^n(F_p) of each normalized key; -1 if none has it.
-
-    A key with pivot k is p^k + p^(k+1)*m with 0 <= m < p^(n-k).  Its index
-    is m plus the sizes of the blocks of smaller pivot, which makes the
-    index a bijection from the points onto range(projective_size(n, p)).
-    Pivot-0 keys (key % p == 1, all but about 1/p of the rows) map to
-    key // p in one pass; the rest are resolved one pivot at a time.
-    """
-    quot = keys // p
-    digit = keys - quot * p
-    block = p ** n
-    valid = (digit == 1) & (quot >= 0) & (quot < block)
-    index = np.where(valid, quot, -1).astype(np.int32)
-    # a valid key with pivot k >= 1 has quot >= p^(k-1) > 0
-    rest = np.flatnonzero((digit == 0) & (quot > 0))
-    quot = quot[rest]
-    offset = 0
-    for _ in range(n):
-        offset += block
-        block //= p
-        quot, digit = np.divmod(quot, p)
-        hit = (digit == 1) & (quot < block)
-        index[rest[hit]] = offset + quot[hit]
-        zero = digit == 0
-        rest, quot = rest[zero], quot[zero]
-    return index
-
-
 def _exhaustive_chunk(args):
     split, n, p, pivot, lo, hi = args
-    keys, base = _normalized_keys(_block_images(split, n, p, pivot, lo, hi), p)
+    index, base = _normalized_keys(_block_images(split, n, p, pivot, lo, hi), p)
     if base:
-        keys = keys[keys != 0]
-    return _projective_index(keys, n, p), base
+        index = index[index >= 0]
+    return index, base
 
 
-def _ratio_table(target_keys, n, p):
+def _ratio_table(target_index, n, p):
     """Boolean prefilter over the ratios (y_1/y_0, y_2/y_0) of the targets.
 
     A point y hits a target t with t_0 != 0 only if y_0 != 0 and its
-    ratios equal (t_1, t_2), the digits 1 and 2 of t's normalized key.
-    Entry r_1 + p*r_2 is set for each such target; with one ratio (n = 1,
-    or p^2 above 2^20, where 64 targets fill at most 64/p of the ratios
-    anyway) the table has p entries, indexed by r_1.  Rows with y_0 = 0,
-    which include every base row and every preimage of a target with
-    t_0 = 0, are kept by _sampled_chunk whatever the table says.
+    ratios equal (t_1, t_2).  Such a target has pivot 0, so its index is
+    below p^n and its digits 0 and 1 are t_1 and t_2.  Entry r_1 + p*r_2
+    is set for each such target; with one ratio (n = 1, or p^2 above 2^20,
+    where 64 targets fill at most 64/p of the ratios anyway) the table has
+    p entries, indexed by r_1.  Rows with y_0 = 0, which include every
+    base row and every preimage of a target with t_0 = 0, are kept by
+    _sampled_chunk whatever the table says.
     """
     size = p * p if n >= 2 and p * p <= 1 << 20 else p
     table = np.zeros(size, dtype=bool)
-    pivot0 = target_keys[target_keys % p == 1]
-    table[pivot0 // p % size] = True
+    table[target_index[target_index < p ** n] % size] = True
     return table
 
 
 def _sampled_chunk(args):
-    split, n, p, pivot, lo, hi, target_keys, table = args
+    split, n, p, pivot, lo, hi, target_index, table = args
     images = _block_images(split, n, p, pivot, lo, hi)
     # the prefilter drops only rows whose ratios no target has; the full
-    # key comparison below stays the only hit test.  Products of two
+    # index comparison below stays the only hit test.  Products of two
     # residues stay below p^2 < 2^31, the ratio index below the table size
     scale = _inverse_table(p)[images[:, 0]]
     ratio = images[:, 1] * scale % p
@@ -379,19 +330,23 @@ def _sampled_chunk(args):
         ratio += images[:, 2] * scale % p * p
     keep = table[ratio]
     keep |= images[:, 0] == 0
-    keys, base = _normalized_keys(images[keep], p)
-    # target keys are >= 1, so base rows (key 0) never register a hit
-    positions = np.searchsorted(target_keys, keys)
-    positions[positions == len(target_keys)] = 0
-    hits = target_keys[positions] == keys
-    counts = np.bincount(positions[hits], minlength=len(target_keys))
+    index, base = _normalized_keys(images[keep], p)
+    # target indices are >= 0, so base rows (-1) never register a hit
+    positions = np.searchsorted(target_index, index)
+    positions[positions == len(target_index)] = 0
+    hits = target_index[positions] == index
+    counts = np.bincount(positions[hits], minlength=len(target_index))
     return counts, base
 
 
 def _scan_workers(workers, domain):
-    """resolve_workers, except that a domain of one chunk runs in-process:
-    starting a process pool costs more than such a scan."""
-    return resolve_workers(workers) if domain > _CHUNK else 1
+    """Worker processes for a scan: workers (None means 1), except that a
+    domain of one chunk runs in-process: starting a process pool costs
+    more than such a scan."""
+    workers = 1 if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers if domain > _CHUNK else 1
 
 
 def _run_tasks(fn, args_list, workers):
@@ -411,8 +366,6 @@ def _check_domain(n, p, max_domain):
     if domain > max_domain:
         raise ResourceBoundError(
             f"P^{n}(F_{p}) has {domain} points, over the bound {max_domain}")
-    if p ** (n + 1) >= 2 ** 62:
-        raise ResourceBoundError("image keys would overflow 64-bit integers")
     return domain
 
 
@@ -466,7 +419,7 @@ def scan_exhaustive(rational_map, p, max_domain=DEFAULT_MAX_DOMAIN, workers=None
         # np.add.at would wrap a negative index silently
         if index.size and (index.min() < 0 or index.max() >= domain):
             raise InconsistencyError(
-                f"an image key mod {p} has no projective index: keying is broken")
+                f"an image index mod {p} lies outside P^{n}: indexing is broken")
         # numpy >= 1.25 runs ufunc.at on matching int32 arrays in a fast
         # path; a scalar 1 takes the slow generic loop
         np.add.at(fibers, index, ones[:index.size])
@@ -511,18 +464,19 @@ def _candidates(seed, p, width, rows):
 
 
 def _sample_targets(tables, nvars, p, targets, seed):
-    """Image keys and image rows of seeded random non-base domain points."""
-    keys, rows = [], []
+    """Image indices and image rows of seeded random non-base domain points."""
+    indices, rows = [], []
     found = 0
     for coords in _candidates(seed, p, nvars, targets):
         images = _evaluate_images(tables, coords.astype(np.int32), p)
-        batch_keys, _ = _normalized_keys(images, p)
-        usable = coords.any(axis=1) & (batch_keys != 0)
-        keys.append(batch_keys[usable])
+        batch, _ = _normalized_keys(images, p)
+        usable = coords.any(axis=1) & (batch >= 0)
+        indices.append(batch[usable])
         rows.append(images[usable])
         found += int(usable.sum())
         if found >= targets:
-            return np.concatenate(keys)[:targets], np.concatenate(rows)[:targets]
+            return (np.concatenate(indices)[:targets],
+                    np.concatenate(rows)[:targets])
     raise ReductionError(
         f"could not find {targets} non-base sample points mod {p}")
 
@@ -539,12 +493,12 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
     target counted with an empty fiber raises InconsistencyError.
 
     Only rows that pass the ratio prefilter (_ratio_table, built once per
-    scan) are keyed and matched.  The filter is exact: a point and a
+    scan) are indexed and matched.  The filter is exact: a point and a
     target are equal in P^n only if they vanish at the same coordinates
     and have the same ratios, so a dropped row (y_0 != 0, ratios of no
     target with t_0 != 0) cannot hit any target.  Rows with y_0 = 0,
     among them every base row, are all kept, so base_points stays exact;
-    the full-key comparison remains the only hit test, and a filter that
+    the full-index comparison remains the only hit test, and a filter that
     lost a target's ratio would leave that target's fiber empty and raise.
     """
     n = rational_map.n
@@ -553,12 +507,12 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
     if targets < n + 2:
         raise ValueError(f"need at least n+2 = {n + 2} targets for the span test")
     workers = _scan_workers(workers, domain)
-    per_target_keys, image_rows = _sample_targets(
+    per_target, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
-    target_keys, target_index = np.unique(per_target_keys, return_inverse=True)
+    target_index, target_of = np.unique(per_target, return_inverse=True)
     split = _split_tables(tables, n)
-    table = _ratio_table(target_keys, n, p)
-    args_list = [(split, n, p, pivot, lo, hi, target_keys, table)
+    table = _ratio_table(target_index, n, p)
+    args_list = [(split, n, p, pivot, lo, hi, target_index, table)
                  for pivot, lo, hi in _block_tasks(n, p)]
     parts = list(_run_tasks(_sampled_chunk, args_list, workers))
     fiber_counts = sum(counts for counts, _ in parts)
@@ -566,19 +520,19 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
     if not fiber_counts.all():
         raise InconsistencyError(
             f"{int((fiber_counts == 0).sum())} sampled image points have no "
-            f"preimage in the scan mod {p}: enumeration or keying is broken")
+            f"preimage in the scan mod {p}: enumeration or indexing is broken")
     sizes, size_counts = np.unique(fiber_counts, return_counts=True)
     histogram = {int(s): int(c) for s, c in zip(sizes, size_counts)}
-    degree = _degree_estimate(histogram, len(target_keys), p)
+    degree = _degree_estimate(histogram, len(target_index), p)
     dominant = dominance_by_span(image_rows.tolist(), p)
-    size1_targets = int((fiber_counts[target_index] == 1).sum())
+    size1_targets = int((fiber_counts[target_of] == 1).sum())
     homaloidal = (dominant and degree == 1 and
                   _SAMPLED_SIZE1_DEN * size1_targets >=
                   _SAMPLED_SIZE1_NUM * targets)
     return DegreeReport(
         p=p, mode="sample", seed=seed, targets=targets,
         domain_size=domain, base_points=base_points,
-        image_size=int(len(target_keys)), fiber_histogram=histogram,
+        image_size=int(len(target_index)), fiber_histogram=histogram,
         degree=degree, dominant=dominant, homaloidal=homaloidal)
 
 
@@ -622,8 +576,7 @@ def dominance_by_span(points, p):
     has coordinate vectors of deficient rank.  Needs at least n+2 points
     to be meaningful evidence of dominance.
     """
-    coord_rows = [list(pt.coords) if isinstance(pt, ProjectivePoint) else list(pt)
-                  for pt in points]
+    coord_rows = [list(pt) for pt in points]
     if not coord_rows:
         raise ValueError("no image points given")
     nvars = len(coord_rows[0])
@@ -653,7 +606,7 @@ def check_contraction(F, i, p, samples=100, seed=0):
     if not row.any():
         raise ReductionError(f"form {i} vanishes mod {p}; pick another prime")
     pivot = int(np.flatnonzero(row)[0])
-    dual_key = _normalized_keys(row[None, :], p)[0][0]
+    dual = _normalized_keys(row[None, :], p)[0][0]
     others = np.delete(forms, i, axis=0)
     free_slots = [t for t in range(F.nvars) if t != pivot]
     minus_inv_pivot = p - pow(int(row[pivot]), -1, p)
@@ -663,12 +616,12 @@ def check_contraction(F, i, p, samples=100, seed=0):
         coords[:, free_slots] = free
         coords[:, pivot] = coords @ row % p * minus_inv_pivot % p
         usable = free.any(axis=1) & (coords @ others.T % p != 0).all(axis=1)
-        keys, _ = _normalized_keys(
+        index, _ = _normalized_keys(
             _evaluate_images(tables, coords.astype(np.int32), p), p)
-        keys = keys[usable & (keys != 0)][:samples - found]
-        if (keys != dual_key).any():
+        index = index[usable & (index >= 0)][:samples - found]
+        if (index != dual).any():
             return False
-        found += len(keys)
+        found += len(index)
         if found == samples:
             return True
     raise ReductionError(

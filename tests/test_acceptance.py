@@ -17,8 +17,7 @@ import pytest
 from polarmap.arrangement import LinearFormProduct, canonical_row
 from polarmap.errors import ParseError
 from polarmap.fields import QQ
-from polarmap.oracle import (ProjectivePoint, check_contraction,
-                             scan_exhaustive, scan_sampled)
+from polarmap.oracle import check_contraction, scan_exhaustive, scan_sampled
 from polarmap.parsing import format_canonical, parse_arrangement, parse_polynomial
 from polarmap.polar import is_cone, moving_part, polar_system, restrict_arrangement
 from polarmap.poly import Polynomial, exact_rank, gcd
@@ -26,6 +25,7 @@ from polarmap.verdict import (CremonaMap, full_verdict, monomial_moving_part,
                               structural_verdict)
 
 from gens import random_poly
+from projective import ProjectivePoint
 
 
 def criterion(number, label):

@@ -167,6 +167,26 @@ def test_classify_counts_match_rank(capsys, tmp_path):
     assert summary["disagreements"] == 0
 
 
+def test_classify_deduplicates_coefficients(capsys, tmp_path):
+    path = tmp_path / "census.json"
+    code, out, _ = run(capsys, "classify", "--n", "1", "--r", "1",
+                       "--coefficients", "1,1,0", "--json", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == \
+        "census n=1 r=1 coefficients {0,1} primes {101}"
+    assert json.loads(path.read_text())["coefficients"] == [0, 1]
+    code, plain, _ = run(capsys, "classify", "--n", "1", "--r", "1",
+                         "--coefficients", "0,1")
+    assert code == 0 and plain == out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_refused(capsys, workers):
+    code, out, err = run(capsys, "homaloidal", "x0*x1", "--workers", workers)
+    assert code == 2 and out == ""
+    assert "workers must be at least 1" in err
+
+
 def test_classify_rejects_big_parameters(capsys):
     code, out, err = run(capsys, "classify", "--n", "7", "--r", "1")
     assert code == 2

@@ -1,6 +1,9 @@
 """Exhaustive fiber counting: the dense projective index against the
-unique-and-merge counter it replaced, index bijectivity, int32 bounds and
-in-process scans of small domains."""
+unique-and-merge counter it replaced, the index against the reference
+point, index bijectivity, int32 bounds and in-process scans of small
+domains."""
+
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from polarmap.errors import InconsistencyError, ResourceBoundError
 from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import moving_part, polar_system
+
+from projective import ProjectivePoint
 
 
 def polar_of(text):
@@ -31,7 +36,7 @@ def reference_counts(rational_map, p):
         coords = oracle._chunk_points(n, p, pivot, lo, hi)
         keys, base = oracle._normalized_keys(
             oracle._evaluate_images(tables, coords, p), p)
-        u, c = np.unique(keys[keys != 0], return_counts=True)
+        u, c = np.unique(keys[keys >= 0], return_counts=True)
         uniqs.append(u)
         counts.append(c)
         base_points += base
@@ -94,38 +99,57 @@ def test_dense_counter_matches_the_merge_counter(monkeypatch, name, workers):
 @pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (3, 2), (5, 2), (1, 3),
                                   (1, 101), (2, 5), (3, 7), (4, 3)])
 def test_projective_index_is_a_bijection(n, p):
-    # the identity map keys every point of P^n(F_p) once; the index must
-    # hit every position of the count array once
+    # every point of P^n(F_p), each scaled by a nonzero factor, must hit
+    # every position of the count array once
     indices = []
     for pivot, lo, hi in oracle._block_tasks(n, p):
-        keys, base = oracle._normalized_keys(
-            oracle._chunk_points(n, p, pivot, lo, hi), p)
+        points = oracle._chunk_points(n, p, pivot, lo, hi)
+        factors = np.arange(len(points), dtype=np.int32) % (p - 1) + 1
+        index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
         assert base == 0
-        index = oracle._projective_index(keys, n, p)
         assert index.dtype == np.int32
         indices.append(index)
     assert sorted(np.concatenate(indices).tolist()) == \
         list(range(projective_size(n, p)))
 
 
-def test_projective_index_rejects_keys_no_point_has():
-    n, p = 2, 5
-    bad = [0, 2, -1, -(p - 1), p ** (n + 1), p ** (n + 1) + 1,
-           1 - p * 2 ** 40, p * (p + 2), p ** 2 * p ** n,
-           p + p ** 2 * p ** (n - 1)]
-    index = oracle._projective_index(np.array(bad, dtype=np.int64), n, p)
-    assert index.tolist() == [-1] * len(bad)
+def random_rows(rng, n, p, count):
+    """Rows of every pivot, a few zero rows, and random scalings."""
+    rows = []
+    for t in range(count):
+        pivot = t % (n + 2)
+        row = [0] * min(pivot, n + 1) + [rng.randrange(p)
+                                         for _ in range(n + 1 - pivot)]
+        if pivot <= n:
+            row[pivot] = rng.randrange(1, p)
+        rows.append(row)
+    return rows
 
 
-@pytest.mark.parametrize("bad_key", [-1, -(13 - 1), 2, 13 ** 3, 13 ** 3 + 1,
-                                     1 - 13 * 2 ** 40])
-def test_scan_raises_on_a_key_without_index(monkeypatch, bad_key):
+@pytest.mark.parametrize("n, p", [(2, 101), (3, 1297)])
+def test_index_matches_the_reference_point(n, p):
+    rows = random_rows(random.Random(n * p), n, p, 600)
+    index, base = oracle._normalized_keys(np.array(rows, dtype=np.int32), p)
+    expected = [ProjectivePoint(r, p).index() if any(r) else -1 for r in rows]
+    assert index.tolist() == expected
+    assert base == expected.count(-1) > 0
+    if projective_size(n, p) >= 2 ** 31:
+        # |P^3(F_1297)| > 2^31: indices past the int32 range stay exact
+        assert index.dtype == np.int64 and max(expected) >= 2 ** 31
+    else:
+        assert index.dtype == np.int32
+
+
+@pytest.mark.parametrize("bad_index", [-1, -2, -12, projective_size(2, 13),
+                                       projective_size(2, 13) + 1, 13 ** 3,
+                                       13 ** 3 + 1])
+def test_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
     real = oracle._normalized_keys
 
     def corrupted(images, p):
-        keys, base = real(images, p)
-        keys[0] = bad_key
-        return keys, base
+        index, base = real(images, p)
+        index[0] = bad_index
+        return index, base
 
     monkeypatch.setattr(oracle, "_normalized_keys", corrupted)
     with pytest.raises(InconsistencyError):

@@ -11,13 +11,15 @@ from polarmap.arrangement import LinearFormProduct
 from polarmap.errors import (InconsistencyError, ReductionError,
                              ResourceBoundError)
 from polarmap.fields import QQ, PrimeField, is_prime
-from polarmap.oracle import (DegreeReport, ProjectivePoint, _degree_estimate,
+from polarmap.oracle import (DegreeReport, _degree_estimate,
                              check_contraction, dominance_by_span,
                              projective_size, scan_exhaustive, scan_primes,
                              scan_sampled)
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, polar_system, moving_part
 from polarmap.poly import Polynomial
+
+from projective import ProjectivePoint
 
 
 def polar_of(text):
@@ -58,8 +60,9 @@ def test_projective_point_key_injective():
         if not any(coords):
             continue
         pt = ProjectivePoint(coords, p)
-        key = pt.key()
-        assert seen.setdefault(key, pt) == pt
+        index = pt.index()
+        assert 0 <= index < projective_size(2, p)
+        assert seen.setdefault(index, pt) == pt
 
 
 def test_projective_size():
@@ -236,6 +239,15 @@ def test_check_contraction_multiplicity_blind():
         assert check_contraction(F, i, 101, samples=50, seed=0)
 
 
+def test_check_contraction_past_the_int32_index():
+    # |P^3(F_1301)| > 2^31: the dual points e_1..e_3 have indices past the
+    # int32 range, and each coordinate plane still maps to its dual point
+    assert projective_size(3, 1301) >= 2 ** 31
+    F = parse_arrangement("x0*x1*x2*x3")
+    for i in range(4):
+        assert check_contraction(F, i, 1301, samples=50, seed=0)
+
+
 def test_check_contraction_validation():
     F = parse_arrangement("x0*x1*x2")
     with pytest.raises(IndexError):
@@ -332,11 +344,11 @@ def test_sampled_targets_match_the_reference_evaluator():
             coords = [rng.randrange(p) for _ in range(m.nvars)]
             value = [c.evaluate(coords) for c in components]
             if any(coords) and any(value):
-                expected.append(ProjectivePoint(value, p).key())
+                expected.append(ProjectivePoint(value, p).index())
         keys, rows = oracle._sample_targets(
             oracle._component_tables(m, p), m.nvars, p, 16, seed)
         assert keys.tolist() == expected
-        assert [ProjectivePoint(r, p).key() for r in rows.tolist()] == expected
+        assert [ProjectivePoint(r, p).index() for r in rows.tolist()] == expected
 
 
 def test_sampled_scan_raises_on_an_empty_target_fiber(monkeypatch):

@@ -24,24 +24,24 @@ QUARTIC = "x0^4 + 3*x0^3*x1 + 2*x0^2*x1^2 + x0*x1^3 + x1^4"
 
 
 def keyed_chunk(args):
-    """The reference: key every row of the chunk, then match the targets."""
-    split, n, p, pivot, lo, hi, target_keys = args[:7]
-    keys, base = oracle._normalized_keys(
+    """The reference: index every row of the chunk, then match the targets."""
+    split, n, p, pivot, lo, hi, target_index = args[:7]
+    index, base = oracle._normalized_keys(
         oracle._block_images(split, n, p, pivot, lo, hi), p)
-    positions = np.searchsorted(target_keys, keys)
-    positions[positions == len(target_keys)] = 0
-    hits = target_keys[positions] == keys
-    counts = np.bincount(positions[hits], minlength=len(target_keys))
+    positions = np.searchsorted(target_index, index)
+    positions[positions == len(target_index)] = 0
+    hits = target_index[positions] == index
+    counts = np.bincount(positions[hits], minlength=len(target_index))
     return counts, base
 
 
 def pivot_targets(split, n, p, count):
-    """Up to `count` image keys with t_0 = 0 from the first chunk."""
+    """Up to `count` image indices with t_0 = 0 from the first chunk."""
     pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    keys, _ = oracle._normalized_keys(
+    index, _ = oracle._normalized_keys(
         oracle._block_images(split, n, p, pivot, lo, hi), p)
-    keys = np.unique(keys[(keys != 0) & (keys % p == 0)])
-    return keys[:count]
+    # pivot-0 points have the indices below p^n
+    return np.unique(index[index >= p ** n])[:count]
 
 
 def det_cubic_tasks(tasks):
@@ -114,11 +114,11 @@ def test_ratio_table_entries():
     p = 7
     # t = (1, 0, 0, 4), (1, 3, 5, 0), (1, 6, 0, 0), and (0, 1, 2, 0) with
     # t_0 = 0, which sets no entry
-    keys = np.array([1 + 4 * p ** 3, 1 + 3 * p + 5 * p * p, 1 + 6 * p,
-                     p + 2 * p * p], dtype=np.int64)
-    two = oracle._ratio_table(keys, 3, p)
+    two = oracle._ratio_table(
+        np.array([4 * p * p, 3 + 5 * p, 6, p ** 3 + 2], dtype=np.int32), 3, p)
     assert np.flatnonzero(two).tolist() == [0, 6, 3 + 5 * p]
-    one = oracle._ratio_table(keys, 1, p)
+    # on P^1: t = (1, 3), (1, 6), (1, 0), and (0, 1)
+    one = oracle._ratio_table(np.array([3, 6, 0, p], dtype=np.int32), 1, p)
     assert np.flatnonzero(one).tolist() == [0, 3, 6]
 
 
@@ -156,8 +156,8 @@ def test_a_dropped_table_entry_raises(monkeypatch, text, p):
 
     def dropping(target_keys, n, p):
         table = ratio_table(target_keys, n, p)
-        quot = target_keys // p
-        table[quot[target_keys % p == 1][0] % table.size] = False
+        pivot0 = target_keys[target_keys < p ** n]
+        table[pivot0[0] % table.size] = False
         return table
 
     monkeypatch.setattr(oracle, "_ratio_table", dropping)
