@@ -10,7 +10,10 @@ prefix as the coefficients g_{j,k}, then expanded over x_n by Horner's
 rule.  Random sample points have no such grid and are evaluated row by
 row.  _normalized_keys turns each image row into its index in
 P^n(F_p) (pivot block, then the free digits: 0..projective_size(n, p) - 1,
-and -1 for a base row); that index is the only encoding of a point.
+and -1 for a base row); that index is the only encoding of a point.  It
+recurses on the pivot: rows with y_0 != 0 get their index from one Horner
+pass over the ratios y_j / y_0, and only the ~1/p rows with y_0 = 0 go on
+to columns 1..n, as points of P^(n-1) after the p^n of pivot 0.
 Exhaustive mode counts the fiber of every image point in one dense int32
 array indexed by it and reads the degree off the fiber-size histogram;
 sampled mode picks seeded random targets, then counts their preimages in
@@ -42,7 +45,7 @@ from .polar import moving_part
 from .poly import exact_rank
 
 # exhaustive mode holds one int32 fiber count per domain point (the quadric
-# in P^3 at p=577, 1.92e8 points, peaks at 845 MiB, 4.6 bytes/pt) and
+# in P^3 at p=577, 1.92e8 points, peaks at 808 MiB, 4.4 bytes/pt) and
 # refuses 2^31 points whatever the bound; sampled mode streams in constant
 # memory and can afford more
 DEFAULT_MAX_DOMAIN = 200_000_000
@@ -185,39 +188,42 @@ def _normalized_keys(images, p):
     projective_size(n, p) - projective_size(n - k, p), plus the free
     digits sum_{j>k} c_j p^(j-k-1).  This numbers the points of P^n(F_p)
     0..projective_size(n, p) - 1.  Base rows (image identically zero) get
-    -1, so callers drop or ignore them with index >= 0.
-
-    A Horner pass over c_n..c_1 gives S = sum_{j>=1} c_j p^(j-1), which is
-    the index of a pivot-0 row (about (p-1)/p of the rows); a row with
-    pivot k >= 1 has S = p^(k-1) + p^k * (free digits).  Indices are int32
-    while P^n(F_p) has fewer than 2^31 points, which covers every
-    exhaustive scan, and int64 up to 2^63 points; S stays below p^n.
+    -1, so callers drop or ignore them with index >= 0.  _pivot_index
+    computes it by recursion on the pivot.  Indices are int32 while
+    P^n(F_p) has fewer than 2^31 points, which covers every exhaustive
+    scan, and int64 up to 2^63 points.
     """
     n = images.shape[1] - 1
     size = projective_size(n, p)
     if size >= 2 ** 63:
         raise ResourceBoundError(
             f"P^{n}(F_{p}) has {size} points, past the 64-bit point index")
-    dtype = np.int32 if size < 2 ** 31 else np.int64
-    pivots = np.argmax(images != 0, axis=1)
-    pivot_values = np.take_along_axis(images, pivots[:, None], axis=1)[:, 0]
-    scale = _inverse_table(p)[pivot_values]
+    return _pivot_index(images, p, np.int32 if size < 2 ** 31 else np.int64)
+
+
+def _pivot_index(images, p, dtype):
+    """_normalized_keys by recursion on the pivot: (index, base count).
+
+    A row with y_0 != 0 has pivot 0 and index sum_{j>=1} (y_j / y_0) p^(j-1),
+    one Horner pass over y_n..y_1 scaled by 1/y_0.  The rows with y_0 = 0
+    (about 1/p of them) are points of P^(n-1) in columns 1..n, after the
+    p^n points of pivot 0; rows zero all the way down are base rows.
+    """
+    n = images.shape[1] - 1
+    scale = np.take(_inverse_table(p), images[:, 0])
     index = np.zeros(len(images), dtype=dtype)
     for j in range(n, 0, -1):
         index *= p
         index += images[:, j] * scale % p
-    moved = np.flatnonzero(pivots)
-    if moved.size:
-        k = pivots[moved]
-        starts = np.array([size - projective_size(n - i, p)
-                           for i in range(n + 1)], dtype=dtype)
-        powers = np.array([p ** i for i in range(n + 1)], dtype=dtype)
-        index[moved] = starts[k] + index[moved] // powers[k]
-    base = pivot_values == 0
-    base_points = int(base.sum())
-    if base_points:
-        index[base] = -1
-    return index, base_points
+    rest = np.flatnonzero(scale == 0)
+    if not rest.size:
+        return index, 0
+    if n == 0:
+        index[rest] = -1
+        return index, len(rest)
+    sub, base = _pivot_index(images[rest, 1:], p, dtype)
+    index[rest] = np.where(sub < 0, sub, sub + p ** n)
+    return index, base
 
 
 def _block_tasks(n, p):
@@ -323,14 +329,17 @@ def _sampled_chunk(args):
     images = _block_images(split, n, p, pivot, lo, hi)
     # the prefilter drops only rows whose ratios no target has; the full
     # index comparison below stays the only hit test.  Products of two
-    # residues stay below p^2 < 2^31, the ratio index below the table size
-    scale = _inverse_table(p)[images[:, 0]]
-    ratio = images[:, 1] * scale % p
-    if table.size > p:
-        ratio += images[:, 2] * scale % p * p
-    keep = table[ratio]
-    keep |= images[:, 0] == 0
-    index, base = _normalized_keys(images[keep], p)
+    # residues stay below p^2 < 2^31, the ratio index below the table size.
+    # P^0 has no ratios: every row is kept
+    if n:
+        scale = _inverse_table(p)[images[:, 0]]
+        ratio = images[:, 1] * scale % p
+        if table.size > p:
+            ratio += images[:, 2] * scale % p * p
+        keep = table[ratio]
+        keep |= images[:, 0] == 0
+        images = images[keep]
+    index, base = _normalized_keys(images, p)
     # target indices are >= 0, so base rows (-1) never register a hit
     positions = np.searchsorted(target_index, index)
     positions[positions == len(target_index)] = 0

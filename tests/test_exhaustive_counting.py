@@ -140,6 +140,32 @@ def test_index_matches_the_reference_point(n, p):
         assert index.dtype == np.int32
 
 
+def test_index_of_one_coordinate_rows():
+    # P^0(F_p) is one point: every nonzero row is index 0, zero rows are base
+    p = 7
+    rows = [[c] for c in (3, 0, 1, 6, 0, 0, 5)]
+    index, base = oracle._normalized_keys(np.array(rows, dtype=np.int32), p)
+    expected = [ProjectivePoint(r, p).index() if any(r) else -1 for r in rows]
+    assert index.tolist() == expected == [0, -1, 0, 0, -1, -1, 0]
+    assert base == 3 and index.dtype == np.int32
+
+
+@pytest.mark.parametrize("n, p", [(5, 31), (3, 1297)])
+def test_index_of_mixed_pivots_matches_the_reference_point(n, p):
+    # one block holding every pivot depth 0..n, base rows, and many rows of
+    # pivot n (the deepest level of the pivot recursion), shuffled
+    rng = random.Random(n + p)
+    rows = random_rows(rng, n, p, 40 * (n + 2))
+    rows += [[0] * n + [rng.randrange(1, p)] for _ in range(300)]
+    rng.shuffle(rows)
+    index, base = oracle._normalized_keys(np.array(rows, dtype=np.int32), p)
+    expected = [ProjectivePoint(r, p).index() if any(r) else -1 for r in rows]
+    assert index.tolist() == expected
+    assert base == expected.count(-1) == 40
+    assert expected.count(projective_size(n, p) - 1) >= 300
+    assert index.dtype == (np.int64 if n == 3 else np.int32)
+
+
 @pytest.mark.parametrize("bad_index", [-1, -2, -12, projective_size(2, 13),
                                        projective_size(2, 13) + 1, 13 ** 3,
                                        13 ** 3 + 1])

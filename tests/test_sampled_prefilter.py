@@ -6,9 +6,9 @@ import pytest
 
 from polarmap import oracle
 from polarmap.errors import InconsistencyError
-from polarmap.oracle import scan_sampled
+from polarmap.oracle import scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
-from polarmap.polar import moving_part, polar_system
+from polarmap.polar import RationalMap, moving_part, polar_system
 
 
 def polar_of(text):
@@ -163,3 +163,13 @@ def test_a_dropped_table_entry_raises(monkeypatch, text, p):
     monkeypatch.setattr(oracle, "_ratio_table", dropping)
     with pytest.raises(InconsistencyError, match="no preimage"):
         scan_sampled(rational_map, p, targets=8, seed=0)
+
+
+def test_sampled_scan_of_a_map_of_p0():
+    # P^0 has no ratios to filter on: every row is kept and matched
+    rational_map = RationalMap([parse_polynomial("x0^2")])
+    sampled = scan_sampled(rational_map, 7, targets=2)
+    exhaustive = scan_exhaustive(rational_map, 7)
+    assert (sampled.degree, sampled.dominant, sampled.homaloidal) == \
+        (exhaustive.degree, exhaustive.dominant, exhaustive.homaloidal)
+    assert sampled.base_points == exhaustive.base_points == 0
