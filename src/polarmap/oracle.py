@@ -17,9 +17,9 @@ to columns 1..n, as points of P^(n-1) after the p^n of pivot 0.
 Exhaustive mode counts the fiber of every image point in one dense int32
 array indexed by it and reads the degree off the fiber-size histogram;
 sampled mode picks seeded random targets, then counts their preimages in
-one pass over the domain, indexing only the rows that pass a boolean table
-over the targets' coordinate ratios (y_1/y_0, y_2/y_0); a dropped row
-provably hits no target (scan_sampled).
+one pass over the domain, indexing only the rows whose head (first w <= 3
+coordinates) is zero or, as a point of P^(w-1), a target's head; a
+dropped row provably hits no target (scan_sampled).
 
 Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
@@ -212,9 +212,12 @@ def _pivot_index(images, p, dtype):
     n = images.shape[1] - 1
     scale = np.take(_inverse_table(p), images[:, 0])
     index = np.zeros(len(images), dtype=dtype)
+    # one reused product buffer: this loop sets a sampled chunk's peak memory
+    term = np.empty(len(images), dtype=np.promote_types(images.dtype, np.int32))
     for j in range(n, 0, -1):
         index *= p
-        index += images[:, j] * scale % p
+        index += np.remainder(np.multiply(images[:, j], scale, out=term), p,
+                              out=term)
     rest = np.flatnonzero(scale == 0)
     if not rest.size:
         return index, 0
@@ -306,40 +309,34 @@ def _exhaustive_chunk(args):
     return index, base
 
 
-def _ratio_table(target_index, n, p):
-    """Boolean prefilter over the ratios (y_1/y_0, y_2/y_0) of the targets.
+def _head_width(n, p):
+    # 2 from 2^20 points of P^2(F_p): the table sent to each task stays 1 MiB
+    return min(n + 1, 3 if projective_size(2, p) < 1 << 20 else 2)
 
-    A point y hits a target t with t_0 != 0 only if y_0 != 0 and its
-    ratios equal (t_1, t_2).  Such a target has pivot 0, so its index is
-    below p^n and its digits 0 and 1 are t_1 and t_2.  Entry r_1 + p*r_2
-    is set for each such target; with one ratio (n = 1, or p^2 above 2^20,
-    where 64 targets fill at most 64/p of the ratios anyway) the table has
-    p entries, indexed by r_1.  Rows with y_0 = 0, which include every
-    base row and every preimage of a target with t_0 = 0, are kept by
-    _sampled_chunk whatever the table says.
+
+def _ratio_table(target_rows, n, p):
+    """Boolean prefilter over the heads of the targets' image rows.
+
+    The head of a row is its first w = _head_width(n, p) coordinates: a
+    point of P^(w-1)(F_p), indexed by _pivot_index, or zero (index -1).
+    One entry per point, set for the targets' heads, and a trailing entry
+    for the zero head, always set: every base row has it.
     """
-    size = p * p if n >= 2 and p * p <= 1 << 20 else p
-    table = np.zeros(size, dtype=bool)
-    table[target_index[target_index < p ** n] % size] = True
+    width = _head_width(n, p)
+    head, _ = _pivot_index(target_rows[:, :width], p, np.int32)
+    table = np.zeros(projective_size(width - 1, p) + 1, dtype=bool)
+    table[head] = True
+    table[-1] = True
     return table
 
 
 def _sampled_chunk(args):
     split, n, p, pivot, lo, hi, target_index, table = args
     images = _block_images(split, n, p, pivot, lo, hi)
-    # the prefilter drops only rows whose ratios no target has; the full
-    # index comparison below stays the only hit test.  Products of two
-    # residues stay below p^2 < 2^31, the ratio index below the table size.
-    # P^0 has no ratios: every row is kept
-    if n:
-        scale = _inverse_table(p)[images[:, 0]]
-        ratio = images[:, 1] * scale % p
-        if table.size > p:
-            ratio += images[:, 2] * scale % p * p
-        keep = table[ratio]
-        keep |= images[:, 0] == 0
-        images = images[keep]
-    index, base = _normalized_keys(images, p)
+    # the prefilter drops only rows whose head no target has; the full
+    # index comparison below stays the only hit test
+    head, _ = _pivot_index(images[:, :_head_width(n, p)], p, np.int32)
+    index, base = _normalized_keys(images[table[head]], p)
     # target indices are >= 0, so base rows (-1) never register a hit
     positions = np.searchsorted(target_index, index)
     positions[positions == len(target_index)] = 0
@@ -348,29 +345,37 @@ def _sampled_chunk(args):
     return counts, base
 
 
-def _scan_workers(workers, domain):
-    """Worker processes for a scan: workers (None means 1), except that a
-    domain of one chunk runs in-process: starting a process pool costs
-    more than such a scan."""
+def _scan_workers(workers):
+    """Worker processes asked for: None means 1, fewer than 1 is refused."""
     workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    return workers if domain > _CHUNK else 1
+    return workers
 
 
-def _run_tasks(fn, args_list, workers):
-    # a fork pool starts all its processes at the first submit: never more
-    # than there are tasks
+def _run_tasks(fn, tables, n, p, workers, *extra):
+    """fn((split, n, p, pivot, lo, hi, *extra)) for every chunk, in order.
+
+    The one decision on processes: in-process for a domain of one chunk (a
+    pool costs more than such a scan), else at most one per task (a fork
+    pool starts all its processes at the first submit).
+    """
+    split = _split_tables(tables, n)
+    args_list = [(split, n, p, pivot, lo, hi, *extra)
+                 for pivot, lo, hi in _block_tasks(n, p)]
+    if projective_size(n, p) <= _CHUNK:
+        workers = 1
     workers = min(workers, len(args_list))
     if workers <= 1:
-        for args in args_list:
-            yield fn(args)
+        yield from map(fn, args_list)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, args_list, chunksize=1)
 
 
-def _check_domain(n, p, max_domain):
+def _check_domain(n, p, max_domain, default):
+    """|P^n(F_p)|, refused past max_domain (None takes the mode's default)."""
+    max_domain = default if max_domain is None else max_domain
     domain = projective_size(n, p)
     if domain > max_domain:
         raise ResourceBoundError(
@@ -398,7 +403,7 @@ def _degree_estimate(histogram, image_size, p):
     return best[0]
 
 
-def scan_exhaustive(rational_map, p, max_domain=DEFAULT_MAX_DOMAIN, workers=None):
+def scan_exhaustive(rational_map, p, max_domain=None, workers=None):
     """Fiber histogram of the map over every point of P^n(F_p).
 
     dominant: image covers at least p^n - 5*p^(n-1) points (all integers,
@@ -407,24 +412,21 @@ def scan_exhaustive(rational_map, p, max_domain=DEFAULT_MAX_DOMAIN, workers=None
     hits a constant fraction of rational points and reads as not dominant
     here (use dominance_by_span on its images for the geometric answer).
     homaloidal: dominant, degree estimate 1, and at least 90% of non-base
-    domain points sit in size-1 fibers.
+    domain points sit in size-1 fibers.  max_domain None: DEFAULT_MAX_DOMAIN.
     """
     n = rational_map.n
     # building the tables refuses a composite or too large p first
     tables = _component_tables(rational_map, p)
-    domain = _check_domain(n, p, max_domain)
+    domain = _check_domain(n, p, max_domain, DEFAULT_MAX_DOMAIN)
     if domain >= 2 ** 31:
         raise ResourceBoundError(
             f"P^{n}(F_{p}) has {domain} points, past the int32 fiber counts")
-    workers = _scan_workers(workers, domain)
-    split = _split_tables(tables, n)
-    tasks = _block_tasks(n, p)
-    args_list = [(split, n, p, pivot, lo, hi) for pivot, lo, hi in tasks]
+    workers = _scan_workers(workers)
     fibers = np.zeros(domain, dtype=np.int32)
-    # a task holds at least p points, which can exceed a small _CHUNK
-    ones = np.ones(max(hi - lo for _, lo, hi in tasks), dtype=np.int32)
+    # a task holds at most max(p, _CHUNK) points, and no more than the domain
+    ones = np.ones(min(domain, max(p, _CHUNK)), dtype=np.int32)
     base_points = 0
-    for index, base in _run_tasks(_exhaustive_chunk, args_list, workers):
+    for index, base in _run_tasks(_exhaustive_chunk, tables, n, p, workers):
         # np.add.at would wrap a negative index silently
         if index.size and (index.min() < 0 or index.max() >= domain):
             raise InconsistencyError(
@@ -490,8 +492,8 @@ def _sample_targets(tables, nvars, p, targets, seed):
         f"could not find {targets} non-base sample points mod {p}")
 
 
-def scan_sampled(rational_map, p, targets=64, seed=0,
-                 max_domain=SAMPLED_MAX_DOMAIN, workers=None):
+def scan_sampled(rational_map, p, targets=64, seed=0, max_domain=None,
+                 workers=None):
     """Fiber sizes of seeded random targets, counted in one domain pass.
 
     The histogram counts distinct sampled image points by fiber size, and
@@ -501,29 +503,27 @@ def scan_sampled(rational_map, p, targets=64, seed=0,
     in size-1 fibers.  Every target is the image of a sampled point, so a
     target counted with an empty fiber raises InconsistencyError.
 
-    Only rows that pass the ratio prefilter (_ratio_table, built once per
-    scan) are indexed and matched.  The filter is exact: a point and a
-    target are equal in P^n only if they vanish at the same coordinates
-    and have the same ratios, so a dropped row (y_0 != 0, ratios of no
-    target with t_0 != 0) cannot hit any target.  Rows with y_0 = 0,
-    among them every base row, are all kept, so base_points stays exact;
-    the full-index comparison remains the only hit test, and a filter that
-    lost a target's ratio would leave that target's fiber empty and raise.
+    Only rows that pass the head prefilter (_ratio_table, built once per
+    scan) are indexed and matched.  The filter is exact: a row equal to a
+    target in P^n is a multiple of it, so its head is zero or the same
+    point as the target's head, and a dropped row cannot hit any target.
+    Zero heads, every base row among them, are always kept, so
+    base_points stays exact; the full-index comparison remains the only
+    hit test, and a filter that lost a target's head would leave that
+    target's fiber empty and raise.
     """
     n = rational_map.n
     tables = _component_tables(rational_map, p)
-    domain = _check_domain(n, p, max_domain)
+    domain = _check_domain(n, p, max_domain, SAMPLED_MAX_DOMAIN)
     if targets < n + 2:
         raise ValueError(f"need at least n+2 = {n + 2} targets for the span test")
-    workers = _scan_workers(workers, domain)
+    workers = _scan_workers(workers)
     per_target, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
     target_index, target_of = np.unique(per_target, return_inverse=True)
-    split = _split_tables(tables, n)
-    table = _ratio_table(target_index, n, p)
-    args_list = [(split, n, p, pivot, lo, hi, target_index, table)
-                 for pivot, lo, hi in _block_tasks(n, p)]
-    parts = list(_run_tasks(_sampled_chunk, args_list, workers))
+    table = _ratio_table(image_rows, n, p)
+    parts = list(_run_tasks(_sampled_chunk, tables, n, p, workers,
+                            target_index, table))
     fiber_counts = sum(counts for counts, _ in parts)
     base_points = sum(base for _, base in parts)
     if not fiber_counts.all():
@@ -559,12 +559,11 @@ def scan_primes(rational_map, primes, mode="exhaustive", targets=64, seed=0,
     if not primes:
         raise ValueError("need at least one prime")
     if mode == "exhaustive":
-        bound = DEFAULT_MAX_DOMAIN if max_domain is None else max_domain
-        reports = [scan_exhaustive(rational_map, p, bound, workers)
+        reports = [scan_exhaustive(rational_map, p, max_domain, workers)
                    for p in primes]
     elif mode == "sample":
-        bound = SAMPLED_MAX_DOMAIN if max_domain is None else max_domain
-        reports = [scan_sampled(rational_map, p, targets, seed, bound, workers)
+        reports = [scan_sampled(rational_map, p, targets, seed, max_domain,
+                                workers)
                    for p in primes]
     else:
         raise ValueError(f"unknown mode {mode!r}")

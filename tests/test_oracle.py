@@ -285,6 +285,30 @@ def test_domain_bound():
         scan_exhaustive(polar_of("x0*x1*x2"), 101, max_domain=10000)
 
 
+@pytest.mark.parametrize("exhaustive_bound, sampled_bound", [
+    (132, 133),   # |P^2(F_11)| = 133: only exhaustive mode refuses
+    (133, 132),   # only sampled mode refuses
+])
+def test_default_domain_bounds_are_read_per_mode(monkeypatch, exhaustive_bound,
+                                                 sampled_bound):
+    # max_domain None means the mode's bound as it stands at call time
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", exhaustive_bound)
+    monkeypatch.setattr(oracle, "SAMPLED_MAX_DOMAIN", sampled_bound)
+    pm = polar_of("x0*x1*x2")
+    for bound, scans in (
+            (exhaustive_bound, (lambda: scan_exhaustive(pm, 11),
+                                lambda: scan_primes(pm, (11,))[0])),
+            (sampled_bound, (lambda: scan_sampled(pm, 11, targets=8),
+                             lambda: scan_primes(pm, (11,), mode="sample",
+                                                 targets=8)[0]))):
+        for scan in scans:
+            if bound < projective_size(2, 11):
+                with pytest.raises(ResourceBoundError, match=f"bound {bound}"):
+                    scan()
+            else:
+                assert scan().domain_size == projective_size(2, 11)
+
+
 def test_prime_bound_for_int32_scan():
     p = 46341
     while not is_prime(p):

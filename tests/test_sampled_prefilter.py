@@ -1,14 +1,17 @@
-"""Sampled scans: the ratio-table prefilter against the chunk that keys
-every row, the one- and two-ratio cut, and the empty-fiber safety net."""
+"""Sampled scans: the head-table prefilter against the chunk that keys
+every row, the width cut, the rows it keeps against the reference points,
+and the empty-fiber safety net."""
 
 import numpy as np
 import pytest
 
 from polarmap import oracle
 from polarmap.errors import InconsistencyError
-from polarmap.oracle import scan_exhaustive, scan_sampled
+from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, moving_part, polar_system
+
+from projective import ProjectivePoint
 
 
 def polar_of(text):
@@ -21,6 +24,7 @@ def moving_of(text):
 
 DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
 QUARTIC = "x0^4 + 3*x0^3*x1 + 2*x0^2*x1^2 + x0*x1^3 + x1^4"
+CREMONA_P4 = "x0*x1*x2*x3*x4"
 
 
 def keyed_chunk(args):
@@ -36,12 +40,31 @@ def keyed_chunk(args):
 
 
 def pivot_targets(split, n, p, count):
-    """Up to `count` image indices with t_0 = 0 from the first chunk."""
+    """Up to `count` image indices with t_0 = 0 from the first chunk, and
+    an image row of each."""
     pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    index, _ = oracle._normalized_keys(
-        oracle._block_images(split, n, p, pivot, lo, hi), p)
+    images = oracle._block_images(split, n, p, pivot, lo, hi)
+    index, _ = oracle._normalized_keys(images, p)
+    keys, first = np.unique(index, return_index=True)
     # pivot-0 points have the indices below p^n
-    return np.unique(index[index >= p ** n])[:count]
+    pick = keys >= p ** n
+    return keys[pick][:count], images[first[pick][:count]]
+
+
+def targets_with_pivot_targets(rational_map, p, extra):
+    """Sampled target indices and rows, plus `extra` t_0 = 0 targets."""
+    n = rational_map.n
+    tables = oracle._component_tables(rational_map, p)
+    split = oracle._split_tables(tables, n)
+    sampled, rows = oracle._sample_targets(tables, rational_map.nvars, p, 64, 0)
+    target_keys = np.unique(sampled)
+    pivot_keys = np.zeros(0, dtype=target_keys.dtype)
+    if extra:
+        pivot_keys, pivot_rows = pivot_targets(split, n, p, extra)
+        assert len(pivot_keys) == extra
+        target_keys = np.unique(np.concatenate([target_keys, pivot_keys]))
+        rows = np.concatenate([rows, pivot_rows])
+    return split, target_keys, rows, pivot_keys
 
 
 def det_cubic_tasks(tasks):
@@ -50,19 +73,18 @@ def det_cubic_tasks(tasks):
 
 
 CASES = {
-    # two ratios; a pivot >= 1 block and the one-point last block
+    # w = 3; a pivot >= 1 block and the one-point last block
     "det_cubic_p31": (lambda: polar_of(DET_CUBIC), 31, det_cubic_tasks, 0),
-    # n = 1: one ratio
+    # n = 1: w = 2
     "binary_quartic_p103": (lambda: polar_of(QUARTIC), 103, None, 0),
     # many rows with y_0 = 0 and many base rows
-    "cremona_p4_p31": (lambda: moving_of("x0*x1*x2*x3*x4"), 31, None, 0),
+    "cremona_p4_p31": (lambda: moving_of(CREMONA_P4), 31, None, 0),
     # targets with t_0 = 0 on top of the sampled ones (the Cremona map
     # has four: the coordinate points e_1..e_4)
-    "cremona_p4_pivot_targets": (lambda: moving_of("x0*x1*x2*x3*x4"), 31,
-                                 None, 4),
+    "cremona_p4_pivot_targets": (lambda: moving_of(CREMONA_P4), 31, None, 4),
     "det_cubic_pivot_targets": (lambda: polar_of(DET_CUBIC), 31,
                                 det_cubic_tasks, 8),
-    # p^2 above 2^20: one ratio
+    # P^2(F_p) has 2^20 points or more: w = 2
     "quadric_p1031": (lambda: polar_of("x0^2 + x1^2 + x2^2"), 1031, None, 0),
 }
 
@@ -72,15 +94,9 @@ def test_prefiltered_chunk_matches_the_keyed_chunk(name):
     build, p, pick, extra = CASES[name]
     rational_map = build()
     n = rational_map.n
-    tables = oracle._component_tables(rational_map, p)
-    split = oracle._split_tables(tables, n)
-    sampled, _ = oracle._sample_targets(tables, rational_map.nvars, p, 64, 0)
-    target_keys = np.unique(sampled)
-    if extra:
-        pivot_keys = pivot_targets(split, n, p, extra)
-        assert len(pivot_keys) == extra
-        target_keys = np.unique(np.concatenate([target_keys, pivot_keys]))
-    table = oracle._ratio_table(target_keys, n, p)
+    split, target_keys, rows, pivot_keys = targets_with_pivot_targets(
+        rational_map, p, extra)
+    table = oracle._ratio_table(rows, n, p)
     tasks = oracle._block_tasks(n, p)
     if pick:
         tasks = pick(tasks)
@@ -99,65 +115,126 @@ def test_prefiltered_chunk_matches_the_keyed_chunk(name):
         assert total[np.isin(target_keys, pivot_keys)].all()
 
 
-@pytest.mark.parametrize("n, p, size", [
-    (5, 31, 31 ** 2), (2, 1021, 1021 ** 2),   # p^2 <= 2^20: two ratios
-    (2, 1031, 1031), (5, 1031, 1031),         # p^2 > 2^20: one ratio
-    (1, 103, 103), (1, 31, 31),               # n = 1: one ratio
+@pytest.mark.parametrize("n, p, ratios", [
+    (5, 31, 31 ** 2), (2, 1021, 1021 ** 2),   # |P^2(F_p)| < 2^20: w = 3
+    (2, 1031, 1031), (5, 1031, 1031),         # |P^2(F_p)| >= 2^20: w = 2
+    (1, 103, 103), (1, 31, 31),               # n = 1: w = 2
+    (0, 7, 1),                                # P^0: w = 1
 ])
-def test_ratio_table_cut(n, p, size):
-    table = oracle._ratio_table(np.array([1], dtype=np.int64), n, p)
-    assert table.dtype == np.bool_ and table.size == size
+def test_ratio_table_cut(n, p, ratios):
+    # ratios = p^(w-1), the heads with y_0 != 0
+    width = oracle._head_width(n, p)
+    assert p ** (width - 1) == ratios
+    table = oracle._ratio_table(np.ones((1, n + 1), dtype=np.int32), n, p)
+    # a point of P^(w-1)(F_p) each, then the zero head: 1021^2 + 1021 + 2
+    # entries at p = 1021
+    assert table.dtype == np.bool_
+    assert table.size == projective_size(width - 1, p) + 1 == \
+        (ratios * p - 1) // (p - 1) + 1
     assert table.nbytes <= 1 << 20
 
 
 def test_ratio_table_entries():
     p = 7
-    # t = (1, 0, 0, 4), (1, 3, 5, 0), (1, 6, 0, 0), and (0, 1, 2, 0) with
-    # t_0 = 0, which sets no entry
+    # heads (1, 0, 0), (1, 3, 5) scaled by 2, (1, 6, 0), and (0, 1, 2) with
+    # t_0 = 0, which sets its own entry, p^2 + 2
+    rows = np.array([[1, 0, 0, 4], [2, 6, 3, 0], [1, 6, 0, 0], [0, 1, 2, 0]],
+                    dtype=np.int32)
+    three = oracle._ratio_table(rows, 3, p)
+    assert three.size == projective_size(2, p) + 1
+    # the trailing entry, the zero head, is set though no target has it
+    assert np.flatnonzero(three).tolist() == \
+        [0, 6, 3 + 5 * p, p * p + 2, projective_size(2, p)]
+    assert np.flatnonzero(three)[:-1].tolist() == \
+        sorted(ProjectivePoint(row[:3], p).index() for row in rows.tolist())
+    # on P^1: t = (1, 3), (1, 6), (1, 0), (0, 1)
     two = oracle._ratio_table(
-        np.array([4 * p * p, 3 + 5 * p, 6, p ** 3 + 2], dtype=np.int32), 3, p)
-    assert np.flatnonzero(two).tolist() == [0, 6, 3 + 5 * p]
-    # on P^1: t = (1, 3), (1, 6), (1, 0), and (0, 1)
-    one = oracle._ratio_table(np.array([3, 6, 0, p], dtype=np.int32), 1, p)
-    assert np.flatnonzero(one).tolist() == [0, 3, 6]
+        np.array([[1, 3], [1, 6], [1, 0], [0, 1]], dtype=np.int32), 1, p)
+    assert np.flatnonzero(two).tolist() == [0, 3, 6, p, p + 1]
+    # a target with a zero head (w = 3 needs n >= 2) sets the trailing entry
+    zero = oracle._ratio_table(np.array([[0, 0, 0, 5]], dtype=np.int32), 3, p)
+    assert np.flatnonzero(zero).tolist() == [projective_size(2, p)]
+    # on P^0 every head is the point or zero
+    assert oracle._ratio_table(np.array([[3]], dtype=np.int32), 0, p).all()
+
+
+def recording_keys(monkeypatch):
+    """Patch _normalized_keys to record every block of rows it is given."""
+    keyed = []
+    normalized_keys = oracle._normalized_keys
+
+    def recording(images, p):
+        keyed.append(images.copy())
+        return normalized_keys(images, p)
+
+    monkeypatch.setattr(oracle, "_normalized_keys", recording)
+    return keyed
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+def test_prefilter_keys_exactly_the_rows_with_a_target_head(monkeypatch, extra):
+    """Rows with y_0 = 0 are kept only if their head is zero or a target's:
+    checked against the reference points on a chunk with many of them."""
+    rational_map = moving_of(CREMONA_P4)
+    n, p = rational_map.n, 31
+    split, target_keys, rows, pivot_keys = targets_with_pivot_targets(
+        rational_map, p, extra)
+    table = oracle._ratio_table(rows, n, p)
+    pivot, lo, hi = oracle._block_tasks(n, p)[0]
+    images = oracle._block_images(split, n, p, pivot, lo, hi)
+    target_heads = {ProjectivePoint(row[:3], p)
+                    for row in rows.tolist() if any(row[:3])}
+    heads, of_row = np.unique(images[:, :3], axis=0, return_inverse=True)
+    passing = np.array([not any(head) or
+                        ProjectivePoint(head, p) in target_heads
+                        for head in heads.tolist()])
+    expected = images[passing[of_row.ravel()]]
+    kept_zero_first = (expected[:, 0] == 0).sum()
+    assert kept_zero_first > 10_000
+    if not extra:
+        # the sampled targets miss e_1, so its preimages (y_0 = 0) drop out
+        assert kept_zero_first < (images[:, 0] == 0).sum()
+
+    keyed = recording_keys(monkeypatch)
+    oracle._sampled_chunk((split, n, p, pivot, lo, hi, target_keys, table))
+    assert len(keyed) == 1
+    assert np.array_equal(keyed[0], expected)
+    # every t_0 = 0 target added has a preimage among the rows keyed
+    zero_first = np.unique(keyed[0][keyed[0][:, 0] == 0], axis=0)
+    hit = {ProjectivePoint(row, p).index()
+           for row in zero_first.tolist() if any(row)}
+    assert set(pivot_keys.tolist()) <= hit
 
 
 def test_prefilter_keys_few_rows(monkeypatch):
     """On the det cubic at p=31 most rows are dropped before keying."""
     rational_map = polar_of(DET_CUBIC)
     n, p = rational_map.n, 31
-    tables = oracle._component_tables(rational_map, p)
-    split = oracle._split_tables(tables, n)
-    sampled, _ = oracle._sample_targets(tables, rational_map.nvars, p, 64, 0)
-    target_keys = np.unique(sampled)
+    split, target_keys, rows, _ = targets_with_pivot_targets(
+        rational_map, p, 0)
     pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    keyed = []
-    normalized_keys = oracle._normalized_keys
-
-    def counting(images, p):
-        keyed.append(len(images))
-        return normalized_keys(images, p)
-
-    monkeypatch.setattr(oracle, "_normalized_keys", counting)
+    keyed = recording_keys(monkeypatch)
     oracle._sampled_chunk((split, n, p, pivot, lo, hi, target_keys,
-                           oracle._ratio_table(target_keys, n, p)))
-    assert keyed and sum(keyed) < (hi - lo) // 5
+                           oracle._ratio_table(rows, n, p)))
+    assert keyed and sum(map(len, keyed)) < (hi - lo) // 5
 
 
 @pytest.mark.parametrize("text, p", [
-    ("x0^2 + x1^2 + x2^2", 101),   # two ratios
-    (QUARTIC, 103),                # one ratio
+    ("x0^2 + x1^2 + x2^2", 101),   # w = 3
+    (QUARTIC, 103),                # w = 2
 ])
 def test_a_dropped_table_entry_raises(monkeypatch, text, p):
-    """A filter that loses a target's ratio must fail the scan, not pass."""
+    """A filter that loses a target's head must fail the scan, not pass."""
     rational_map = polar_of(text)
     assert scan_sampled(rational_map, p, targets=8, seed=0).dominant
     ratio_table = oracle._ratio_table
 
-    def dropping(target_keys, n, p):
-        table = ratio_table(target_keys, n, p)
-        pivot0 = target_keys[target_keys < p ** n]
-        table[pivot0[0] % table.size] = False
+    def dropping(target_rows, n, p):
+        table = ratio_table(target_rows, n, p)
+        width = oracle._head_width(n, p)
+        assert width == 3 - (n == 1)
+        head, _ = oracle._pivot_index(target_rows[:, :width], p, np.int32)
+        table[head[head >= 0][0]] = False
         return table
 
     monkeypatch.setattr(oracle, "_ratio_table", dropping)
@@ -166,7 +243,7 @@ def test_a_dropped_table_entry_raises(monkeypatch, text, p):
 
 
 def test_sampled_scan_of_a_map_of_p0():
-    # P^0 has no ratios to filter on: every row is kept and matched
+    # P^0 has a head of one coordinate: every row passes
     rational_map = RationalMap([parse_polynomial("x0^2")])
     sampled = scan_sampled(rational_map, 7, targets=2)
     exhaustive = scan_exhaustive(rational_map, 7)
