@@ -15,7 +15,7 @@ from itertools import combinations, product
 from .arrangement import LinearFormProduct, canonical_row
 from .errors import (InconsistencyError, ParseError, ReductionError,
                      ResourceBoundError)
-from .oracle import scan_primes
+from .oracle import DEFAULT_PRIMES, SAMPLED_MAX_TARGETS, scan_primes
 from .parsing import parse_arrangement, parse_polynomial
 from .polar import moving_part, polar_system
 from .verdict import build_report, full_verdict, structural_verdict
@@ -41,17 +41,18 @@ def _build_parser():
                             "from the highest variable index)")
 
     def add_scan(p):
-        p.add_argument("-p", "--prime", type=int, action="append",
-                       metavar="P", help="oracle prime, repeatable; two "
-                       "primes add a stability check (default 101)")
+        p.add_argument("-p", "--prime", type=int, action="append", metavar="P",
+                       help="oracle prime, repeatable, each counted once; two "
+                       "primes add a stability check (default "
+                       f"{','.join(map(str, DEFAULT_PRIMES))})")
         p.add_argument("--mode", choices=("exhaustive", "sample"),
                        default="exhaustive")
-        p.add_argument("--targets", type=int, default=64,
-                       help="sample size in sampled mode")
+        p.add_argument("--targets", type=int, default=64, help="sample size "
+                       f"in sampled mode, at most {SAMPLED_MAX_TARGETS}")
         p.add_argument("--seed", type=int, default=0,
                        help="RNG seed in sampled mode")
-        p.add_argument("--workers", type=int, default=None,
-                       help="scan worker processes, at least 1 (default 1)")
+        p.add_argument("--workers", type=int, default=1, help="scan worker "
+                       "processes, at least 1, at most one per CPU (default 1)")
         p.add_argument("--json", dest="json_path", metavar="PATH",
                        help="write the JSON report here; stdout then keeps "
                             "a one-line summary")
@@ -92,14 +93,13 @@ def _nvars(args):
 
 
 def _primes(args):
-    return tuple(args.prime) if args.prime else (101,)
+    return tuple(dict.fromkeys(args.prime)) if args.prime else DEFAULT_PRIMES
 
 
 def _scan_args(args):
-    """scan_primes arguments after the map: primes, mode, targets, seed,
-    default domain bound, workers."""
-    return (_primes(args), args.mode, args.targets, args.seed, None,
-            args.workers)
+    """scan_primes keywords from the scan flags."""
+    return dict(primes=_primes(args), mode=args.mode, targets=args.targets,
+                seed=args.seed, workers=args.workers)
 
 
 def _input_text(args):
@@ -153,12 +153,12 @@ def cmd_homaloidal(args):
         arrangement = None
     started = time.monotonic()
     if arrangement is not None:
-        report = full_verdict(arrangement, *_scan_args(args), input_text=text)
+        report = full_verdict(arrangement, input_text=text, **_scan_args(args))
     else:
         f = parse_polynomial(text, nvars=_nvars(args), require_homogeneous=True)
         if f.is_zero or f.homogeneous_degree() < 1:
             raise ValueError("input must be homogeneous of degree at least 1")
-        scan = scan_primes(moving_part(f).moving, *_scan_args(args))[0]
+        scan = scan_primes(moving_part(f).moving, **_scan_args(args))[0]
         report = build_report(text, f.nvars - 1, scan, [], started)
     _emit_report(report, args)
     return EXIT_OK
@@ -167,7 +167,7 @@ def cmd_homaloidal(args):
 def cmd_certify(args):
     text = _input_text(args)
     arrangement = parse_arrangement(text, nvars=_nvars(args))
-    report = full_verdict(arrangement, *_scan_args(args), input_text=text)
+    report = full_verdict(arrangement, input_text=text, **_scan_args(args))
     _emit_report(report, args)
     return EXIT_OK
 
@@ -197,7 +197,7 @@ def cmd_classify(args):
     for chosen in combinations(rows, args.census_r + 1):
         F = LinearFormProduct(chosen, nvars=nvars)
         structural = structural_verdict(F)
-        scan = scan_primes(moving_part(F).moving, *_scan_args(args))[0]
+        scan = scan_primes(moving_part(F).moving, **_scan_args(args))[0]
         if scan.homaloidal != structural:
             raise InconsistencyError(
                 f"census disagreement at p={scan.p} on {F}: structural "

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -47,9 +48,12 @@ from .poly import exact_rank
 # exhaustive mode holds one int32 fiber count per domain point (the quadric
 # in P^3 at p=577, 1.92e8 points, peaks at 808 MiB, 4.4 bytes/pt) and
 # refuses 2^31 points whatever the bound; sampled mode streams in constant
-# memory and can afford more
+# memory and can afford more, but first draws its targets as Python ints.
+# Scans read these bounds when they start.
 DEFAULT_MAX_DOMAIN = 200_000_000
 SAMPLED_MAX_DOMAIN = 2_000_000_000
+SAMPLED_MAX_TARGETS = 1 << 16
+DEFAULT_PRIMES = (101,)
 _CHUNK = 1 << 20
 
 # An image point counts toward the degree estimate only if its fiber size
@@ -345,12 +349,10 @@ def _sampled_chunk(args):
     return counts, base
 
 
-def _scan_workers(workers):
-    """Worker processes asked for: None means 1, fewer than 1 is refused."""
-    workers = 1 if workers is None else workers
+def _check_workers(workers):
+    """Refuse fewer than 1 worker process."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    return workers
 
 
 def _run_tasks(fn, tables, n, p, workers, *extra):
@@ -358,14 +360,14 @@ def _run_tasks(fn, tables, n, p, workers, *extra):
 
     The one decision on processes: in-process for a domain of one chunk (a
     pool costs more than such a scan), else at most one per task (a fork
-    pool starts all its processes at the first submit).
+    pool starts all its processes at the first submit) and one per CPU.
     """
     split = _split_tables(tables, n)
     args_list = [(split, n, p, pivot, lo, hi, *extra)
                  for pivot, lo, hi in _block_tasks(n, p)]
     if projective_size(n, p) <= _CHUNK:
         workers = 1
-    workers = min(workers, len(args_list))
+    workers = min(workers, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, args_list)
         return
@@ -373,13 +375,12 @@ def _run_tasks(fn, tables, n, p, workers, *extra):
         yield from pool.map(fn, args_list, chunksize=1)
 
 
-def _check_domain(n, p, max_domain, default):
-    """|P^n(F_p)|, refused past max_domain (None takes the mode's default)."""
-    max_domain = default if max_domain is None else max_domain
+def _check_domain(n, p, bound):
+    """|P^n(F_p)|, refused past the mode's bound."""
     domain = projective_size(n, p)
-    if domain > max_domain:
+    if domain > bound:
         raise ResourceBoundError(
-            f"P^{n}(F_{p}) has {domain} points, over the bound {max_domain}")
+            f"P^{n}(F_{p}) has {domain} points, over the bound {bound}")
     return domain
 
 
@@ -403,7 +404,7 @@ def _degree_estimate(histogram, image_size, p):
     return best[0]
 
 
-def scan_exhaustive(rational_map, p, max_domain=None, workers=None):
+def scan_exhaustive(rational_map, p, workers=1):
     """Fiber histogram of the map over every point of P^n(F_p).
 
     dominant: image covers at least p^n - 5*p^(n-1) points (all integers,
@@ -412,16 +413,16 @@ def scan_exhaustive(rational_map, p, max_domain=None, workers=None):
     hits a constant fraction of rational points and reads as not dominant
     here (use dominance_by_span on its images for the geometric answer).
     homaloidal: dominant, degree estimate 1, and at least 90% of non-base
-    domain points sit in size-1 fibers.  max_domain None: DEFAULT_MAX_DOMAIN.
+    domain points sit in size-1 fibers.  Domain bound: DEFAULT_MAX_DOMAIN.
     """
     n = rational_map.n
     # building the tables refuses a composite or too large p first
     tables = _component_tables(rational_map, p)
-    domain = _check_domain(n, p, max_domain, DEFAULT_MAX_DOMAIN)
+    domain = _check_domain(n, p, DEFAULT_MAX_DOMAIN)
     if domain >= 2 ** 31:
         raise ResourceBoundError(
             f"P^{n}(F_{p}) has {domain} points, past the int32 fiber counts")
-    workers = _scan_workers(workers)
+    _check_workers(workers)
     fibers = np.zeros(domain, dtype=np.int32)
     # a task holds at most max(p, _CHUNK) points, and no more than the domain
     ones = np.ones(min(domain, max(p, _CHUNK)), dtype=np.int32)
@@ -492,8 +493,7 @@ def _sample_targets(tables, nvars, p, targets, seed):
         f"could not find {targets} non-base sample points mod {p}")
 
 
-def scan_sampled(rational_map, p, targets=64, seed=0, max_domain=None,
-                 workers=None):
+def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     """Fiber sizes of seeded random targets, counted in one domain pass.
 
     The histogram counts distinct sampled image points by fiber size, and
@@ -514,10 +514,12 @@ def scan_sampled(rational_map, p, targets=64, seed=0, max_domain=None,
     """
     n = rational_map.n
     tables = _component_tables(rational_map, p)
-    domain = _check_domain(n, p, max_domain, SAMPLED_MAX_DOMAIN)
+    domain = _check_domain(n, p, SAMPLED_MAX_DOMAIN)
     if targets < n + 2:
         raise ValueError(f"need at least n+2 = {n + 2} targets for the span test")
-    workers = _scan_workers(workers)
+    if targets > SAMPLED_MAX_TARGETS:
+        raise ResourceBoundError(f"more than {SAMPLED_MAX_TARGETS} targets")
+    _check_workers(workers)
     per_target, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
     target_index, target_of = np.unique(per_target, return_inverse=True)
@@ -545,28 +547,27 @@ def scan_sampled(rational_map, p, targets=64, seed=0, max_domain=None,
         degree=degree, dominant=dominant, homaloidal=homaloidal)
 
 
-def scan_primes(rational_map, primes, mode="exhaustive", targets=64, seed=0,
-                max_domain=None, workers=None):
+def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
+                targets=64, seed=0, workers=1):
     """One scan per prime in the given mode; the verdicts must agree.
 
-    Returns the DegreeReports in the order of primes.  dominant and
-    homaloidal must match at every prime.  degree is compared only when it
-    is below p-1 at every prime, i.e. a generic fiber size: larger values
-    are _degree_estimate's fallback, which for a non-dominant cone grows
-    with p.  max_domain None takes the mode's default bound.  A
-    disagreement raises InconsistencyError.
+    mode "exhaustive" runs scan_exhaustive, "sample" scan_sampled with
+    targets and seed; the DegreeReports come back in the order of primes.
+    dominant and homaloidal must match at every prime.  degree is compared
+    only when it is below p-1 at every prime, i.e. a generic fiber size:
+    larger values are _degree_estimate's fallback, which for a non-dominant
+    cone grows with p.  A disagreement raises InconsistencyError.
     """
     if not primes:
         raise ValueError("need at least one prime")
     if mode == "exhaustive":
-        reports = [scan_exhaustive(rational_map, p, max_domain, workers)
-                   for p in primes]
+        scan = functools.partial(scan_exhaustive, workers=workers)
     elif mode == "sample":
-        reports = [scan_sampled(rational_map, p, targets, seed, max_domain,
-                                workers)
-                   for p in primes]
+        scan = functools.partial(scan_sampled, targets=targets, seed=seed,
+                                 workers=workers)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    reports = [scan(rational_map, p) for p in primes]
     first = reports[0]
     compare_degree = all(r.degree < r.p - 1 for r in reports)
     for r in reports[1:]:

@@ -26,11 +26,11 @@ class ReportDocument:
     certificate: list = field(default_factory=list)
     millis: int = 0
 
-    def to_json(self, indent=2):
+    def to_json(self):
         payload = asdict(self)
         payload["fiber_histogram"] = {str(k): self.fiber_histogram[k]
                                       for k in sorted(self.fiber_histogram)}
-        return json.dumps(payload, sort_keys=True, indent=indent)
+        return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text):

@@ -196,17 +196,16 @@ def build_report(text, n, scan, certificate, started):
         millis=int((time.monotonic() - started) * 1000))
 
 
-def full_verdict(F, primes=(101,), mode="exhaustive", targets=64, seed=0,
-                 max_domain=None, workers=None, input_text=None):
+def full_verdict(F, input_text=None, **scan):
     """Check homaloidality four ways and insist the answers coincide.
 
     Routes: structural_verdict, inductive_certificate, and the oracle's
     homaloidal flag on the moving part of F and, when F has a repeated
-    form, of its reduction, at every listed prime (scan_primes also
-    requires the primes to agree).  A homaloidal F additionally gets the
-    restriction cross-check (its first descent restriction must itself be
-    structurally homaloidal).  Any mismatch raises InconsistencyError: it
-    means a bug or a bad prime, and neither may pass silently.
+    form, of its reduction (scan_primes, given the keywords primes, mode,
+    targets, seed and workers, requires the primes to agree).  A homaloidal
+    F also gets the restriction cross-check (its first descent restriction
+    must itself be structurally homaloidal).  Any mismatch raises
+    InconsistencyError: a bug or a bad prime may not pass silently.
     """
     started = time.monotonic()
     structural = structural_verdict(F)
@@ -215,11 +214,11 @@ def full_verdict(F, primes=(101,), mode="exhaustive", targets=64, seed=0,
         raise InconsistencyError(
             f"certificate says {certificate.verdict}, rank criterion says "
             f"{structural} for {F}")
-    scan_args = (primes, mode, targets, seed, max_domain, workers)
-    first = scan_primes(moving_part(F).moving, *scan_args)[0]
+    reports = scan_primes(moving_part(F).moving, **scan)
+    first = reports[0]
     # a square-free F is its own reduction, whose scan would repeat this one
     if not F.is_squarefree():
-        first_red = scan_primes(moving_part(F.reduced()).moving, *scan_args)[0]
+        first_red = scan_primes(moving_part(F.reduced()).moving, **scan)[0]
         if first.homaloidal != first_red.homaloidal:
             raise InconsistencyError(
                 f"oracle flags differ between F and F_red at p={first.p}: "
@@ -240,8 +239,8 @@ def full_verdict(F, primes=(101,), mode="exhaustive", targets=64, seed=0,
             raise InconsistencyError(
                 f"restriction along form {i0} of homaloidal {F} is not "
                 "homaloidal")
-    if len(primes) > 1:
+    if len(reports) > 1:
         entries.append({"prime_stability": {
-            "primes": list(primes), "agree": True}})
+            "primes": [r.p for r in reports], "agree": True}})
     return build_report(input_text if input_text is not None else str(F),
                         F.n, first, entries, started)

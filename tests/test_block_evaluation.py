@@ -139,17 +139,29 @@ class RecordingPool:
         return map(fn, iterable)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 64, 10 ** 6])
-def test_pool_never_exceeds_the_task_count(monkeypatch, workers):
+def pool_sizes(monkeypatch, workers, cpus):
+    """Pool sizes of one exhaustive and one sampled scan of 13 tasks."""
     pm = polar_of("x0*x1*x2")
     p = 11
     reports = (scan_exhaustive(pm, p, workers=1),
                scan_sampled(pm, p, targets=8, seed=3, workers=1))
     monkeypatch.setattr(oracle, "_CHUNK", 16)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
-    tasks = len(oracle._block_tasks(pm.n, p))
-    assert tasks == p + 2
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    assert len(oracle._block_tasks(pm.n, p)) == p + 2
     monkeypatch.setattr(RecordingPool, "sizes", [])
     assert scan_exhaustive(pm, p, workers=workers) == reports[0]
     assert scan_sampled(pm, p, targets=8, seed=3, workers=workers) == reports[1]
-    assert RecordingPool.sizes == [min(workers, tasks)] * 2
+    return RecordingPool.sizes
+
+
+@pytest.mark.parametrize("workers", [2, 3, 64, 10 ** 6])
+def test_pool_never_exceeds_the_task_count(monkeypatch, workers):
+    tasks = 13
+    assert pool_sizes(monkeypatch, workers, 10 ** 9) == [min(workers, tasks)] * 2
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 10 ** 6])
+def test_pool_never_exceeds_the_cpu_count(monkeypatch, workers):
+    # 2 workers stay 2; past 3 CPUs the pool stays at 3, below the 13 tasks
+    assert pool_sizes(monkeypatch, workers, 3) == [min(workers, 13, 3)] * 2

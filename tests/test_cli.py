@@ -216,6 +216,34 @@ def test_homaloidal_cone_at_two_primes(capsys):
     assert report["homaloidal"] is False and report["dominant"] is False
 
 
+def test_targets_past_the_bound_exit_4(capsys):
+    code, out, err = run(capsys, "homaloidal", "x0*x1*x2", "--mode", "sample",
+                         "--targets", "65537")
+    assert code == 4 and out == ""
+    assert "more than 65536 targets" in err
+
+
+def without_millis(text):
+    report = json.loads(text)
+    del report["millis"]
+    return report
+
+
+def test_repeated_prime_is_scanned_once(capsys):
+    code, once, err = run(capsys, "certify", "x0*x1*x2", "-p", "101")
+    assert code == 0, err
+    code, twice, err = run(capsys, "certify", "x0*x1*x2", "-p", "101",
+                           "-p", "101")
+    assert code == 0, err
+    assert without_millis(twice) == without_millis(once)
+    assert not any("prime_stability" in e
+                   for e in json.loads(twice)["certificate"])
+    code, out, err = run(capsys, "classify", "--n", "1", "--r", "1",
+                         "-p", "101", "-p", "211", "-p", "101")
+    assert code == 0, err
+    assert out.splitlines()[0].endswith("primes {101,211}")
+
+
 def test_classify_at_two_primes(capsys):
     code, out, err = run(capsys, "classify", "--n", "2", "--r", "2",
                          "-p", "101", "-p", "211")

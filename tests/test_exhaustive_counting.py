@@ -183,17 +183,17 @@ def test_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
 
 
 def test_int32_domain_refused_before_allocating(monkeypatch):
-    # |P^3(F_1297)| = 2,183,119,794 >= 2^31: the int32 counts cannot hold it,
-    # whatever bound the caller passes
+    # |P^3(F_1297)| = 2,183,508,580 >= 2^31: the int32 counts cannot hold it,
+    # whatever the domain bound
     assert projective_size(3, 1297) >= 2 ** 31
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", 10 ** 10)
 
     def no_tasks(n, p):
         raise AssertionError("tasks built for a domain past the int32 bound")
 
     monkeypatch.setattr(oracle, "_block_tasks", no_tasks)
     with pytest.raises(ResourceBoundError):
-        scan_exhaustive(polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 1297,
-                        max_domain=10 ** 10)
+        scan_exhaustive(polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 1297)
 
 
 def test_one_chunk_scans_run_in_process(monkeypatch):

@@ -280,9 +280,10 @@ def test_rejects_composite_modulus():
     assert not is_prime(1)
 
 
-def test_domain_bound():
+def test_domain_bound(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", 10000)
     with pytest.raises(ResourceBoundError):
-        scan_exhaustive(polar_of("x0*x1*x2"), 101, max_domain=10000)
+        scan_exhaustive(polar_of("x0*x1*x2"), 101)
 
 
 @pytest.mark.parametrize("exhaustive_bound, sampled_bound", [
@@ -291,7 +292,7 @@ def test_domain_bound():
 ])
 def test_default_domain_bounds_are_read_per_mode(monkeypatch, exhaustive_bound,
                                                  sampled_bound):
-    # max_domain None means the mode's bound as it stands at call time
+    # each mode reads its bound as it stands at call time
     monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", exhaustive_bound)
     monkeypatch.setattr(oracle, "SAMPLED_MAX_DOMAIN", sampled_bound)
     pm = polar_of("x0*x1*x2")
@@ -390,6 +391,25 @@ def test_sampled_scan_raises_on_an_empty_target_fiber(monkeypatch):
         scan_sampled(polar_of("x0*x1*x2"), 101, targets=8, seed=0)
 
 
+def test_targets_bound_refuses_before_drawing(monkeypatch):
+    pm = polar_of("x0*x1*x2")
+    expected = scan_sampled(pm, 11, targets=8, seed=0)
+    real = oracle._sample_targets
+    drawn = []
+
+    def recording(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_sample_targets", recording)
+    monkeypatch.setattr(oracle, "SAMPLED_MAX_TARGETS", 8)
+    with pytest.raises(ResourceBoundError, match="more than 8 targets"):
+        scan_sampled(pm, 11, targets=9, seed=0)
+    assert drawn == []
+    assert scan_sampled(pm, 11, targets=8, seed=0) == expected
+    assert len(drawn) == 1
+
+
 def test_int32_accumulation_is_exact():
     # 48,516 terms of value p-1: the unreduced int32 sum would wrap
     p = 46337
@@ -409,10 +429,11 @@ def test_check_contraction_shares_the_scan_prime_bound():
     assert check_contraction(F, 0, first_prime_from(46000), samples=10)
 
 
-def test_scan_primes_returns_one_report_per_prime():
+def test_scan_primes_returns_one_report_per_prime(monkeypatch):
     m = moving_of("x0*x1*x2*(x0+x1+x2)")
     reps = scan_primes(m, (101, 211))
     assert [r.p for r in reps] == [101, 211]
+    assert scan_primes(m) == reps[:1]    # oracle.DEFAULT_PRIMES
     assert reps[0] == scan_exhaustive(m, 101)
     assert [r.degree for r in reps] == [3, 3]
     reps = scan_primes(m, (101,), mode="sample", targets=64, seed=0)
@@ -421,8 +442,9 @@ def test_scan_primes_returns_one_report_per_prime():
         scan_primes(m, ())
     with pytest.raises(ValueError):
         scan_primes(m, (101,), mode="montecarlo")
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", 100)
     with pytest.raises(ResourceBoundError):
-        scan_primes(m, (101,), max_domain=100)
+        scan_primes(m, (101,))
 
 
 def test_scan_primes_twisted_cube():

@@ -7,8 +7,10 @@ import pytest
 
 from polarmap.arrangement import LinearFormProduct
 from polarmap.errors import InconsistencyError
+from polarmap.fields import QQ
 from polarmap.parsing import parse_arrangement, parse_polynomial
-from polarmap.polar import moving_part, restrict_arrangement
+from polarmap.polar import RationalMap, moving_part, restrict_arrangement
+from polarmap.poly import Polynomial
 from polarmap.verdict import (Certificate, CremonaMap, cremona_involution_check,
                               full_verdict, inductive_certificate,
                               monomial_moving_part, replay_certificate,
@@ -132,6 +134,37 @@ def test_monomial_moving_part_is_moving_part():
         closed = monomial_moving_part(exps)
         honest = moving_part(CremonaMap(exps).polynomial()).moving
         assert closed == honest
+
+
+def linear_map(rows):
+    """x -> A x over Q, for the matrix A with the given rows."""
+    nvars = len(rows)
+    unit = [tuple(int(j == k) for j in range(nvars)) for k in range(nvars)]
+    return RationalMap([Polynomial(QQ, nvars, dict(zip(unit, row)))
+                        for row in rows])
+
+
+def test_homaloidal_moving_part_is_a_projective_image_of_cremona():
+    # Theorem B, "in particular": with the forms of a homaloidal F as the
+    # rows of A and its multiplicities as m, the moving part is
+    # A^T . monomial_moving_part(m) . A, and that monomial map is
+    # diag(m) . standard_cremona(n): projectivities around the standard map
+    rng = random.Random(59)
+    checked = 0
+    while checked < 60:
+        nvars = rng.randrange(2, 5)
+        F = random_arrangement(rng, nvars, nvars, max_mult=3)
+        if not structural_verdict(F):
+            continue
+        A = [list(row) for row in F.forms]
+        m = F.multiplicities
+        monomial = monomial_moving_part(m)
+        assert moving_part(F).moving == linear_map(list(zip(*A))).compose(
+            monomial.compose(linear_map(A)))
+        diag = [[mi if j == i else 0 for j in range(nvars)]
+                for i, mi in enumerate(m)]
+        assert monomial == linear_map(diag).compose(standard_cremona(nvars - 1))
+        checked += 1
 
 
 def test_cremona_map_type():
