@@ -15,11 +15,15 @@ recurses on the pivot: rows with y_0 != 0 get their index from one Horner
 pass over the ratios y_j / y_0, and only the ~1/p rows with y_0 = 0 go on
 to columns 1..n, as points of P^(n-1) after the p^n of pivot 0.
 Exhaustive mode counts the fiber of every image point in one dense int32
-array indexed by it and reads the degree off the fiber-size histogram;
-sampled mode picks seeded random targets, then counts their preimages in
-one pass over the domain, indexing only the rows whose head (first w <= 3
-coordinates) is zero or, as a point of P^(w-1), a target's head; a
-dropped row provably hits no target (scan_sampled).
+array indexed by it and reads the degree off the fiber-size histogram.
+Sampled mode picks seeded random targets, then counts their preimages in
+one pass over the domain.  Per chunk it expands only the head (the first
+w <= 3 components) over the grid and looks each head up in a table of the
+heads a target's preimage can have: c * head(t) for every target t and
+c in F_p, indexed by the raw digits of the head while p^w <= 2^20, and
+by the head's point of P^(w-1) past that.  Only the rows kept, 2-6% on
+the determinantal cubic, get their other components expanded, an index
+and a match; a dropped row provably hits no target (scan_sampled).
 
 Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
@@ -184,6 +188,33 @@ def _inverse_table(p):
                     dtype=np.int32)
 
 
+# elements per quotient block of _reduce: 256 KiB of int32, cache-resident
+_REDUCE_BLOCK = 1 << 16
+
+
+def _reduce(values, p):
+    """values % p in place for a contiguous integer array; returns it.
+
+    numpy divides an integer array by a scalar with a multiply and shift
+    but takes a remainder with one hardware division per element, so
+    values - (values // p) * p, a block at a time through one small
+    quotient buffer, runs in about a quarter of the time of np.remainder
+    (int32, 2^20 elements, numpy 2.4).
+    """
+    if not values.flags.c_contiguous:
+        # reshape would reduce a copy and leave values as they were
+        raise ValueError("_reduce needs a contiguous array")
+    flat = values.reshape(-1)
+    quotient = np.empty(min(flat.size, _REDUCE_BLOCK), dtype=flat.dtype)
+    for lo in range(0, flat.size, _REDUCE_BLOCK):
+        block = flat[lo:lo + _REDUCE_BLOCK]
+        q = quotient[:block.size]
+        np.floor_divide(block, p, out=q)
+        q *= p
+        block -= q
+    return values
+
+
 def _normalized_keys(images, p):
     """(index of each image row in P^n(F_p), base count) for an image block.
 
@@ -216,12 +247,11 @@ def _pivot_index(images, p, dtype):
     n = images.shape[1] - 1
     scale = np.take(_inverse_table(p), images[:, 0])
     index = np.zeros(len(images), dtype=dtype)
-    # one reused product buffer: this loop sets a sampled chunk's peak memory
+    # one reused product buffer: this loop runs on whole exhaustive chunks
     term = np.empty(len(images), dtype=np.promote_types(images.dtype, np.int32))
     for j in range(n, 0, -1):
         index *= p
-        index += np.remainder(np.multiply(images[:, j], scale, out=term), p,
-                              out=term)
+        index += _reduce(np.multiply(images[:, j], scale, out=term), p)
     rest = np.flatnonzero(scale == 0)
     if not rest.size:
         return index, 0
@@ -267,41 +297,60 @@ def _split_tables(tables, n):
     return prefix_tables, powers
 
 
-def _block_images(split, n, p, pivot, lo, hi):
-    """Images of points lo..hi of a pivot block, one row per point.
+def _block_values(split, n, p, pivot, lo, hi):
+    """(g_{j,k} of each prefix, the values t of x_n) for a chunk.
 
     Below the last pivot the chunk is (hi - lo) / p prefixes times the p
-    values t of x_n: the g_{j,k} are evaluated once per prefix, then each
-    component is expanded over t by Horner's rule with one reduction per
-    step (acc < p, so acc * t + g <= (p-1)^2 + (p-1) < 2^31).  The last
-    block, the single point (0,..,0,1), is a zero prefix at t = 1.
+    values of x_n; the last block, the single point (0,..,0,1), is a zero
+    prefix at t = 1.  Row r of the chunk is prefix r // len(t) at
+    t[r % len(t)].
     """
-    prefix_tables, powers = split
     if pivot == n:
         prefixes = np.zeros((1, n), dtype=np.int32)
         last = np.ones(1, dtype=np.int32)
     else:
         prefixes = _chunk_points(n - 1, p, pivot, lo // p, hi // p)
         last = np.arange(p, dtype=np.int32)
-    values = _evaluate_images(prefix_tables, prefixes, p)
-    # component-major, so each expansion runs on contiguous memory; the
-    # transpose returned is the usual (points, components) view
-    images = np.empty((len(powers), len(prefixes), len(last)), dtype=np.int32)
-    for acc, component in zip(images, powers):
+    return _evaluate_images(split[0], prefixes, p), last
+
+
+def _expand(coeffs, powers, t, p, out):
+    """out[j] = sum_k g_{j,k} t^k mod p for the components in powers.
+
+    coeffs[..., i] is the column of prefix table i, broadcast against t:
+    (prefixes, 1) against the p values of x_n for a grid, or (rows,)
+    against each row's own t for gathered rows.  Horner's rule with one
+    reduction per step: acc < p, so acc * t + g <= (p-1)^2 + (p-1) < 2^31.
+    """
+    for acc, component in zip(out, powers):
         if not component:
             acc[:] = 0
             continue
         top = max(component)
         if top == 0:
-            acc[:] = values[:, component[0], None]
+            acc[:] = coeffs[..., component[0]]
             continue
-        np.multiply(values[:, component[top], None], last, out=acc)
+        np.multiply(coeffs[..., component[top]], t, out=acc)
         for k in range(top - 1, -1, -1):
             if k in component:
-                acc += values[:, component[k], None]
-            acc %= p
+                acc += coeffs[..., component[k]]
+            _reduce(acc, p)
             if k:
-                acc *= last
+                acc *= t
+
+
+def _block_images(split, n, p, pivot, lo, hi):
+    """Images of points lo..hi of a pivot block, one row per point.
+
+    The g_{j,k} are evaluated once per prefix (_block_values), then every
+    component is expanded over the grid of x_n values (_expand).
+    """
+    values, last = _block_values(split, n, p, pivot, lo, hi)
+    powers = split[1]
+    # component-major, so each expansion runs on contiguous memory; the
+    # transpose returned is the usual (points, components) view
+    images = np.empty((len(powers), len(values), len(last)), dtype=np.int32)
+    _expand(values[:, None, :], powers, last, p, images)
     return images.reshape(len(powers), -1).T
 
 
@@ -313,34 +362,73 @@ def _exhaustive_chunk(args):
     return index, base
 
 
+# the most entries of a head table (1 MiB of bool, sent to every task)
+_HEAD_TABLE_ENTRIES = 1 << 20
+
+
 def _head_width(n, p):
-    # 2 from 2^20 points of P^2(F_p): the table sent to each task stays 1 MiB
-    return min(n + 1, 3 if projective_size(2, p) < 1 << 20 else 2)
+    # 3 while the projective layout of P^2(F_p) fits the table, else 2
+    return min(n + 1, 3 if projective_size(2, p) < _HEAD_TABLE_ENTRIES else 2)
+
+
+def _head_index(head, p):
+    """Head table index of each head, given as columns (w, rows) of int32.
+
+    Raw layout while p^w fits the table: the digits (y_0 p + y_1) p + y_2,
+    which needs no division.  Past that, the projective layout: the
+    head's index in P^(w-1)(F_p) (_pivot_index), and -1, the table's
+    trailing entry, for the zero head.
+    """
+    if p ** len(head) <= _HEAD_TABLE_ENTRIES:
+        index = head[0].copy()
+        for column in head[1:]:
+            index *= p
+            index += column
+        return index
+    return _pivot_index(head.T, p, np.int32)[0]
 
 
 def _ratio_table(target_rows, n, p):
     """Boolean prefilter over the heads of the targets' image rows.
 
-    The head of a row is its first w = _head_width(n, p) coordinates: a
-    point of P^(w-1)(F_p), indexed by _pivot_index, or zero (index -1).
-    One entry per point, set for the targets' heads, and a trailing entry
-    for the zero head, always set: every base row has it.
+    The head of a row is its first w = _head_width(n, p) coordinates.  A
+    row can equal a target t in P^n only as c * t, so its head is one of
+    c * head(t), c in F_p; c = 0 gives the zero head, which every base
+    row has.  The raw layout (_head_index) sets all p multiples of every
+    target's head, at most _HEAD_TABLE_ENTRIES entries; the projective
+    layout sets one entry per target head, a point of P^(w-1)(F_p), and
+    the trailing entry for the zero head.
     """
     width = _head_width(n, p)
-    head, _ = _pivot_index(target_rows[:, :width], p, np.int32)
+    heads = np.ascontiguousarray(target_rows[:, :width].T, dtype=np.int32)
+    if p ** width <= _HEAD_TABLE_ENTRIES:
+        table = np.zeros(p ** width, dtype=bool)
+        for c in range(p):
+            table[_head_index(heads * np.int32(c) % p, p)] = True
+        return table
     table = np.zeros(projective_size(width - 1, p) + 1, dtype=bool)
-    table[head] = True
+    table[_head_index(heads, p)] = True
     table[-1] = True
     return table
 
 
 def _sampled_chunk(args):
     split, n, p, pivot, lo, hi, target_index, table = args
-    images = _block_images(split, n, p, pivot, lo, hi)
-    # the prefilter drops only rows whose head no target has; the full
-    # index comparison below stays the only hit test
-    head, _ = _pivot_index(images[:, :_head_width(n, p)], p, np.int32)
-    index, base = _normalized_keys(images[table[head]], p)
+    values, last = _block_values(split, n, p, pivot, lo, hi)
+    powers = split[1]
+    width = _head_width(n, p)
+    head = np.empty((width, len(values), len(last)), dtype=np.int32)
+    _expand(values[:, None, :], powers[:width], last, p, head)
+    head = head.reshape(width, -1)
+    # the prefilter drops only rows whose head no target has; only the
+    # kept rows are expanded in full, and the full index comparison below
+    # stays the only hit test
+    kept = np.flatnonzero(table[_head_index(head, p)])
+    images = np.empty((n + 1, len(kept)), dtype=np.int32)
+    images[:width] = head[:, kept]
+    prefix, step = np.divmod(kept, len(last))
+    _expand(values[prefix], powers[width:], last[step], p, images[width:])
+    index, base = _normalized_keys(images.T, p)
     # target indices are >= 0, so base rows (-1) never register a hit
     positions = np.searchsorted(target_index, index)
     positions[positions == len(target_index)] = 0
@@ -504,13 +592,14 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     target counted with an empty fiber raises InconsistencyError.
 
     Only rows that pass the head prefilter (_ratio_table, built once per
-    scan) are indexed and matched.  The filter is exact: a row equal to a
-    target in P^n is a multiple of it, so its head is zero or the same
-    point as the target's head, and a dropped row cannot hit any target.
-    Zero heads, every base row among them, are always kept, so
-    base_points stays exact; the full-index comparison remains the only
-    hit test, and a filter that lost a target's head would leave that
-    target's fiber empty and raise.
+    scan) are expanded in full, indexed and matched.  The filter is exact:
+    a row equal to a target t in P^n is c * t for some c in F_p, so its
+    head is c * head(t), which the table holds (the raw layout sets every
+    multiple, the projective one the point head(t) and the zero head), and
+    a dropped row cannot hit any target.  The zero head, c = 0, is always
+    kept, so every base row is and base_points stays exact; the full-index
+    comparison remains the only hit test, and a filter that lost a
+    target's head would leave that target's fiber empty and raise.
     """
     n = rational_map.n
     tables = _component_tables(rational_map, p)

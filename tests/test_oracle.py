@@ -463,3 +463,21 @@ def test_scan_primes_cone_degree_is_not_compared():
     assert [r.degree >= r.p - 1 for r in reps] == [True, True]
     assert reps[0].degree != reps[1].degree
     assert not any(r.dominant or r.homaloidal for r in reps)
+
+
+def test_reduce_matches_the_remainder():
+    """The quotient route of _reduce against %, over several blocks and a
+    partial last block, up to the largest int32 a Horner step reaches."""
+    rng = np.random.default_rng(5)
+    size = 3 * oracle._REDUCE_BLOCK + 17
+    for dtype, high in ((np.int32, 2 ** 31 - 1), (np.int64, 2 ** 62)):
+        values = rng.integers(0, high, size=size, dtype=dtype)
+        for p in (2, 31, 46337):
+            reduced = oracle._reduce(values.copy(), p)
+            assert reduced.dtype == dtype
+            assert np.array_equal(reduced, values % p)
+    grid = values[:2 * 35].reshape(2, 35) % 1000
+    assert np.array_equal(oracle._reduce(grid.copy(), 7), grid % 7)
+    # a strided column would be reduced in a copy: refused
+    with pytest.raises(ValueError, match="contiguous"):
+        oracle._reduce(grid[:, 0], 7)

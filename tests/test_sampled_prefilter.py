@@ -2,6 +2,8 @@
 every row, the width cut, the rows it keeps against the reference points,
 and the empty-fiber safety net."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ def moving_of(text):
 DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
 QUARTIC = "x0^4 + 3*x0^3*x1 + 2*x0^2*x1^2 + x0*x1^3 + x1^4"
 CREMONA_P4 = "x0*x1*x2*x3*x4"
+QUADRIC_P3 = "x0^2 + x1^2 + x2^2 + x3^2"
 
 
 def keyed_chunk(args):
@@ -86,6 +89,12 @@ CASES = {
                                 det_cubic_tasks, 8),
     # P^2(F_p) has 2^20 points or more: w = 2
     "quadric_p1031": (lambda: polar_of("x0^2 + x1^2 + x2^2"), 1031, None, 0),
+    # the last prime of the raw head table, 101^3 = 1,030,301 entries
+    "quadric_p3_p101": (lambda: polar_of(QUADRIC_P3), 101, None, 0),
+    # the first prime past it: projective heads on P^2
+    "quadric_p3_p103": (lambda: polar_of(QUADRIC_P3), 103, None, 0),
+    # a small prime: many zero heads and base rows, most raw heads set
+    "cremona_p4_p5": (lambda: moving_of(CREMONA_P4), 5, None, 0),
 }
 
 
@@ -115,47 +124,74 @@ def test_prefiltered_chunk_matches_the_keyed_chunk(name):
         assert total[np.isin(target_keys, pivot_keys)].all()
 
 
+def multiples(heads, p):
+    """Raw digits (y_0 p + y_1) p + y_2 of c * head, every c in F_p."""
+    return {functools.reduce(lambda acc, y: acc * p + c * y % p, head, 0)
+            for head in heads for c in range(p)}
+
+
 @pytest.mark.parametrize("n, p, ratios", [
     (5, 31, 31 ** 2), (2, 1021, 1021 ** 2),   # |P^2(F_p)| < 2^20: w = 3
     (2, 1031, 1031), (5, 1031, 1031),         # |P^2(F_p)| >= 2^20: w = 2
     (1, 103, 103), (1, 31, 31),               # n = 1: w = 2
     (0, 7, 1),                                # P^0: w = 1
+    # the raw cut: 101^3 = 1,030,301 entries, 103^3 > 2^20; for n = 1,
+    # 1021^2 = 1,042,441 entries and 1031^2 > 2^20
+    (2, 101, 101 ** 2), (2, 103, 103 ** 2), (5, 103, 103 ** 2),
+    (1, 1021, 1021), (1, 1031, 1031),
 ])
 def test_ratio_table_cut(n, p, ratios):
     # ratios = p^(w-1), the heads with y_0 != 0
     width = oracle._head_width(n, p)
     assert p ** (width - 1) == ratios
     table = oracle._ratio_table(np.ones((1, n + 1), dtype=np.int32), n, p)
-    # a point of P^(w-1)(F_p) each, then the zero head: 1021^2 + 1021 + 2
-    # entries at p = 1021
     assert table.dtype == np.bool_
-    assert table.size == projective_size(width - 1, p) + 1 == \
-        (ratios * p - 1) // (p - 1) + 1
-    assert table.nbytes <= 1 << 20
+    assert table.size <= oracle._HEAD_TABLE_ENTRIES == 1 << 20
+    if ratios * p <= 1 << 20:
+        # raw: p^w heads, set for the multiples of (1, .., 1), 0 among them
+        assert table.size == ratios * p
+        assert set(np.flatnonzero(table).tolist()) == \
+            multiples([[1] * width], p)
+    else:
+        # projective: a point of P^(w-1)(F_p) each, then the zero head,
+        # 1021^2 + 1021 + 2 entries at p = 1021
+        assert table.size == projective_size(width - 1, p) + 1 == \
+            (ratios * p - 1) // (p - 1) + 1
+        assert np.flatnonzero(table).tolist() == \
+            [ProjectivePoint([1] * width, p).index(), table.size - 1]
 
 
 def test_ratio_table_entries():
     p = 7
-    # heads (1, 0, 0), (1, 3, 5) scaled by 2, (1, 6, 0), and (0, 1, 2) with
-    # t_0 = 0, which sets its own entry, p^2 + 2
-    rows = np.array([[1, 0, 0, 4], [2, 6, 3, 0], [1, 6, 0, 0], [0, 1, 2, 0]],
-                    dtype=np.int32)
+    # heads (1, 0, 0), (2, 6, 3), (1, 6, 0), (0, 1, 2) with t_0 = 0, and
+    # the zero head of a target (w = 3 needs n >= 2)
+    rows = np.array([[1, 0, 0, 4], [2, 6, 3, 0], [1, 6, 0, 0], [0, 1, 2, 0],
+                     [0, 0, 0, 5]], dtype=np.int32)
     three = oracle._ratio_table(rows, 3, p)
-    assert three.size == projective_size(2, p) + 1
-    # the trailing entry, the zero head, is set though no target has it
-    assert np.flatnonzero(three).tolist() == \
-        [0, 6, 3 + 5 * p, p * p + 2, projective_size(2, p)]
-    assert np.flatnonzero(three)[:-1].tolist() == \
-        sorted(ProjectivePoint(row[:3], p).index() for row in rows.tolist())
+    assert three.size == p ** 3
+    heads = rows[:, :3].tolist()
+    assert set(np.flatnonzero(three).tolist()) == multiples(heads, p)
+    # against the reference points: a raw head is set exactly when it is
+    # zero, which no target needs, or a target's head in P^2
+    target_heads = {ProjectivePoint(head, p) for head in heads if any(head)}
+    for raw in range(p ** 3):
+        digits = [raw // p ** 2, raw // p % p, raw % p]
+        assert three[raw] == (not any(digits) or
+                              ProjectivePoint(digits, p) in target_heads)
     # on P^1: t = (1, 3), (1, 6), (1, 0), (0, 1)
-    two = oracle._ratio_table(
-        np.array([[1, 3], [1, 6], [1, 0], [0, 1]], dtype=np.int32), 1, p)
-    assert np.flatnonzero(two).tolist() == [0, 3, 6, p, p + 1]
-    # a target with a zero head (w = 3 needs n >= 2) sets the trailing entry
-    zero = oracle._ratio_table(np.array([[0, 0, 0, 5]], dtype=np.int32), 3, p)
-    assert np.flatnonzero(zero).tolist() == [projective_size(2, p)]
-    # on P^0 every head is the point or zero
+    two_rows = [[1, 3], [1, 6], [1, 0], [0, 1]]
+    two = oracle._ratio_table(np.array(two_rows, dtype=np.int32), 1, p)
+    assert set(np.flatnonzero(two).tolist()) == multiples(two_rows, p)
+    # on P^0 every head is a multiple of the point
     assert oracle._ratio_table(np.array([[3]], dtype=np.int32), 0, p).all()
+    # projective layout (p = 103): one entry per target head in P^2, and
+    # the trailing entry, the zero head, set though no target has it
+    q = 103
+    projective = oracle._ratio_table(rows[:4], 3, q)
+    assert projective.size == projective_size(2, q) + 1
+    assert np.flatnonzero(projective).tolist() == \
+        sorted(ProjectivePoint(head, q).index() for head in heads[:4]) + \
+        [projective_size(2, q)]
 
 
 def recording_keys(monkeypatch):
@@ -220,8 +256,9 @@ def test_prefilter_keys_few_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("text, p", [
-    ("x0^2 + x1^2 + x2^2", 101),   # w = 3
-    (QUARTIC, 103),                # w = 2
+    ("x0^2 + x1^2 + x2^2", 101),   # raw, w = 3
+    ("x0^2 + x1^2 + x2^2", 103),   # projective, w = 3
+    (QUARTIC, 103),                # raw, w = 2
 ])
 def test_a_dropped_table_entry_raises(monkeypatch, text, p):
     """A filter that loses a target's head must fail the scan, not pass."""
@@ -230,11 +267,15 @@ def test_a_dropped_table_entry_raises(monkeypatch, text, p):
     ratio_table = oracle._ratio_table
 
     def dropping(target_rows, n, p):
+        # a row hits a target t only as c * t, c != 0: clearing the entry
+        # of every such head loses all of t's preimages (a single raw
+        # entry is one c alone)
         table = ratio_table(target_rows, n, p)
         width = oracle._head_width(n, p)
         assert width == 3 - (n == 1)
-        head, _ = oracle._pivot_index(target_rows[:, :width], p, np.int32)
-        table[head[head >= 0][0]] = False
+        head = next(row[:width] for row in target_rows if row[:width].any())
+        for c in range(1, p):
+            table[oracle._head_index(head[:, None] * c % p, p)] = False
         return table
 
     monkeypatch.setattr(oracle, "_ratio_table", dropping)
