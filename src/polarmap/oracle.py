@@ -17,13 +17,18 @@ to columns 1..n, as points of P^(n-1) after the p^n of pivot 0.
 Exhaustive mode counts the fiber of every image point in one dense int32
 array indexed by it and reads the degree off the fiber-size histogram.
 Sampled mode picks seeded random targets, then counts their preimages in
-one pass over the domain.  Per chunk it expands only the head (the first
-w <= 3 components) over the grid and looks each head up in a table of the
-heads a target's preimage can have: c * head(t) for every target t and
-c in F_p, indexed by the raw digits of the head while p^w <= 2^20, and
-by the head's point of P^(w-1) past that.  Only the rows kept, 2-6% on
-the determinantal cubic, get their other components expanded, an index
-and a match; a dropped row provably hits no target (scan_sampled).
+one pass over the domain.  Per chunk it first computes only the head,
+w <= 3 components chosen once per scan with the lowest powers of x_n
+(_head_columns), and looks each head up in a table of the heads a
+target's preimage can have: c * head(t) for every target t and c in F_p,
+indexed by the raw digits of the head while p^w <= 2^20, and by the
+head's point of P^(w-1) past that.  A head free of x_n is the same along
+a grid row, so it is evaluated and looked up once per prefix, and a kept
+prefix keeps its whole row (the determinantal cubic, head (2, 4, 5),
+keeps 6% of them); any other head is expanded over the grid and looked
+up point by point.  Only what is kept gets its other components
+evaluated and expanded, an index and a match; a dropped row provably
+hits no target (scan_sampled).
 
 Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
@@ -118,7 +123,7 @@ def _chunk_points(n, p, pivot, lo, hi):
 
     The block for pivot position k holds p^(n-k) points, indexed by the
     base-p digits of the free coordinates.  The scans call it with n-1 to
-    build the prefixes of a chunk (_block_images); the random-point
+    build the prefixes of a chunk (_block_grid); the random-point
     evaluators build their own rows.  int32 is safe throughout the scan:
     _component_tables keeps p < 46341, so a product of two residues, and
     a Horner step (p-1)^2 + (p-1), stay below 2^31.
@@ -297,8 +302,8 @@ def _split_tables(tables, n):
     return prefix_tables, powers
 
 
-def _block_values(split, n, p, pivot, lo, hi):
-    """(g_{j,k} of each prefix, the values t of x_n) for a chunk.
+def _block_grid(n, p, pivot, lo, hi):
+    """(prefixes x_0..x_{n-1}, the values t of x_n) of a chunk.
 
     Below the last pivot the chunk is (hi - lo) / p prefixes times the p
     values of x_n; the last block, the single point (0,..,0,1), is a zero
@@ -306,21 +311,19 @@ def _block_values(split, n, p, pivot, lo, hi):
     t[r % len(t)].
     """
     if pivot == n:
-        prefixes = np.zeros((1, n), dtype=np.int32)
-        last = np.ones(1, dtype=np.int32)
-    else:
-        prefixes = _chunk_points(n - 1, p, pivot, lo // p, hi // p)
-        last = np.arange(p, dtype=np.int32)
-    return _evaluate_images(split[0], prefixes, p), last
+        return np.zeros((1, n), dtype=np.int32), np.ones(1, dtype=np.int32)
+    return (_chunk_points(n - 1, p, pivot, lo // p, hi // p),
+            np.arange(p, dtype=np.int32))
 
 
 def _expand(coeffs, powers, t, p, out):
     """out[j] = sum_k g_{j,k} t^k mod p for the components in powers.
 
     coeffs[..., i] is the column of prefix table i, broadcast against t:
-    (prefixes, 1) against the p values of x_n for a grid, or (rows,)
-    against each row's own t for gathered rows.  Horner's rule with one
-    reduction per step: acc < p, so acc * t + g <= (p-1)^2 + (p-1) < 2^31.
+    (prefixes, 1) against the values of x_n for a grid, or (rows, 1)
+    against each row's own t for gathered rows.  out holds one contiguous
+    array per component.  Horner's rule with one reduction per step:
+    acc < p, so acc * t + g <= (p-1)^2 + (p-1) < 2^31.
     """
     for acc, component in zip(out, powers):
         if not component:
@@ -342,10 +345,11 @@ def _expand(coeffs, powers, t, p, out):
 def _block_images(split, n, p, pivot, lo, hi):
     """Images of points lo..hi of a pivot block, one row per point.
 
-    The g_{j,k} are evaluated once per prefix (_block_values), then every
-    component is expanded over the grid of x_n values (_expand).
+    The g_{j,k} are evaluated once per prefix of the chunk (_block_grid),
+    then every component is expanded over the grid of x_n values (_expand).
     """
-    values, last = _block_values(split, n, p, pivot, lo, hi)
+    prefixes, last = _block_grid(n, p, pivot, lo, hi)
+    values = _evaluate_images(split[0], prefixes, p)
     powers = split[1]
     # component-major, so each expansion runs on contiguous memory; the
     # transpose returned is the usual (points, components) view
@@ -371,6 +375,20 @@ def _head_width(n, p):
     return min(n + 1, 3 if projective_size(2, p) < _HEAD_TABLE_ENTRIES else 2)
 
 
+def _head_columns(powers, p):
+    """The components that make the head of a sampled scan, in head order.
+
+    The first _head_width(n, p) components by the top power of x_n they
+    hold (powers from _split_tables), then by index, zero components last:
+    a head free of x_n is looked up once per prefix, and a zero column
+    filters nothing.  scan_sampled builds the head table and _sampled_chunk
+    reads the heads on the columns this gives.
+    """
+    order = sorted(range(len(powers)),
+                   key=lambda j: (not powers[j], max(powers[j], default=0), j))
+    return order[:_head_width(len(powers) - 1, p)]
+
+
 def _head_index(head, p):
     """Head table index of each head, given as columns (w, rows) of int32.
 
@@ -388,19 +406,19 @@ def _head_index(head, p):
     return _pivot_index(head.T, p, np.int32)[0]
 
 
-def _ratio_table(target_rows, n, p):
+def _ratio_table(target_rows, columns, p):
     """Boolean prefilter over the heads of the targets' image rows.
 
-    The head of a row is its first w = _head_width(n, p) coordinates.  A
-    row can equal a target t in P^n only as c * t, so its head is one of
-    c * head(t), c in F_p; c = 0 gives the zero head, which every base
-    row has.  The raw layout (_head_index) sets all p multiples of every
-    target's head, at most _HEAD_TABLE_ENTRIES entries; the projective
-    layout sets one entry per target head, a point of P^(w-1)(F_p), and
-    the trailing entry for the zero head.
+    The head of a row is its coordinates on the head columns (_head_columns),
+    w of them.  A row can equal a target t in P^n only as c * t, so its head
+    is one of c * head(t), c in F_p, on any set of columns; c = 0 gives the
+    zero head, which every base row has.  The raw layout (_head_index) sets
+    all p multiples of every target's head, at most _HEAD_TABLE_ENTRIES
+    entries; the projective layout sets one entry per target head, a point
+    of P^(w-1)(F_p), and the trailing entry for the zero head.
     """
-    width = _head_width(n, p)
-    heads = np.ascontiguousarray(target_rows[:, :width].T, dtype=np.int32)
+    width = len(columns)
+    heads = np.ascontiguousarray(target_rows[:, columns].T, dtype=np.int32)
     if p ** width <= _HEAD_TABLE_ENTRIES:
         table = np.zeros(p ** width, dtype=bool)
         for c in range(p):
@@ -412,23 +430,51 @@ def _ratio_table(target_rows, n, p):
     return table
 
 
+def _prefix_values(split, components, prefixes, p):
+    """The g_{j,k} of the given components at each prefix.
+
+    One column per prefix table, as _block_images evaluates them; those of
+    the other components are left 0 and cost nothing.
+    """
+    prefix_tables, powers = split
+    used = {i for j in components for i in powers[j].values()}
+    return _evaluate_images(
+        [table if i in used else ([], []) for i, table in enumerate(prefix_tables)],
+        prefixes, p)
+
+
 def _sampled_chunk(args):
     split, n, p, pivot, lo, hi, target_index, table = args
-    values, last = _block_values(split, n, p, pivot, lo, hi)
     powers = split[1]
-    width = _head_width(n, p)
-    head = np.empty((width, len(values), len(last)), dtype=np.int32)
-    _expand(values[:, None, :], powers[:width], last, p, head)
-    head = head.reshape(width, -1)
-    # the prefilter drops only rows whose head no target has; only the
-    # kept rows are expanded in full, and the full index comparison below
+    columns = _head_columns(powers, p)
+    rest = [j for j in range(n + 1) if j not in columns]
+    prefixes, last = _block_grid(n, p, pivot, lo, hi)
+    # a head free of x_n is the same along a row of the grid: it is looked
+    # up once per prefix (q = 1), else once per point (q = len(last))
+    flat = not any(k for j in columns for k in powers[j])
+    q = 1 if flat else len(last)
+    head = np.empty((len(columns), len(prefixes), q), dtype=np.int32)
+    _expand(_prefix_values(split, columns, prefixes, p)[:, None, :],
+            [powers[j] for j in columns], last[:q], p, head)
+    head = head.reshape(len(columns), -1)
+    # the prefilter drops only heads no target has; only the kept rows get
+    # their other components expanded, and the full index comparison below
     # stays the only hit test
     kept = np.flatnonzero(table[_head_index(head, p)])
-    images = np.empty((n + 1, len(kept)), dtype=np.int32)
-    images[:width] = head[:, kept]
-    prefix, step = np.divmod(kept, len(last))
-    _expand(values[prefix], powers[width:], last[step], p, images[width:])
-    index, base = _normalized_keys(images.T, p)
+    if flat:
+        # a kept prefix keeps its whole row of the x_n grid
+        values = _prefix_values(split, rest, prefixes[kept], p)
+        t = last[None, :]
+    else:
+        # a kept point is one row, at its own value of x_n
+        values = _prefix_values(split, rest, prefixes, p)[kept // q]
+        t = last[kept % q][:, None]
+    images = np.empty((n + 1, len(kept), t.shape[1]), dtype=np.int32)
+    for i, j in enumerate(columns):
+        images[j] = head[i, kept][:, None]
+    _expand(values[:, None, :], [powers[j] for j in rest], t, p,
+            [images[j] for j in rest])
+    index, base = _normalized_keys(images.reshape(n + 1, -1).T, p)
     # target indices are >= 0, so base rows (-1) never register a hit
     positions = np.searchsorted(target_index, index)
     positions[positions == len(target_index)] = 0
@@ -443,19 +489,30 @@ def _check_workers(workers):
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (taskset, cgroup cpusets), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(fn, tables, n, p, workers, *extra):
     """fn((split, n, p, pivot, lo, hi, *extra)) for every chunk, in order.
 
     The one decision on processes: in-process for a domain of one chunk (a
     pool costs more than such a scan), else at most one per task (a fork
-    pool starts all its processes at the first submit) and one per CPU.
+    pool starts all its processes at the first submit) and one per CPU the
+    process may run on.
     """
     split = _split_tables(tables, n)
     args_list = [(split, n, p, pivot, lo, hi, *extra)
                  for pivot, lo, hi in _block_tasks(n, p)]
     if projective_size(n, p) <= _CHUNK:
         workers = 1
-    workers = min(workers, len(args_list), os.cpu_count() or 1)
+    workers = min(workers, len(args_list))
+    if workers > 1:
+        workers = min(workers, _usable_cpus())
     if workers <= 1:
         yield from map(fn, args_list)
         return
@@ -592,14 +649,18 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     target counted with an empty fiber raises InconsistencyError.
 
     Only rows that pass the head prefilter (_ratio_table, built once per
-    scan) are expanded in full, indexed and matched.  The filter is exact:
-    a row equal to a target t in P^n is c * t for some c in F_p, so its
+    scan on the head columns) are expanded in full, indexed and matched.
+    The filter is exact for any choice of head columns: a row equal to a
+    target t in P^n is c * t for some c in F_p, so on those columns its
     head is c * head(t), which the table holds (the raw layout sets every
     multiple, the projective one the point head(t) and the zero head), and
-    a dropped row cannot hit any target.  The zero head, c = 0, is always
-    kept, so every base row is and base_points stays exact; the full-index
-    comparison remains the only hit test, and a filter that lost a
-    target's head would leave that target's fiber empty and raise.
+    a dropped row cannot hit any target.  When no head column holds x_n,
+    every row of a prefix's grid has that prefix's head, so the lookup per
+    prefix keeps or drops the whole row, with the same verdict as the
+    lookup per row.  The zero head, c = 0, is always kept, so every base
+    row is and base_points stays exact; the full-index comparison remains
+    the only hit test, and a filter that lost a target's head would leave
+    that target's fiber empty and raise.
     """
     n = rational_map.n
     tables = _component_tables(rational_map, p)
@@ -612,7 +673,8 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     per_target, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
     target_index, target_of = np.unique(per_target, return_inverse=True)
-    table = _ratio_table(image_rows, n, p)
+    columns = _head_columns(_split_tables(tables, n)[1], p)
+    table = _ratio_table(image_rows, columns, p)
     parts = list(_run_tasks(_sampled_chunk, tables, n, p, workers,
                             target_index, table))
     fiber_counts = sum(counts for counts, _ in parts)

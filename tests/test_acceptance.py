@@ -3,8 +3,9 @@
 Each test prints "ACCEPTANCE <k>: PASS" once its assertions hold (visible
 under pytest -s, and in captured output otherwise); a failure prints the
 FAIL line and re-raises.  Tolerances are exact unless a comment at the
-assertion says otherwise.  Criterion 8 scans 8.6e8 points at p=61 and
-dominates the runtime (about 16 s single-core on a 2-core AMD EPYC VM).
+assertion says otherwise.  Criterion 8 scans 8.6e8 points at p=61 (about
+3.5 s single-core on a 2-core AMD EPYC VM); the census of criterion 3
+takes longest (about 9 s).
 """
 
 import functools

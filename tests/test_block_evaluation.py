@@ -33,9 +33,16 @@ def dense_binary(degree, coeff):
 DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
 QUARTIC = "x0^4 + 3*x0^3*x1 + 2*x0^2*x1^2 + x0*x1^3 + x1^4"
 
+def det_cubic_tasks(tasks):
+    # the first pivot-0 chunk, every pivot >= 1 block (the last is one point)
+    return tasks[:1] + [task for task in tasks if task[0] >= 1]
+
+
 CASES = {
     "det_cubic_p7": (lambda: polar_of(DET_CUBIC), 7),
-    "det_cubic_p31": (lambda: polar_of(DET_CUBIC), 31),
+    # every row of P^5(F_31) would take the per-row reference ~10 s; the
+    # chunks picked run every code path
+    "det_cubic_p31": (lambda: polar_of(DET_CUBIC), 31, det_cubic_tasks),
     "det_cubic_p3": (lambda: polar_of(DET_CUBIC), 3),
     "quadric_p2": (lambda: polar_of("x0^2 + x1^2 + x2^2"), 101),
     "quadric_p3": (lambda: polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 101),
@@ -67,12 +74,14 @@ def per_row_images(tables, n, p, pivot, lo, hi):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_block_images_match_the_per_row_evaluator(name):
-    build, p = CASES[name]
+    build, p, *pick = CASES[name]
     rational_map = build()
     n = rational_map.n
     tables = oracle._component_tables(rational_map, p)
     split = oracle._split_tables(tables, n)
     tasks = oracle._block_tasks(n, p)
+    if pick:
+        tasks = pick[0](tasks)
     assert tasks[-1] == (n, 0, 1)
     for pivot, lo, hi in tasks:
         expected = per_row_images(tables, n, p, pivot, lo, hi)
@@ -139,15 +148,23 @@ class RecordingPool:
         return map(fn, iterable)
 
 
-def pool_sizes(monkeypatch, workers, cpus):
-    """Pool sizes of one exhaustive and one sampled scan of 13 tasks."""
+def pool_sizes(monkeypatch, workers, cpus, cpu_count=10 ** 9):
+    """Pool sizes of one exhaustive and one sampled scan of 13 tasks, when
+    the process may run on `cpus` of the machine's `cpu_count` CPUs (None:
+    the platform has no affinity mask)."""
     pm = polar_of("x0*x1*x2")
     p = 11
     reports = (scan_exhaustive(pm, p, workers=1),
                scan_sampled(pm, p, targets=8, seed=3, workers=1))
     monkeypatch.setattr(oracle, "_CHUNK", 16)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+    else:
+        # a range has a length but holds no elements
+        monkeypatch.setattr(oracle.os, "sched_getaffinity",
+                            lambda pid: range(cpus), raising=False)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpu_count)
     assert len(oracle._block_tasks(pm.n, p)) == p + 2
     monkeypatch.setattr(RecordingPool, "sizes", [])
     assert scan_exhaustive(pm, p, workers=workers) == reports[0]
@@ -165,3 +182,25 @@ def test_pool_never_exceeds_the_task_count(monkeypatch, workers):
 def test_pool_never_exceeds_the_cpu_count(monkeypatch, workers):
     # 2 workers stay 2; past 3 CPUs the pool stays at 3, below the 13 tasks
     assert pool_sizes(monkeypatch, workers, 3) == [min(workers, 13, 3)] * 2
+
+
+@pytest.mark.parametrize("workers", [2, 64])
+def test_pool_counts_only_the_cpus_the_process_may_run_on(monkeypatch, workers):
+    # pinned to one of 64 CPUs (taskset -c 0): the scans run in-process
+    assert pool_sizes(monkeypatch, workers, 1, cpu_count=64) == []
+    assert pool_sizes(monkeypatch, workers, 2, cpu_count=64) == [2, 2]
+
+
+def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
+    assert pool_sizes(monkeypatch, 4, None, cpu_count=3) == [3, 3]
+
+
+def test_one_worker_never_asks_for_the_affinity(monkeypatch):
+    def refuse(pid):
+        raise AssertionError("affinity read for a one-worker scan")
+
+    pm = polar_of("x0*x1*x2")
+    monkeypatch.setattr(oracle, "_CHUNK", 16)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", refuse, raising=False)
+    scan_exhaustive(pm, 11, workers=1)
+    scan_sampled(pm, 11, targets=8, seed=3, workers=1)
