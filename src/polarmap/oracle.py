@@ -55,10 +55,10 @@ from .polar import moving_part
 from .poly import exact_rank
 
 # exhaustive mode holds one int32 fiber count per domain point (the quadric
-# in P^3 at p=577, 1.92e8 points, peaks at 808 MiB, 4.4 bytes/pt) and
-# refuses 2^31 points whatever the bound; sampled mode streams in constant
-# memory and can afford more, but first draws its targets as Python ints.
-# Scans read these bounds when they start.
+# in P^3 at p=577, 1.92e8 points, peaks at 808 MiB, 4.4 bytes/pt); sampled
+# mode streams in constant memory and can afford more, but first draws its
+# targets as Python ints.  Scans read these bounds when they start, and
+# both refuse 2^31 points whatever the bound (_check_domain).
 DEFAULT_MAX_DOMAIN = 200_000_000
 SAMPLED_MAX_DOMAIN = 2_000_000_000
 SAMPLED_MAX_TARGETS = 1 << 16
@@ -221,7 +221,7 @@ def _reduce(values, p):
 
 
 def _normalized_keys(images, p):
-    """(index of each image row in P^n(F_p), base count) for an image block.
+    """(int32 index of each image row in P^n(F_p), base count) for a block.
 
     A row with pivot k (its first nonzero coordinate) is scaled so that
     c_k = 1; its index is the size of the blocks of smaller pivot,
@@ -229,31 +229,27 @@ def _normalized_keys(images, p):
     digits sum_{j>k} c_j p^(j-k-1).  This numbers the points of P^n(F_p)
     0..projective_size(n, p) - 1.  Base rows (image identically zero) get
     -1, so callers drop or ignore them with index >= 0.  _pivot_index
-    computes it by recursion on the pivot.  Indices are int32 while
-    P^n(F_p) has fewer than 2^31 points, which covers every exhaustive
-    scan, and int64 up to 2^63 points.
+    computes it by recursion on the pivot.  A P^n(F_p) of 2^31 points or
+    more has no int32 index and is refused (_check_domain).
     """
-    n = images.shape[1] - 1
-    size = projective_size(n, p)
-    if size >= 2 ** 63:
-        raise ResourceBoundError(
-            f"P^{n}(F_{p}) has {size} points, past the 64-bit point index")
-    return _pivot_index(images, p, np.int32 if size < 2 ** 31 else np.int64)
+    _check_domain(images.shape[1] - 1, p)
+    return _pivot_index(images, p)
 
 
-def _pivot_index(images, p, dtype):
+def _pivot_index(images, p):
     """_normalized_keys by recursion on the pivot: (index, base count).
 
     A row with y_0 != 0 has pivot 0 and index sum_{j>=1} (y_j / y_0) p^(j-1),
     one Horner pass over y_n..y_1 scaled by 1/y_0.  The rows with y_0 = 0
     (about 1/p of them) are points of P^(n-1) in columns 1..n, after the
-    p^n points of pivot 0; rows zero all the way down are base rows.
+    p^n points of pivot 0; rows zero all the way down are base rows.  The
+    caller keeps P^n(F_p) under 2^31 points, so every step fits in int32.
     """
     n = images.shape[1] - 1
     scale = np.take(_inverse_table(p), images[:, 0])
-    index = np.zeros(len(images), dtype=dtype)
+    index = np.zeros(len(images), dtype=np.int32)
     # one reused product buffer: this loop runs on whole exhaustive chunks
-    term = np.empty(len(images), dtype=np.promote_types(images.dtype, np.int32))
+    term = np.empty(len(images), dtype=np.int32)
     for j in range(n, 0, -1):
         index *= p
         index += _reduce(np.multiply(images[:, j], scale, out=term), p)
@@ -263,7 +259,7 @@ def _pivot_index(images, p, dtype):
     if n == 0:
         index[rest] = -1
         return index, len(rest)
-    sub, base = _pivot_index(images[rest, 1:], p, dtype)
+    sub, base = _pivot_index(images[rest, 1:], p)
     index[rest] = np.where(sub < 0, sub, sub + p ** n)
     return index, base
 
@@ -403,7 +399,7 @@ def _head_index(head, p):
             index *= p
             index += column
         return index
-    return _pivot_index(head.T, p, np.int32)[0]
+    return _pivot_index(head.T, p)[0]
 
 
 def _ratio_table(target_rows, columns, p):
@@ -520,12 +516,16 @@ def _run_tasks(fn, tables, n, p, workers, *extra):
         yield from pool.map(fn, args_list, chunksize=1)
 
 
-def _check_domain(n, p, bound):
-    """|P^n(F_p)|, refused past the mode's bound."""
+def _check_domain(n, p, bound=None):
+    """|P^n(F_p)|, refused past the mode's bound, if one is given, and at
+    2^31 points whatever the bound: point indices and fiber counts are int32."""
     domain = projective_size(n, p)
-    if domain > bound:
+    if bound is not None and domain > bound:
         raise ResourceBoundError(
             f"P^{n}(F_{p}) has {domain} points, over the bound {bound}")
+    if domain >= 2 ** 31:
+        raise ResourceBoundError(
+            f"P^{n}(F_{p}) has {domain} points, past the int32 point index")
     return domain
 
 
@@ -564,9 +564,6 @@ def scan_exhaustive(rational_map, p, workers=1):
     # building the tables refuses a composite or too large p first
     tables = _component_tables(rational_map, p)
     domain = _check_domain(n, p, DEFAULT_MAX_DOMAIN)
-    if domain >= 2 ** 31:
-        raise ResourceBoundError(
-            f"P^{n}(F_{p}) has {domain} points, past the int32 fiber counts")
     _check_workers(workers)
     fibers = np.zeros(domain, dtype=np.int32)
     # a task holds at most max(p, _CHUNK) points, and no more than the domain
@@ -753,7 +750,9 @@ def check_contraction(F, i, p, samples=100, seed=0):
     sets, and the map evaluated is the moving part of the polar system of
     F (for square-free F that is the polar map itself; for higher
     multiplicities the raw partials all vanish on the hyperplane and only
-    the moving part sees it).
+    the moving part sees it).  An image row y is the dual point of the form
+    a exactly when y != 0 and y * a_k = a * y_k mod p, k the pivot of a:
+    rows are compared, nothing is indexed, so any size of P^n(F_p) works.
     """
     if not isinstance(F, LinearFormProduct):
         raise TypeError("check_contraction takes a LinearFormProduct")
@@ -766,7 +765,6 @@ def check_contraction(F, i, p, samples=100, seed=0):
     if not row.any():
         raise ReductionError(f"form {i} vanishes mod {p}; pick another prime")
     pivot = int(np.flatnonzero(row)[0])
-    dual = _normalized_keys(row[None, :], p)[0][0]
     others = np.delete(forms, i, axis=0)
     free_slots = [t for t in range(F.nvars) if t != pivot]
     minus_inv_pivot = p - pow(int(row[pivot]), -1, p)
@@ -776,12 +774,11 @@ def check_contraction(F, i, p, samples=100, seed=0):
         coords[:, free_slots] = free
         coords[:, pivot] = coords @ row % p * minus_inv_pivot % p
         usable = free.any(axis=1) & (coords @ others.T % p != 0).all(axis=1)
-        index, _ = _normalized_keys(
-            _evaluate_images(tables, coords.astype(np.int32), p), p)
-        index = index[usable & (index >= 0)][:samples - found]
-        if (index != dual).any():
+        images = _evaluate_images(tables, coords.astype(np.int32), p)
+        images = images[usable & images.any(axis=1)][:samples - found]
+        if (images * row[pivot] % p != row * images[:, [pivot]] % p).any():
             return False
-        found += len(index)
+        found += len(images)
         if found == samples:
             return True
     raise ReductionError(

@@ -12,8 +12,9 @@ arise from arithmetic inside the package):
 '^' binds tighter than unary minus, so "-x0^2" reads -(x0^2).  Implicit
 multiplication is not allowed.  Guard rails for fuzzed input: inputs over
 256 KiB, exponents over 9999, variable indices over 499, nesting deeper
-than 200, and expansions past 200000 terms all raise a positioned
-ParseError instead of exhausting memory.
+than 200, a product of two factors whose term counts multiply past 200000,
+and a power whose multiplications together pass that many term products
+all raise a positioned ParseError instead of exhausting memory or time.
 """
 
 from __future__ import annotations
@@ -208,20 +209,25 @@ def _eval_ast(node, nvars):
     if kind == "mul":
         left = _eval_ast(node[1], nvars)
         right = _eval_ast(node[2], nvars)
-        return _checked_mul(left, right, node[-1])
+        _check_budget(len(left.terms) * len(right.terms), node[-1])
+        return left * right
     if kind == "pow":
         base = _eval_ast(node[1], nvars)
         result = Polynomial.constant(QQ, nvars, 1)
+        # the multiplications of one power share the budget
+        spent = 0
         for _ in range(node[2]):
-            result = _checked_mul(result, base, node[-1])
+            spent += len(result.terms) * len(base.terms)
+            _check_budget(spent, node[-1])
+            result = result * base
         return result
     raise AssertionError(f"unknown node kind {kind}")
 
 
-def _checked_mul(a, b, pos):
-    if len(a.terms) * len(b.terms) > _TERM_BUDGET:
+def _check_budget(pairs, pos):
+    """Refuse work of more than _TERM_BUDGET term pairs multiplied."""
+    if pairs > _TERM_BUDGET:
         raise ParseError(f"expansion exceeds {_TERM_BUDGET} terms", pos[0], pos[1])
-    return a * b
 
 
 def parse_polynomial(text, nvars=None, require_homogeneous=False):

@@ -126,18 +126,25 @@ def random_rows(rng, n, p, count):
     return rows
 
 
-@pytest.mark.parametrize("n, p", [(2, 101), (3, 1297)])
+# p = 1289 is the largest prime with |P^3(F_p)| < 2^31, the int32 index
+@pytest.mark.parametrize("n, p", [(2, 101), (3, 1289)])
 def test_index_matches_the_reference_point(n, p):
     rows = random_rows(random.Random(n * p), n, p, 600)
     index, base = oracle._normalized_keys(np.array(rows, dtype=np.int32), p)
     expected = [ProjectivePoint(r, p).index() if any(r) else -1 for r in rows]
     assert index.tolist() == expected
     assert base == expected.count(-1) > 0
-    if projective_size(n, p) >= 2 ** 31:
-        # |P^3(F_1297)| > 2^31: indices past the int32 range stay exact
-        assert index.dtype == np.int64 and max(expected) >= 2 ** 31
-    else:
-        assert index.dtype == np.int32
+    assert index.dtype == np.int32
+
+
+def test_index_refused_at_2_31_points():
+    # 1291 and 1297 are the next primes: past 2^31 points there is no int32
+    # index, and the encoder refuses instead of wrapping
+    assert projective_size(3, 1289) < 2 ** 31 <= projective_size(3, 1291)
+    rows = np.array([[1, 2, 3, 4], [0, 0, 0, 5]], dtype=np.int32)
+    for p in (1291, 1297):
+        with pytest.raises(ResourceBoundError, match="int32 point index"):
+            oracle._normalized_keys(rows, p)
 
 
 def test_index_of_one_coordinate_rows():
@@ -150,7 +157,7 @@ def test_index_of_one_coordinate_rows():
     assert base == 3 and index.dtype == np.int32
 
 
-@pytest.mark.parametrize("n, p", [(5, 31), (3, 1297)])
+@pytest.mark.parametrize("n, p", [(5, 31), (3, 1289)])
 def test_index_of_mixed_pivots_matches_the_reference_point(n, p):
     # one block holding every pivot depth 0..n, base rows, and many rows of
     # pivot n (the deepest level of the pivot recursion), shuffled
@@ -163,7 +170,7 @@ def test_index_of_mixed_pivots_matches_the_reference_point(n, p):
     assert index.tolist() == expected
     assert base == expected.count(-1) == 40
     assert expected.count(projective_size(n, p) - 1) >= 300
-    assert index.dtype == (np.int64 if n == 3 else np.int32)
+    assert index.dtype == np.int32
 
 
 @pytest.mark.parametrize("bad_index", [-1, -2, -12, projective_size(2, 13),
@@ -183,8 +190,8 @@ def test_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
 
 
 def test_int32_domain_refused_before_allocating(monkeypatch):
-    # |P^3(F_1297)| = 2,183,508,580 >= 2^31: the int32 counts cannot hold it,
-    # whatever the domain bound
+    # |P^3(F_1297)| = 2,183,508,580 >= 2^31: the int32 counts and indices
+    # cannot hold it, whatever the domain bound
     assert projective_size(3, 1297) >= 2 ** 31
     monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", 10 ** 10)
 
@@ -194,6 +201,19 @@ def test_int32_domain_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(oracle, "_block_tasks", no_tasks)
     with pytest.raises(ResourceBoundError):
         scan_exhaustive(polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 1297)
+
+
+def test_sampled_int32_domain_refused_before_drawing_targets(monkeypatch):
+    # a raised sampled bound does not lift the int32 point index: the scan
+    # refuses P^3(F_1297) before it draws a target
+    monkeypatch.setattr(oracle, "SAMPLED_MAX_DOMAIN", 10 ** 10)
+
+    def no_targets(*args):
+        raise AssertionError("targets drawn for a domain past the int32 bound")
+
+    monkeypatch.setattr(oracle, "_sample_targets", no_targets)
+    with pytest.raises(ResourceBoundError, match="int32 point index"):
+        scan_sampled(polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 1297)
 
 
 def test_one_chunk_scans_run_in_process(monkeypatch):

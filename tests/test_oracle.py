@@ -240,12 +240,36 @@ def test_check_contraction_multiplicity_blind():
 
 
 def test_check_contraction_past_the_int32_index():
-    # |P^3(F_1301)| > 2^31: the dual points e_1..e_3 have indices past the
-    # int32 range, and each coordinate plane still maps to its dual point
+    # |P^3(F_1301)| > 2^31, past the scans' int32 index: the check compares
+    # image rows, and each coordinate plane still maps to its dual point
     assert projective_size(3, 1301) >= 2 ** 31
     F = parse_arrangement("x0*x1*x2*x3")
     for i in range(4):
         assert check_contraction(F, i, 1301, samples=50, seed=0)
+
+
+def test_check_contraction_has_no_size_limit():
+    # |P^13(F_31)| > 2^63: the standard Cremona map of P^13 still sends
+    # each coordinate hyperplane to its dual point
+    assert projective_size(13, 31) >= 2 ** 63
+    F = parse_arrangement(" * ".join(f"x{k}" for k in range(14)))
+    for i in range(14):
+        assert check_contraction(F, i, 31)
+
+
+@pytest.mark.parametrize("components", [
+    ("x0", "x1", "x2"),               # x0 = 0 maps to itself: y_0 = 0
+    ("x1*x2", "x1*x2", "x0*x1"),      # x0 = 0 maps to (1:1:0): y_0 != 0
+])
+def test_check_contraction_refutes_a_wrong_image(monkeypatch, components):
+    # the same hyperplane x0 = 0 of x0*x1*x2 under a map that does not
+    # contract it to the dual point (1:0:0)
+    F = parse_arrangement("x0*x1*x2")
+    wrong = RationalMap([parse_polynomial(c, nvars=3) for c in components])
+    decomposition = moving_part(F)
+    decomposition.moving = wrong
+    monkeypatch.setattr(oracle, "moving_part", lambda G: decomposition)
+    assert not check_contraction(F, 0, 101)
 
 
 def test_check_contraction_validation():

@@ -3,7 +3,7 @@ import string
 
 import pytest
 
-from polarmap import QQ, ParseError, Polynomial
+from polarmap import QQ, ParseError, Polynomial, parsing
 from polarmap.parsing import (
     format_canonical,
     parse_arrangement,
@@ -81,6 +81,21 @@ def test_nesting_depth_guard():
 def test_expansion_budget_guard():
     with pytest.raises(ParseError):
         parse_polynomial("(x0+x1+x2+x3+x4+x5)^40")
+
+
+def test_power_multiplications_share_the_budget(monkeypatch):
+    # (x0+x1)^k costs 2*1 + 2*2 + ... + 2*k = k(k+1) term products: at a
+    # budget of 20 the 4th power fits, and the 5th is refused although each
+    # of its multiplications (at most 2*5 = 10) fits alone
+    monkeypatch.setattr(parsing, "_TERM_BUDGET", 20)
+    assert len(parse_polynomial("(x0+x1)^4").terms) == 5
+    with pytest.raises(ParseError, match="exceeds 20 terms") as err:
+        parse_polynomial("x1 + (x0+x1)^5")
+    assert (err.value.line, err.value.column) == (1, 13)
+    # a one-term base spends one product per multiplication
+    assert parse_polynomial("x0^20") == parse_polynomial("x0^10*x0^10")
+    with pytest.raises(ParseError):
+        parse_polynomial("x0^21")
 
 
 def test_format_examples():

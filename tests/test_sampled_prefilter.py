@@ -297,11 +297,14 @@ def test_prefilter_keys_exactly_the_rows_with_a_target_head(monkeypatch, extra):
     images = oracle._block_images(split, n, p, pivot, lo, hi)
     target_heads = {ProjectivePoint(row, p)
                     for row in rows[:, columns].tolist() if any(row)}
-    heads, of_row = np.unique(images[:, columns], axis=0, return_inverse=True)
+    # each head as one base-p integer: a 1-D unique, not a row-wise one
+    weights = p ** np.arange(len(columns) - 1, -1, -1)
+    codes, of_row = np.unique(images[:, columns] @ weights, return_inverse=True)
+    heads = codes[:, None] // weights % p
     passing = np.array([not any(head) or
                         ProjectivePoint(head, p) in target_heads
                         for head in heads.tolist()])
-    expected = images[passing[of_row.ravel()]]
+    expected = images[passing[of_row]]
     kept_zero_first = (expected[:, columns[0]] == 0).sum()
     assert kept_zero_first > 10_000
     if not extra:
