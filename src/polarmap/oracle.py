@@ -126,24 +126,42 @@ def _chunk_points(n, p, pivot, lo, hi):
     build the prefixes of a chunk (_block_grid); the random-point
     evaluators build their own rows.  int32 is safe throughout the scan:
     _component_tables keeps p < 46341, so a product of two residues, and
-    a Horner step (p-1)^2 + (p-1), stay below 2^31.
+    a Horner step (p-1)^2 + (p-1), stay below 2^31.  Positions are int32
+    too, as _check_domain keeps P^n(F_p), and so every block, under 2^31
+    points; each digit is idx - (idx // p) * p, a floor-divide by a
+    scalar that numpy runs as a multiply and shift, where idx % p would
+    take one hardware division per element.
     """
     count = hi - lo
     coords = np.zeros((count, n + 1), dtype=np.int32)
     coords[:, pivot] = 1
-    idx = np.arange(lo, hi, dtype=np.int64)
+    idx = np.arange(lo, hi, dtype=np.int32)
     for slot in range(n, pivot, -1):
-        coords[:, slot] = idx % p
-        idx //= p
+        quotient = idx // p
+        coords[:, slot] = idx - quotient * p
+        idx = quotient
     return coords
 
 
 def _evaluate_images(tables, coords, p):
-    count, nvars = coords.shape
-    images = np.zeros((count, len(tables)), dtype=np.int32)
+    """Images of the rows of coords under the tables, (rows, components).
+
+    Each monomial is a product of powers reduced mod p; its coefficient
+    multiplies it unreduced, a term of at most (p-1)^2, and goes straight
+    into the component's int32 sum.  The sum is reduced every `period`
+    terms: from a reduced sum of at most p-1, that many terms stay below
+    2^31 (at least 1, as _component_tables keeps p(p-1) < 2^31).
+    """
+    count = len(coords)
+    reduce = _reducer(count)
+    period = (2 ** 31 - p) // (p - 1) ** 2
+    # numpy converts a Python int operand anew on every call, which a 0-d
+    # array skips: it tells on small rows, where each call costs the most
+    modulus = np.array(p, dtype=np.int32)
+    # component-major, so each sum is contiguous (as _reduce needs); the
+    # transpose returned is the usual (rows, components) view
+    images = np.zeros((len(tables), count), dtype=np.int32)
     power_cache = {}
-    # terms are < p each: after this many the int32 sum must be reduced
-    terms_per_reduction = (2 ** 31 - 1) // (p - 1) - 1
 
     def power_column(v, e):
         key = (v, e)
@@ -151,39 +169,55 @@ def _evaluate_images(tables, coords, p):
             if e == 1:
                 power_cache[key] = coords[:, v]
             else:
-                power_cache[key] = pow_mod_array(coords[:, v], e, p)
+                power_cache[key] = pow_mod_array(coords[:, v], e, modulus)
         return power_cache[key]
 
-    for j, (exps, coeffs) in enumerate(tables):
+    for acc, (exps, coeffs) in zip(images, tables):
         if not coeffs:
             continue
-        acc = images[:, j]
         for t, (e, c) in enumerate(zip(exps, coeffs), 1):
             term = None
             for v, k in enumerate(e):
                 if k:
                     col = power_column(v, k)
-                    term = col if term is None else term * col % p
+                    term = col if term is None else reduce(term * col, modulus)
             if term is None:
-                term = np.full(count, c, dtype=np.int32)
-            elif c != 1:
-                term = term * np.int32(c) % p
-            acc += term
-            if t % terms_per_reduction == 0:
-                np.mod(acc, p, out=acc)
-        np.mod(acc, p, out=acc)
-    return images
+                acc += c
+            elif c == 1:
+                acc += term
+            else:
+                acc += term * c
+            if t % period == 0:
+                # about 2^31 / p^2 terms: reached only at large p, where
+                # the rows are few
+                np.remainder(acc, modulus, out=acc)
+        acc[:] = reduce(acc, modulus)
+    return images.T
+
+
+# rows from which a product is reduced by _reduce: on fewer, its fixed cost
+# per call exceeds the divisions of np.remainder (they break even near 2048
+# int32 rows, numpy 2.4)
+_REDUCE_ROWS = 1 << 12
+
+
+def _reducer(rows):
+    """The reduction for fresh arrays of this many rows: _reduce, in
+    place, on large ones, np.remainder, a new array, on small ones.
+    Either way use the array it returns."""
+    return _reduce if rows >= _REDUCE_ROWS else np.remainder
 
 
 def pow_mod_array(column, e, p):
+    reduce = _reducer(len(column))
     result = np.ones_like(column)
     base = column
     while e:
         if e & 1:
-            result = result * base % p
+            result = reduce(result * base, p)
         e >>= 1
         if e:
-            base = base * base % p
+            base = reduce(base * base, p)
     return result
 
 
@@ -439,6 +473,10 @@ def _prefix_values(split, components, prefixes, p):
         prefixes, p)
 
 
+# entries of the bitmap of target indices' low bits in _sampled_chunk
+_MARK_BITS = 1 << 16
+
+
 def _sampled_chunk(args):
     split, n, p, pivot, lo, hi, target_index, table = args
     powers = split[1]
@@ -471,7 +509,11 @@ def _sampled_chunk(args):
     _expand(values[:, None, :], [powers[j] for j in rest], t, p,
             [images[j] for j in rest])
     index, base = _normalized_keys(images.reshape(n + 1, -1).T, p)
-    # target indices are >= 0, so base rows (-1) never register a hit
+    # only rows whose low 16 bits are those of a target go on to the binary
+    # search; target indices are >= 0, so base rows (-1) never register a hit
+    marked = np.zeros(_MARK_BITS, dtype=bool)
+    marked[target_index & (_MARK_BITS - 1)] = True
+    index = index[marked[index & (_MARK_BITS - 1)]]
     positions = np.searchsorted(target_index, index)
     positions[positions == len(target_index)] = 0
     hits = target_index[positions] == index

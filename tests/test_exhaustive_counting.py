@@ -137,6 +137,25 @@ def test_index_matches_the_reference_point(n, p):
     assert index.dtype == np.int32
 
 
+@pytest.mark.parametrize("pivot", [0, 1])
+def test_chunk_points_at_the_top_of_the_int32_range(pivot):
+    # the last positions of the largest int32 blocks, 1289^3 - 1 =
+    # 2,141,700,568 at pivot 0: digits by floor-divide against int64 %
+    n, p = 3, 1289
+    hi = p ** (n - pivot)
+    lo = hi - 5000
+    coords = oracle._chunk_points(n, p, pivot, lo, hi)
+    assert coords.dtype == np.int32
+    idx = np.arange(lo, hi, dtype=np.int64)
+    expected = np.zeros((hi - lo, n + 1), dtype=np.int64)
+    expected[:, pivot] = 1
+    for slot in range(n, pivot, -1):
+        expected[:, slot] = idx % p
+        idx //= p
+    assert np.array_equal(coords, expected)
+    assert coords[-1].tolist() == [0] * pivot + [1] + [p - 1] * (n - pivot)
+
+
 def test_index_refused_at_2_31_points():
     # 1291 and 1297 are the next primes: past 2^31 points there is no int32
     # index, and the encoder refuses instead of wrapping

@@ -446,6 +446,45 @@ def test_int32_accumulation_is_exact():
     assert (-48516) % p == 44158
 
 
+@pytest.mark.parametrize("copies", [1, 512])
+def test_deferred_reduction_is_exact(copies):
+    """Terms of (p-1)^2 go into the sum unreduced: at p = 30011 two of them
+    fit above a reduced sum and three do not, so a sum reduced one term
+    late wraps.  8 rows, or 4,096 as 512 copies of them (the two reducers
+    of _evaluate_images), against Python integers."""
+    p = 30011
+    assert (p - 1) + 2 * (p - 1) ** 2 < 2 ** 31 <= 3 * (p - 1) ** 2
+    # at x = (p-1, p-1, p-1) every odd-degree monomial is p-1, and so is
+    # each coefficient -1 mod p; tables as _component_tables builds them,
+    # but not homogeneous, as the prefix tables of a scan are not
+    odd = {(a, b, d - a - b): -1 for d in (1, 3, 5)
+           for a in range(d + 1) for b in range(d + 1 - a)}
+    components = [
+        {**odd, (0, 0, 0): -1},
+        {(0, 0, 0): 7},
+        # constants and terms of (p-1)^2 interleaved: the constant sorts
+        # first, then x2^5, x1^5 and x0^5 between the even-degree terms
+        {(0, 0, 0): -2, (0, 0, 5): -1, (0, 0, 2): -3, (0, 5, 0): -1,
+         (0, 2, 2): -1, (5, 0, 0): -1},
+    ]
+    assert len(components[0]) == 35
+    tables = [([e for e, _ in sorted(terms.items())],
+               [c % p for _, c in sorted(terms.items())])
+              for terms in components]
+    rng = random.Random(p)
+    rows = [[p - 1] * 3, [1, 1, 1], [0, 0, 0], [p - 1, 1, p - 1]] + \
+        [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
+    expected = [[sum(c * pow(row[0], e[0], p) * pow(row[1], e[1], p) *
+                     pow(row[2], e[2], p) for e, c in zip(exps, coeffs)) % p
+                 for exps, coeffs in tables] for row in rows]
+    coords = np.array(rows * copies, dtype=np.int32)
+    images = oracle._evaluate_images(tables, coords, p)
+    assert images.dtype == np.int32
+    assert images.tolist() == expected * copies
+    # (p-1)^2 = 1 mod p: 34 odd terms and the constant -1; -2 + 1 - 3 + 1 - 1 + 1
+    assert expected[0] == [33, 7, p - 3]
+
+
 def test_check_contraction_shares_the_scan_prime_bound():
     F = parse_arrangement("x0*x1*x2")
     with pytest.raises(ResourceBoundError):

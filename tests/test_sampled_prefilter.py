@@ -1,7 +1,8 @@
 """Sampled scans: the head columns, the head-table prefilter against the
 chunk that keys every row, the width cut, the rows it keeps against the
-reference points, the per-prefix path of heads free of x_n, and the
-empty-fiber safety net."""
+reference points, the per-prefix path of heads free of x_n, the bitmap of
+the targets' low bits before the target search, and the empty-fiber safety
+net."""
 
 import functools
 
@@ -123,6 +124,21 @@ CASES = {
 }
 
 
+def counts_match_the_keyed_chunk(split, n, p, tasks, target_keys, table):
+    """Assert _sampled_chunk equals keyed_chunk on every task; the summed
+    counts."""
+    total = np.zeros(len(target_keys), dtype=np.int64)
+    for pivot, lo, hi in tasks:
+        args = (split, n, p, pivot, lo, hi, target_keys, table)
+        expected_counts, expected_base = keyed_chunk(args)
+        counts, base = oracle._sampled_chunk(args)
+        assert counts.dtype == expected_counts.dtype
+        assert np.array_equal(counts, expected_counts), (pivot, lo, hi)
+        assert base == expected_base, (pivot, lo, hi)
+        total += counts
+    return total
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_prefiltered_chunk_matches_the_keyed_chunk(name):
     build, p, pick, extra, flat = CASES[name]
@@ -136,18 +152,52 @@ def test_prefiltered_chunk_matches_the_keyed_chunk(name):
     if pick:
         tasks = pick(tasks)
     assert tasks[-1] == (n, 0, 1)
-    total = np.zeros(len(target_keys), dtype=np.int64)
-    for pivot, lo, hi in tasks:
-        args = (split, n, p, pivot, lo, hi, target_keys, table)
-        expected_counts, expected_base = keyed_chunk(args)
-        counts, base = oracle._sampled_chunk(args)
-        assert counts.dtype == expected_counts.dtype
-        assert np.array_equal(counts, expected_counts), (pivot, lo, hi)
-        assert base == expected_base, (pivot, lo, hi)
-        total += counts
+    total = counts_match_the_keyed_chunk(split, n, p, tasks, target_keys, table)
     if extra:
         # the t_0 = 0 targets really were hit
         assert total[np.isin(target_keys, pivot_keys)].all()
+
+
+def low_bit_targets(split, n, p, task):
+    """Image indices a, a + 2^16, c and c + 2^16 of the task's chunk, and
+    an image row of each: a and a + 2^16 share their low 16 bits, and
+    c + 2^16 has those of c."""
+    images = oracle._block_images(split, n, p, *task)
+    index, _ = oracle._normalized_keys(images, p)
+    keys, first = np.unique(index, return_index=True)
+    upper = np.intersect1d(keys[keys >= 0], keys + (1 << 16),
+                           assume_unique=True)
+    assert len(upper) >= 4
+    picked = [upper[0] - (1 << 16), upper[0], upper[-1] - (1 << 16), upper[-1]]
+    assert len(set(picked)) == 4
+    return picked, images[first[np.searchsorted(keys, picked)]]
+
+
+@pytest.mark.parametrize("name", ["quadric_p3_p101", "det_cubic_p31"])
+def test_low_bit_bitmap_passes_every_target_and_counts_no_other(name):
+    """The bitmap of the targets' low 16 bits only narrows the rows sent to
+    the binary search: two targets that share their low bits are both
+    counted, and rows of a non-target with a target's low bits are not.
+    On domains past 2^16 points, against the chunk that keys every row."""
+    build, p, pick = CASES[name][:3]
+    rational_map = build()
+    n = rational_map.n
+    assert projective_size(n, p) > 1 << 16
+    split, sampled, rows, _ = targets_with_pivot_targets(rational_map, p, 0)
+    tasks = oracle._block_tasks(n, p)
+    (a, a_up, c, decoy), picked_rows = low_bit_targets(split, n, p, tasks[0])
+    target_keys = np.unique(np.concatenate(
+        [sampled, np.array([a, a_up, c], dtype=sampled.dtype)]))
+    assert decoy not in target_keys
+    assert (a & 0xFFFF) == (a_up & 0xFFFF) and (c & 0xFFFF) == (decoy & 0xFFFF)
+    # the decoy's head is in the table too, so its rows pass the head
+    # filter and only the bitmap and the index comparison stand between
+    # them and a count
+    table = head_table(split, np.concatenate([rows, picked_rows]), p)
+    if pick:
+        tasks = pick(tasks)
+    total = counts_match_the_keyed_chunk(split, n, p, tasks, target_keys, table)
+    assert total[np.isin(target_keys, [a, a_up, c])].all()
 
 
 HEADS = {
