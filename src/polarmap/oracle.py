@@ -27,8 +27,17 @@ a grid row, so it is evaluated and looked up once per prefix, and a kept
 prefix keeps its whole row (the determinantal cubic, head (2, 4, 5),
 keeps 6% of them); any other head is expanded over the grid and looked
 up point by point.  Only what is kept gets its other components
-evaluated and expanded, an index and a match; a dropped row provably
-hits no target (scan_sampled).
+evaluated and expanded and an index; a dropped row provably hits no
+target (scan_sampled).  The match is a binary search in the sorted target
+indices, reached only by rows whose index has the low 16 bits of some
+target's (a 2^16-entry bitmap built per chunk; 0.3% of the kept rows of
+the determinantal cubic at p=31 pass it).
+
+Remainders mod p skip numpy's per-element hardware division wherever the
+arrays are large: digits and remainders are taken as v - (v // p) * p,
+which numpy computes with a multiply and shift (_reduce), and the
+evaluator adds each coefficient times monomial unreduced, reducing a
+component's sum only every ~2^31 / p^2 terms (_evaluate_images).
 
 Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
@@ -699,7 +708,11 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     lookup per row.  The zero head, c = 0, is always kept, so every base
     row is and base_points stays exact; the full-index comparison remains
     the only hit test, and a filter that lost a target's head would leave
-    that target's fiber empty and raise.
+    that target's fiber empty and raise.  The bitmap of the targets' low 16
+    bits in front of that comparison drops only rows whose index differs
+    from every target's in those bits, hence from every target; the rows
+    it keeps are compared in full, so two targets with the same low bits,
+    and a row that shares a target's low bits only, count as before.
     """
     n = rational_map.n
     tables = _component_tables(rational_map, p)
