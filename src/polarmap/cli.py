@@ -1,13 +1,15 @@
 """Command-line front end: polar systems, moving parts, homaloidality
 verdicts, descent certificates, and the small-arrangement census.
 
-Exit codes: 0 success, 2 bad input (syntax or validation), 3 oracle
+Exit codes: 0 success, 1 standard output closed by its reader (a broken
+pipe, as in `| head -1`), 2 bad input (syntax or validation), 3 oracle
 inconsistency or unusable prime, 4 resource bound exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from itertools import combinations, product
@@ -21,6 +23,7 @@ from .polar import moving_part, polar_system
 from .verdict import build_report, full_verdict, structural_verdict
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 EXIT_RESOURCE = 4
@@ -230,7 +233,13 @@ def cmd_classify(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a closed pipe raises inside the try
+        return code
+    except BrokenPipeError:
+        # stdout to devnull, so the flush at exit raises no more (Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -26,12 +26,13 @@ head's point of P^(w-1) past that.  A head free of x_n is the same along
 a grid row, so it is evaluated and looked up once per prefix, and a kept
 prefix keeps its whole row (the determinantal cubic, head (2, 4, 5),
 keeps 6% of them); any other head is expanded over the grid and looked
-up point by point.  Only what is kept gets its other components
-evaluated and expanded and an index; a dropped row provably hits no
-target (scan_sampled).  The match is a binary search in the sorted target
-indices, reached only by rows whose index has the low 16 bits of some
-target's (a 2^16-entry bitmap built per chunk; 0.3% of the kept rows of
-the determinantal cubic at p=31 pass it).
+up point by point.  Only what is kept gets its full image, from the
+_block_images that builds exhaustive chunks and the heads, and an index;
+a dropped row provably hits no target (scan_sampled).  The match is a
+binary search in the sorted target indices, reached only by rows whose
+index has the low 16 bits of some target's (a 2^16-entry bitmap built
+per chunk; 0.3% of the kept rows of the determinantal cubic at p=31
+pass it).
 
 Remainders mod p skip numpy's per-element hardware division wherever the
 arrays are large: digits and remainders are taken as v - (v // p) * p,
@@ -381,25 +382,29 @@ def _expand(coeffs, powers, t, p, out):
                 acc *= t
 
 
-def _block_images(split, n, p, pivot, lo, hi):
-    """Images of points lo..hi of a pivot block, one row per point.
+def _block_images(split, prefixes, t, p, rows=None):
+    """Images of the points with prefixes x_0..x_{n-1} and x_n = t.
 
-    The g_{j,k} are evaluated once per prefix of the chunk (_block_grid),
-    then every component is expanded over the grid of x_n values (_expand).
+    The g_{j,k} are evaluated once per prefix, only `rows` of them kept if
+    given, then expanded over t (_expand): the x_n grid of every kept
+    prefix (_block_grid), or a (kept, 1) column, one value per kept row.
+    One image row per point, (points, components), x_n fastest.
     """
-    prefixes, last = _block_grid(n, p, pivot, lo, hi)
-    values = _evaluate_images(split[0], prefixes, p)
-    powers = split[1]
+    prefix_tables, powers = split
+    values = _evaluate_images(prefix_tables, prefixes, p)
+    if rows is not None:
+        values = values[rows]
     # component-major, so each expansion runs on contiguous memory; the
     # transpose returned is the usual (points, components) view
-    images = np.empty((len(powers), len(values), len(last)), dtype=np.int32)
-    _expand(values[:, None, :], powers, last, p, images)
+    images = np.empty((len(powers), len(values), t.shape[-1]), dtype=np.int32)
+    _expand(values[:, None, :], powers, t, p, images)
     return images.reshape(len(powers), -1).T
 
 
 def _exhaustive_chunk(args):
     split, n, p, pivot, lo, hi = args
-    index, base = _normalized_keys(_block_images(split, n, p, pivot, lo, hi), p)
+    prefixes, last = _block_grid(n, p, pivot, lo, hi)
+    index, base = _normalized_keys(_block_images(split, prefixes, last, p), p)
     if base:
         index = index[index >= 0]
     return index, base
@@ -469,17 +474,12 @@ def _ratio_table(target_rows, columns, p):
     return table
 
 
-def _prefix_values(split, components, prefixes, p):
-    """The g_{j,k} of the given components at each prefix.
-
-    One column per prefix table, as _block_images evaluates them; those of
-    the other components are left 0 and cost nothing.
-    """
+def _head_split(split, columns):
+    """The _split_tables split of the head components alone, in head order."""
     prefix_tables, powers = split
-    used = {i for j in components for i in powers[j].values()}
-    return _evaluate_images(
-        [table if i in used else ([], []) for i, table in enumerate(prefix_tables)],
-        prefixes, p)
+    used = [i for j in columns for i in powers[j].values()]
+    heads = [{k: used.index(i) for k, i in powers[j].items()} for j in columns]
+    return [prefix_tables[i] for i in used], heads
 
 
 # entries of the bitmap of target indices' low bits in _sampled_chunk
@@ -488,36 +488,25 @@ _MARK_BITS = 1 << 16
 
 def _sampled_chunk(args):
     split, n, p, pivot, lo, hi, target_index, table = args
-    powers = split[1]
-    columns = _head_columns(powers, p)
-    rest = [j for j in range(n + 1) if j not in columns]
+    head_split = _head_split(split, _head_columns(split[1], p))
     prefixes, last = _block_grid(n, p, pivot, lo, hi)
     # a head free of x_n is the same along a row of the grid: it is looked
     # up once per prefix (q = 1), else once per point (q = len(last))
-    flat = not any(k for j in columns for k in powers[j])
+    flat = not any(k for component in head_split[1] for k in component)
     q = 1 if flat else len(last)
-    head = np.empty((len(columns), len(prefixes), q), dtype=np.int32)
-    _expand(_prefix_values(split, columns, prefixes, p)[:, None, :],
-            [powers[j] for j in columns], last[:q], p, head)
-    head = head.reshape(len(columns), -1)
+    head = _block_images(head_split, prefixes, last[:q], p)
     # the prefilter drops only heads no target has; only the kept rows get
-    # their other components expanded, and the full index comparison below
-    # stays the only hit test
-    kept = np.flatnonzero(table[_head_index(head, p)])
+    # their images and an index, and the full index comparison below stays
+    # the only hit test
+    kept = np.flatnonzero(table[_head_index(head.T, p)])
     if flat:
         # a kept prefix keeps its whole row of the x_n grid
-        values = _prefix_values(split, rest, prefixes[kept], p)
-        t = last[None, :]
+        images = _block_images(split, prefixes[kept], last, p)
     else:
         # a kept point is one row, at its own value of x_n
-        values = _prefix_values(split, rest, prefixes, p)[kept // q]
-        t = last[kept % q][:, None]
-    images = np.empty((n + 1, len(kept), t.shape[1]), dtype=np.int32)
-    for i, j in enumerate(columns):
-        images[j] = head[i, kept][:, None]
-    _expand(values[:, None, :], [powers[j] for j in rest], t, p,
-            [images[j] for j in rest])
-    index, base = _normalized_keys(images.reshape(n + 1, -1).T, p)
+        images = _block_images(split, prefixes, last[kept % q][:, None], p,
+                               kept // q)
+    index, base = _normalized_keys(images, p)
     # only rows whose low 16 bits are those of a target go on to the binary
     # search; target indices are >= 0, so base rows (-1) never register a hit
     marked = np.zeros(_MARK_BITS, dtype=bool)
@@ -697,7 +686,7 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     target counted with an empty fiber raises InconsistencyError.
 
     Only rows that pass the head prefilter (_ratio_table, built once per
-    scan on the head columns) are expanded in full, indexed and matched.
+    scan on the head columns) get images (_block_images), keys and a match.
     The filter is exact for any choice of head columns: a row equal to a
     target t in P^n is c * t for some c in F_p, so on those columns its
     head is c * head(t), which the table holds (the raw layout sets every

@@ -74,6 +74,8 @@ def per_row_images(tables, n, p, pivot, lo, hi):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_block_images_match_the_per_row_evaluator(name):
+    """Both forms of _block_images: the chunk's grid, and a seeded subset
+    of its points gathered as (prefix rows, each point's own x_n)."""
     build, p, *pick = CASES[name]
     rational_map = build()
     n = rational_map.n
@@ -83,12 +85,20 @@ def test_block_images_match_the_per_row_evaluator(name):
     if pick:
         tasks = pick[0](tasks)
     assert tasks[-1] == (n, 0, 1)
+    rng = np.random.default_rng(0)
     for pivot, lo, hi in tasks:
         expected = per_row_images(tables, n, p, pivot, lo, hi)
-        images = oracle._block_images(split, n, p, pivot, lo, hi)
+        prefixes, last = oracle._block_grid(n, p, pivot, lo, hi)
+        images = oracle._block_images(split, prefixes, last, p)
         assert images.dtype == np.int32
         assert images.shape == expected.shape
         assert np.array_equal(images, expected), (pivot, lo, hi)
+        points = rng.choice(hi - lo, size=min(hi - lo, 1000), replace=False)
+        rows, cols = np.divmod(points, len(last))
+        gathered = oracle._block_images(split, prefixes, last[cols][:, None],
+                                        p, rows)
+        assert gathered.dtype == np.int32
+        assert np.array_equal(gathered, expected[points]), (pivot, lo, hi)
 
 
 def test_the_edge_case_runs_horner_at_the_largest_prime():

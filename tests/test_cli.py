@@ -200,6 +200,22 @@ def test_console_script_entry_point():
     assert "component 0: x1" in proc.stdout
 
 
+def test_closed_stdout_exits_1_silently():
+    # about 175 KB of output, more than a pipe holds, so the CLI is still
+    # writing when the reader closes the pipe after the first line
+    proc = subprocess.Popen([sys.executable, "-m", "polarmap.cli",
+                             "polar", "(x0+x1+x2+x3)^20"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert first.startswith("component 0: 20*x0^19 + ")
+    assert err == ""
+
+
 def test_certify_cone_at_two_primes(capsys):
     code, out, err = run(capsys, "certify", "x1*x2*(x1-x2)", "--ambient", "2",
                          "-p", "101", "-p", "211")

@@ -18,8 +18,8 @@ from polarmap.polar import RationalMap, moving_part, polar_system
 from projective import ProjectivePoint
 
 
-def polar_of(text):
-    return polar_system(parse_polynomial(text))
+def polar_of(text, nvars=None):
+    return polar_system(parse_polynomial(text, nvars=nvars))
 
 
 def moving_of(text):
@@ -33,11 +33,17 @@ QUADRIC_P3 = "x0^2 + x1^2 + x2^2 + x3^2"
 QUADRIC_P4 = "x0^2 + x1^2 + x2^2 + x3^2 + x4^2"
 
 
+def chunk_images(split, n, p, pivot, lo, hi):
+    """The image of every point of the chunk, in scan order."""
+    prefixes, last = oracle._block_grid(n, p, pivot, lo, hi)
+    return oracle._block_images(split, prefixes, last, p)
+
+
 def keyed_chunk(args):
     """The reference: index every row of the chunk, then match the targets."""
     split, n, p, pivot, lo, hi, target_index = args[:7]
     index, base = oracle._normalized_keys(
-        oracle._block_images(split, n, p, pivot, lo, hi), p)
+        chunk_images(split, n, p, pivot, lo, hi), p)
     positions = np.searchsorted(target_index, index)
     positions[positions == len(target_index)] = 0
     hits = target_index[positions] == index
@@ -49,7 +55,7 @@ def pivot_targets(split, n, p, count):
     """Up to `count` image indices with t_0 = 0 from the first chunk, and
     an image row of each."""
     pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    images = oracle._block_images(split, n, p, pivot, lo, hi)
+    images = chunk_images(split, n, p, pivot, lo, hi)
     index, _ = oracle._normalized_keys(images, p)
     keys, first = np.unique(index, return_index=True)
     # pivot-0 points have the indices below p^n
@@ -121,6 +127,12 @@ CASES = {
     "cremona_p2_p103": (lambda: polar_of("x0*x1*x2"), 103, None, 0, False),
     # a small prime: many zero heads and base rows, most raw heads set
     "cremona_p4_p5": (lambda: moving_of(CREMONA_P4), 5, None, 0, False),
+    # cones: head (2, 1, 0) holds the zero component and x_2
+    "cone_p2_p101": (lambda: polar_of("x1*x2*(x1-x2)", nvars=3), 101, None,
+                     0, False),
+    # and head (1, 2, 3) free of x_4, the zero component outside it
+    "quadric_cone_p4_p31": (lambda: polar_of("x1^2 + x2^2 + x3^2 + x4^2",
+                                             nvars=5), 31, None, 0, True),
 }
 
 
@@ -162,7 +174,7 @@ def low_bit_targets(split, n, p, task):
     """Image indices a, a + 2^16, c and c + 2^16 of the task's chunk, and
     an image row of each: a and a + 2^16 share their low 16 bits, and
     c + 2^16 has those of c."""
-    images = oracle._block_images(split, n, p, *task)
+    images = chunk_images(split, n, p, *task)
     index, _ = oracle._normalized_keys(images, p)
     keys, first = np.unique(index, return_index=True)
     upper = np.intersect1d(keys[keys >= 0], keys + (1 << 16),
@@ -344,7 +356,7 @@ def test_prefilter_keys_exactly_the_rows_with_a_target_head(monkeypatch, extra):
     assert columns == [4, 0, 1]
     table = oracle._ratio_table(rows, columns, p)
     pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    images = oracle._block_images(split, n, p, pivot, lo, hi)
+    images = chunk_images(split, n, p, pivot, lo, hi)
     target_heads = {ProjectivePoint(row, p)
                     for row in rows[:, columns].tolist() if any(row)}
     # each head as one base-p integer: a 1-D unique, not a row-wise one
@@ -374,14 +386,13 @@ def test_prefilter_keys_exactly_the_rows_with_a_target_head(monkeypatch, extra):
 
 
 def recording_evaluations(monkeypatch):
-    """Patch _evaluate_images to record, per call, the indices of the
-    tables it evaluates and the number of rows."""
+    """Patch _evaluate_images to record, per call, the tables it evaluates
+    and the rows it evaluates them on."""
     calls = []
     evaluate_images = oracle._evaluate_images
 
     def recording(tables, coords, p):
-        calls.append(({i for i, (_, coeffs) in enumerate(tables) if coeffs},
-                      len(coords)))
+        calls.append((tables, coords.copy()))
         return evaluate_images(tables, coords, p)
 
     monkeypatch.setattr(oracle, "_evaluate_images", recording)
@@ -391,8 +402,8 @@ def recording_evaluations(monkeypatch):
 def test_prefilter_keys_few_rows(monkeypatch):
     """On the det cubic at p=31 the head (2, 4, 5) is free of x_5: the
     rows keyed are whole rows of the x_5 grid, most rows are dropped
-    before keying, and the other prefix tables are evaluated on the kept
-    prefixes only."""
+    before keying, and only the head's prefix tables see the dropped
+    prefixes."""
     rational_map = polar_of(DET_CUBIC)
     n, p = rational_map.n, 31
     split, target_keys, rows, _ = targets_with_pivot_targets(
@@ -402,7 +413,7 @@ def test_prefilter_keys_few_rows(monkeypatch):
     assert columns == [2, 4, 5] and is_flat(split, p)
     table = oracle._ratio_table(rows, columns, p)
     pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    images = oracle._block_images(split, n, p, pivot, lo, hi)
+    images = chunk_images(split, n, p, pivot, lo, hi)
     # the reference: a grid row is kept when its head, the same at every
     # value of x_5, is zero or a multiple of a target's head
     target_heads = {ProjectivePoint(row, p)
@@ -420,10 +431,14 @@ def test_prefilter_keys_few_rows(monkeypatch):
     assert len(keyed) == 1
     assert np.array_equal(keyed[0], expected)
     assert len(expected) < (hi - lo) // 5
-    head_tables = {powers[j][0] for j in columns}
-    rest_tables = set(range(len(prefix_tables))) - head_tables
-    assert calls == [(head_tables, (hi - lo) // p),
-                     (rest_tables, int(passing.sum()))]
+    # the head split's tables on all (hi - lo) / p prefixes, then every
+    # prefix table on the kept prefixes only, and no other call
+    prefixes, _ = oracle._block_grid(n, p, pivot, lo, hi)
+    assert len(prefixes) == (hi - lo) // p
+    head_tables = [prefix_tables[powers[j][0]] for j in columns]
+    assert [tables for tables, _ in calls] == [head_tables, prefix_tables]
+    assert np.array_equal(calls[0][1], prefixes)
+    assert np.array_equal(calls[1][1], prefixes[passing])
 
 
 @pytest.mark.parametrize("text, p, columns", [
