@@ -14,8 +14,12 @@ and -1 for a base row); that index is the only encoding of a point.  It
 recurses on the pivot: rows with y_0 != 0 get their index from one Horner
 pass over the ratios y_j / y_0, and only the ~1/p rows with y_0 = 0 go on
 to columns 1..n, as points of P^(n-1) after the p^n of pivot 0.
-Exhaustive mode counts the fiber of every image point in one dense int32
-array indexed by it and reads the degree off the fiber-size histogram.
+Exhaustive mode counts the fiber of every image point in a dense int32
+array indexed by it, one per process that keys: a task evaluates its
+g_{j,k} once, then expands, keys and counts tiles of at most 2^16 points,
+cache-sized, into the scan's own array in-process or into a pool
+worker's shared mapping, which the scan sums slice by slice before it
+reads the degree off the fiber-size histogram.
 Sampled mode picks seeded random targets, then counts their preimages in
 one pass over the domain.  Per chunk it first computes only the head,
 w <= 3 components chosen once per scan with the lowest powers of x_n
@@ -27,12 +31,12 @@ a grid row, so it is evaluated and looked up once per prefix, and a kept
 prefix keeps its whole row (the determinantal cubic, head (2, 4, 5),
 keeps 6% of them); any other head is expanded over the grid and looked
 up point by point.  Only what is kept gets its full image, from the
-_block_images that builds exhaustive chunks and the heads, and an index;
-a dropped row provably hits no target (scan_sampled).  The match is a
-binary search in the sorted target indices, reached only by rows whose
-index has the low 16 bits of some target's (a 2^16-entry bitmap built
-per chunk; 0.3% of the kept rows of the determinantal cubic at p=31
-pass it).
+_block_images that builds the heads (exhaustive tasks expand their tiles
+with its _expand_images), and an index; a dropped row provably hits no
+target (scan_sampled).  The match is a binary search in the sorted
+target indices, reached only by rows whose index has the low 16 bits of
+some target's (a 2^16-entry bitmap built per chunk; 0.3% of the kept
+rows of the determinantal cubic at p=31 pass it).
 
 Remainders mod p skip numpy's per-element hardware division wherever the
 arrays are large: digits and remainders are taken as v - (v // p) * p,
@@ -51,6 +55,8 @@ from __future__ import annotations
 
 import collections
 import functools
+import mmap
+import multiprocessing
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -64,9 +70,11 @@ from .fields import PrimeField
 from .polar import moving_part
 from .poly import exact_rank
 
-# exhaustive mode holds one int32 fiber count per domain point (the quadric
-# in P^3 at p=577, 1.92e8 points, peaks at 808 MiB, 4.4 bytes/pt); sampled
-# mode streams in constant memory and can afford more, but first draws its
+# exhaustive mode holds one int32 fiber count per domain point in each
+# process that counts (in-process, the quadric in P^3 at p=577, 1.92e8
+# points, peaks at 775 MiB, 4.2 bytes/pt), and a pool has at most
+# 2 * DEFAULT_MAX_DOMAIN // domain workers (_run_tasks); sampled mode
+# streams in constant memory and can afford more, but first draws its
 # targets as Python ints.  Scans read these bounds when they start, and
 # both refuse 2^31 points whatever the bound (_check_domain).
 DEFAULT_MAX_DOMAIN = 200_000_000
@@ -237,7 +245,8 @@ def _inverse_table(p):
                     dtype=np.int32)
 
 
-# elements per quotient block of _reduce: 256 KiB of int32, cache-resident
+# elements per quotient block of _reduce, and at most the points of an
+# exhaustive tile (_exhaustive_chunk): 256 KiB of int32, cache-resident
 _REDUCE_BLOCK = 1 << 16
 
 
@@ -386,14 +395,22 @@ def _block_images(split, prefixes, t, p, rows=None):
     """Images of the points with prefixes x_0..x_{n-1} and x_n = t.
 
     The g_{j,k} are evaluated once per prefix, only `rows` of them kept if
-    given, then expanded over t (_expand): the x_n grid of every kept
-    prefix (_block_grid), or a (kept, 1) column, one value per kept row.
-    One image row per point, (points, components), x_n fastest.
+    given, then expanded over t (_expand_images): the x_n grid of every
+    kept prefix (_block_grid), or a (kept, 1) column, one value per kept
+    row.
     """
     prefix_tables, powers = split
     values = _evaluate_images(prefix_tables, prefixes, p)
     if rows is not None:
         values = values[rows]
+    return _expand_images(values, powers, t, p)
+
+
+def _expand_images(values, powers, t, p):
+    """Images from the g_{j,k} of each prefix (rows of values) over t.
+
+    One image row per point, (points, components), x_n fastest.
+    """
     # component-major, so each expansion runs on contiguous memory; the
     # transpose returned is the usual (points, components) view
     images = np.empty((len(powers), len(values), t.shape[-1]), dtype=np.int32)
@@ -401,13 +418,40 @@ def _block_images(split, prefixes, t, p, rows=None):
     return images.reshape(len(powers), -1).T
 
 
-def _exhaustive_chunk(args):
+def _exhaustive_chunk(args, fibers=None):
+    """Key one task's points and count them into its process's fibers.
+
+    The g_{j,k} are evaluated once for all the task's prefixes; expansion,
+    keys and counting then run on tiles of max(1, _REDUCE_BLOCK // p)
+    prefixes, so every int32 column of a tile, at most _REDUCE_BLOCK
+    points, stays in cache.  fibers is the scan's own array in-process; a
+    pool worker counts into the mapping it claims on its first task
+    (_claim_fibers).  Returns the task's base count, an 8-byte int64: all
+    a pool worker sends back.
+    """
     split, n, p, pivot, lo, hi = args
+    if fibers is None:
+        fibers = _claim_fibers()
     prefixes, last = _block_grid(n, p, pivot, lo, hi)
-    index, base = _normalized_keys(_block_images(split, prefixes, last, p), p)
-    if base:
-        index = index[index >= 0]
-    return index, base
+    prefix_tables, powers = split
+    values = _evaluate_images(prefix_tables, prefixes, p)
+    step = max(1, _REDUCE_BLOCK // p)
+    # numpy >= 1.25 runs ufunc.at on matching int32 arrays in a fast path;
+    # a scalar 1 takes the slow generic loop
+    ones = np.ones(min(step, len(values)) * len(last), dtype=np.int32)
+    base = np.int64(0)
+    for start in range(0, len(values), step):
+        images = _expand_images(values[start:start + step], powers, last, p)
+        index, tile_base = _normalized_keys(images, p)
+        if tile_base:
+            index = index[index >= 0]
+            base += tile_base
+        # np.add.at would wrap a negative index silently
+        if index.size and (index.min() < 0 or index.max() >= len(fibers)):
+            raise InconsistencyError(
+                f"an image index mod {p} lies outside P^{n}: indexing is broken")
+        np.add.at(fibers, index, ones[:index.size])
+    return base
 
 
 # the most entries of a head table (1 MiB of bool, sent to every task)
@@ -533,13 +577,96 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _run_tasks(fn, tables, n, p, workers, *extra):
+# a pool worker's share of an exhaustive scan: the scan's (mappings, claim
+# counter), given by _share_fibers, and the array of the mapping it claimed
+_pool_mappings = None
+_worker_fibers = None
+
+
+def _share_fibers(mappings, claimed):
+    """Pool initializer: the shared mappings a worker may claim."""
+    global _pool_mappings, _worker_fibers
+    _pool_mappings, _worker_fibers = (mappings, claimed), None
+
+
+def _claim_fibers():
+    """This worker's fiber array: on its first task, the next unclaimed
+    mapping, its number drawn under the counter's lock."""
+    global _worker_fibers
+    if _worker_fibers is None:
+        mappings, claimed = _pool_mappings
+        with claimed.get_lock():
+            slot = claimed.value
+            claimed.value += 1
+        _worker_fibers = np.frombuffer(mappings[slot], dtype=np.int32)
+    return _worker_fibers
+
+
+class _FiberCounts:
+    """The fiber counts of one exhaustive scan, kept where they are made.
+
+    _run_tasks decides which processes count.  In-process the scan counts
+    into one int32 array of its own (local).  A pool gets one anonymous
+    shared int32 mapping of domain size per worker (share), made before
+    the pool forks its workers; each worker claims one on its first task.
+    slices() sums the arrays counted into, a _CHUNK slice at a time, and
+    frees each shared slice once it is read, so the parent of a pool never
+    holds a domain-sized array.
+    """
+
+    def __init__(self, domain):
+        self.domain = domain
+        self._local = None
+        self._mappings = []
+        self._claimed = None
+
+    def local(self):
+        """The scan's own array, for counting in-process."""
+        self._local = np.zeros(self.domain, dtype=np.int32)
+        return self._local
+
+    def share(self, workers, context):
+        """(mappings, claim counter), the initializer arguments of a pool
+        of `workers` processes forked from `context`."""
+        self._mappings = [mmap.mmap(-1, 4 * self.domain)
+                          for _ in range(workers)]
+        self._claimed = context.Value("i", 0)
+        return self._mappings, self._claimed
+
+    def slices(self):
+        """The fiber count of every domain point, a slice at a time: _CHUNK
+        points rounded up to whole pages, as madvise takes page offsets."""
+        step = -(-4 * _CHUNK // mmap.PAGESIZE) * mmap.PAGESIZE // 4
+        if self._local is not None:
+            claimed, arrays = [], [self._local]
+        else:
+            claimed = self._mappings[:self._claimed.value]
+            arrays = [np.frombuffer(m, dtype=np.int32) for m in claimed]
+            # MADV_REMOVE (Linux) frees a shared page's memory; MADV_DONTNEED
+            # only unmaps it from this process and keeps its data
+            release = getattr(mmap, "MADV_REMOVE", mmap.MADV_DONTNEED)
+        for lo in range(0, self.domain, step):
+            # summed into the first claimed slice, which is freed next
+            total, *rest = [a[lo:lo + step] for a in arrays]
+            for part in rest:
+                total += part
+            yield total
+            for m in claimed:
+                m.madvise(release, 4 * lo, 4 * len(total))
+
+
+def _run_tasks(fn, tables, n, p, workers, *extra, counts=None):
     """fn((split, n, p, pivot, lo, hi, *extra)) for every chunk, in order.
 
     The one decision on processes: in-process for a domain of one chunk (a
     pool costs more than such a scan), else at most one per task (a fork
     pool starts all its processes at the first submit) and one per CPU the
-    process may run on.
+    process may run on.  An exhaustive scan passes its _FiberCounts as
+    counts: each process that counts holds a fiber array of the domain, so
+    it gets at most 2 * DEFAULT_MAX_DOMAIN // domain of them (at least 1),
+    two domain arrays at the bound.  fn then counts into its process's
+    array: in-process the scan's own (fibers=), in a pool the mapping its
+    worker claims.
     """
     split = _split_tables(tables, n)
     args_list = [(split, n, p, pivot, lo, hi, *extra)
@@ -549,10 +676,20 @@ def _run_tasks(fn, tables, n, p, workers, *extra):
     workers = min(workers, len(args_list))
     if workers > 1:
         workers = min(workers, _usable_cpus())
+    if counts is not None:
+        workers = min(workers, max(1, 2 * DEFAULT_MAX_DOMAIN // counts.domain))
     if workers <= 1:
+        if counts is not None:
+            fn = functools.partial(fn, fibers=counts.local())
         yield from map(fn, args_list)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # fork: the workers inherit the shared mappings, which cannot be pickled
+    context = multiprocessing.get_context("fork")
+    shared = {} if counts is None else {
+        "initializer": _share_fibers,
+        "initargs": counts.share(workers, context)}
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             **shared) as pool:
         yield from pool.map(fn, args_list, chunksize=1)
 
 
@@ -599,30 +736,27 @@ def scan_exhaustive(rational_map, p, workers=1):
     here (use dominance_by_span on its images for the geometric answer).
     homaloidal: dominant, degree estimate 1, and at least 90% of non-base
     domain points sit in size-1 fibers.  Domain bound: DEFAULT_MAX_DOMAIN.
+
+    Each process that keys points counts them (_exhaustive_chunk, a
+    cache-sized tile at a time): in-process into one int32 array of the
+    domain, in a pool into one shared mapping per worker, which the scan
+    sums and frees a slice at a time, so its own process holds no array
+    of the domain and a worker sends back only its base count
+    (_FiberCounts).  The histogram is that of the summed counts either way.
     """
     n = rational_map.n
     # building the tables refuses a composite or too large p first
     tables = _component_tables(rational_map, p)
     domain = _check_domain(n, p, DEFAULT_MAX_DOMAIN)
     _check_workers(workers)
-    fibers = np.zeros(domain, dtype=np.int32)
-    # a task holds at most max(p, _CHUNK) points, and no more than the domain
-    ones = np.ones(min(domain, max(p, _CHUNK)), dtype=np.int32)
-    base_points = 0
-    for index, base in _run_tasks(_exhaustive_chunk, tables, n, p, workers):
-        # np.add.at would wrap a negative index silently
-        if index.size and (index.min() < 0 or index.max() >= domain):
-            raise InconsistencyError(
-                f"an image index mod {p} lies outside P^{n}: indexing is broken")
-        # numpy >= 1.25 runs ufunc.at on matching int32 arrays in a fast
-        # path; a scalar 1 takes the slow generic loop
-        np.add.at(fibers, index, ones[:index.size])
-        base_points += base
+    counts = _FiberCounts(domain)
+    base_points = int(sum(_run_tasks(_exhaustive_chunk, tables, n, p, workers,
+                                     counts=counts)))
     tally = collections.Counter()
-    for lo in range(0, domain, _CHUNK):
+    for fibers in counts.slices():
         # slice by slice: a whole-array unique or bincount would copy it
-        sizes, counts = np.unique(fibers[lo:lo + _CHUNK], return_counts=True)
-        tally.update(dict(zip(sizes.tolist(), counts.tolist())))
+        sizes, points = np.unique(fibers, return_counts=True)
+        tally.update(dict(zip(sizes.tolist(), points.tolist())))
     del tally[0]
     histogram = dict(sorted(tally.items()))
     image_size = sum(histogram.values())

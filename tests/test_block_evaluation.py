@@ -142,11 +142,15 @@ def test_chunks_smaller_than_p_give_the_same_scans(monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process
+    as one worker (its initializer, then every task)."""
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None, initializer=None,
+                 initargs=()):
         RecordingPool.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -168,6 +172,9 @@ def pool_sizes(monkeypatch, workers, cpus, cpu_count=10 ** 9):
                scan_sampled(pm, p, targets=8, seed=3, workers=1))
     monkeypatch.setattr(oracle, "_CHUNK", 16)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    # the in-process worker's claimed fibers go when the test ends
+    monkeypatch.setattr(oracle, "_pool_mappings", None)
+    monkeypatch.setattr(oracle, "_worker_fibers", None)
     if cpus is None:
         monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
     else:
@@ -203,6 +210,16 @@ def test_pool_counts_only_the_cpus_the_process_may_run_on(monkeypatch, workers):
 
 def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
     assert pool_sizes(monkeypatch, 4, None, cpu_count=3) == [3, 3]
+
+
+@pytest.mark.parametrize("bound, cap", [(133, 2), (199, 2), (200, 3),
+                                        (266, 4), (10 ** 9, 13)])
+def test_exhaustive_pool_holds_at_most_two_domain_arrays(monkeypatch, bound,
+                                                         cap):
+    # each exhaustive worker counts into a fiber array of the 133 points:
+    # at most 2 * bound // 133 of them; the sampled scan keeps all 13
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", bound)
+    assert pool_sizes(monkeypatch, 64, 10 ** 9) == [cap, 13]
 
 
 def test_one_worker_never_asks_for_the_affinity(monkeypatch):

@@ -1,9 +1,10 @@
 """Exhaustive fiber counting: the dense projective index against the
 unique-and-merge counter it replaced, the index against the reference
-point, index bijectivity, int32 bounds and in-process scans of small
-domains."""
+point, index bijectivity, int32 bounds, cache tiles, counting inside pool
+workers and in-process scans of small domains."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,64 @@ def test_dense_counter_matches_the_merge_counter(monkeypatch, name, workers):
     assert rep.image_size == image
     if workers == 2:
         assert CountingPool.built == 1
+
+
+def through_the_pool(monkeypatch, chunk):
+    """Send exhaustive scans of tasks of about `chunk` points through a real
+    two-worker pool, whatever CPUs the machine has; CountingPool.built
+    counts the pools started."""
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: range(2),
+                        raising=False)
+    CountingPool.built = 0
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+
+
+@pytest.mark.parametrize("parts", [3, 7, 20])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pooled_scans_equal_in_process_ones(monkeypatch, name, parts):
+    # the workers count into shared mappings, merged slice by slice
+    build, p = CASES[name]
+    rational_map = build()
+    serial = scan_exhaustive(rational_map, p, workers=1)
+    through_the_pool(monkeypatch,
+                     max(16, projective_size(rational_map.n, p) // parts))
+    assert scan_exhaustive(rational_map, p, workers=2) == serial
+    assert CountingPool.built == 1
+
+
+@pytest.mark.parametrize("block", [31, 7 * 31 + 3, 1 << 16])
+def test_tiles_of_any_size_give_the_same_counts(monkeypatch, block):
+    # _REDUCE_BLOCK // p prefixes a tile: one prefix a tile, 7 with a
+    # ragged last tile (961 = 7 * 137 + 2 prefixes a pivot-0 task), and the
+    # default, against the unique-and-merge counter
+    rational_map = polar_of("x0*x1*x2*x3")
+    histogram, base, image = reference_counts(rational_map, 31)
+    monkeypatch.setattr(oracle, "_REDUCE_BLOCK", block)
+    rep = scan_exhaustive(rational_map, 31)
+    assert list(rep.fiber_histogram.items()) == list(histogram.items())
+    assert (rep.base_points, rep.image_size) == (base, image)
+
+
+def test_prefix_coefficients_are_evaluated_once_per_task(monkeypatch):
+    # the g_{j,k} of a task are evaluated once; its tiles only expand them
+    evaluated, keyed = [], []
+    real_evaluate, real_keys = oracle._evaluate_images, oracle._normalized_keys
+
+    def evaluate(tables, coords, p):
+        evaluated.append(len(coords))
+        return real_evaluate(tables, coords, p)
+
+    def keys(images, p):
+        keyed.append(len(images))
+        return real_keys(images, p)
+
+    monkeypatch.setattr(oracle, "_evaluate_images", evaluate)
+    monkeypatch.setattr(oracle, "_normalized_keys", keys)
+    scan_exhaustive(polar_of("x0*x1*x2*x3"), 101)
+    assert len(evaluated) == len(oracle._block_tasks(3, 101))
+    assert len(keyed) > len(evaluated)
+    assert max(keyed) <= oracle._REDUCE_BLOCK
 
 
 @pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (3, 2), (5, 2), (1, 3),
@@ -206,6 +265,47 @@ def test_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
     monkeypatch.setattr(oracle, "_normalized_keys", corrupted)
     with pytest.raises(InconsistencyError):
         scan_exhaustive(polar_of("x0^2 + x1^2 + x2^2"), 13)
+
+
+@pytest.mark.parametrize("bad_index", [-2, projective_size(3, 13)])
+def test_pool_worker_raises_on_a_key_without_index(monkeypatch, bad_index):
+    # the range check runs where the keys are made: in a pool worker, forked
+    # after the patch, with the message of the in-process scan
+    real = oracle._normalized_keys
+
+    def corrupted(images, p):
+        index, base = real(images, p)
+        index[0] = bad_index
+        return index, base
+
+    pm = polar_of("x0^2 + x1^2 + x2^2 + x3^2")
+    monkeypatch.setattr(oracle, "_normalized_keys", corrupted)
+    with pytest.raises(InconsistencyError) as serial:
+        scan_exhaustive(pm, 13, workers=1)
+    through_the_pool(monkeypatch, 13 ** 2)
+    with pytest.raises(InconsistencyError) as pooled:
+        scan_exhaustive(pm, 13, workers=2)
+    assert str(pooled.value) == str(serial.value)
+    assert CountingPool.built == 1
+
+
+def test_pool_parent_allocates_no_domain_array(monkeypatch):
+    # tracemalloc sees numpy's allocations but not the shared mappings: the
+    # parent merges the workers' counts in slices and never allocates the
+    # 4-byte-per-point array an in-process scan counts into
+    pm = polar_of("x0^2 + x1^2 + x2^2 + x3^2")
+    domain = projective_size(3, 101)
+    serial = scan_exhaustive(pm, 101, workers=1)
+    through_the_pool(monkeypatch, 1 << 16)
+    tracemalloc.start()
+    try:
+        pooled = scan_exhaustive(pm, 101, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pooled == serial
+    assert CountingPool.built == 1
+    assert peak < 2 * domain
 
 
 def test_int32_domain_refused_before_allocating(monkeypatch):
