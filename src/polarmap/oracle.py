@@ -8,12 +8,15 @@ a grid of prefixes (x_0..x_{n-1}) times the p values of x_n: each
 component f_j = sum_k g_{j,k}(x_0..x_{n-1}) x_n^k is evaluated once per
 prefix as the coefficients g_{j,k}, then expanded over x_n by Horner's
 rule.  Random sample points have no such grid and are evaluated row by
-row.  _normalized_keys turns each image row into its index in
-P^n(F_p) (pivot block, then the free digits: 0..projective_size(n, p) - 1,
-and -1 for a base row); that index is the only encoding of a point.  It
-recurses on the pivot: rows with y_0 != 0 get their index from one Horner
-pass over the ratios y_j / y_0, and only the ~1/p rows with y_0 = 0 go on
-to columns 1..n, as points of P^(n-1) after the p^n of pivot 0.
+row.  _normalized_keys turns each image row into its index in P^n(F_p)
+(pivot block, then the free digits with x_n lowest, from 0 to
+projective_size(n, p) - 1, and -1 for a base row); that index is the only
+encoding of a point, and it is the point's position in the enumeration,
+so under the identity a tile's points count into one contiguous run of
+the fiber array.  It recurses on the pivot: rows with y_0 != 0 get their
+index from one Horner pass over the ratios y_j / y_0, and only the ~1/p
+rows with y_0 = 0 go on to columns 1..n, as points of P^(n-1) after the
+p^n of pivot 0.
 Exhaustive mode counts the fiber of every image point in a dense int32
 array indexed by it, one per process that keys: a task evaluates its
 g_{j,k} once, then expands, keys and counts tiles of at most 2^16 points,
@@ -72,7 +75,7 @@ from .poly import exact_rank
 
 # exhaustive mode holds one int32 fiber count per domain point in each
 # process that counts (in-process, the quadric in P^3 at p=577, 1.92e8
-# points, peaks at 775 MiB, 4.2 bytes/pt), and a pool has at most
+# points, peaks at 772 MiB, 4.2 bytes/pt), and a pool has at most
 # 2 * DEFAULT_MAX_DOMAIN // domain workers (_run_tasks); sampled mode
 # streams in constant memory and can afford more, but first draws its
 # targets as Python ints.  Scans read these bounds when they start, and
@@ -140,7 +143,8 @@ def _chunk_points(n, p, pivot, lo, hi):
     """Points lo..hi of the pivot block: coords (0,..,0,1,free digits).
 
     The block for pivot position k holds p^(n-k) points, indexed by the
-    base-p digits of the free coordinates.  The scans call it with n-1 to
+    base-p digits of the free coordinates, x_n lowest, as _normalized_keys
+    numbers images.  The scans call it with n-1 to
     build the prefixes of a chunk (_block_grid); the random-point
     evaluators build their own rows.  int32 is safe throughout the scan:
     _component_tables keeps p < 46341, so a product of two residues, and
@@ -279,11 +283,12 @@ def _normalized_keys(images, p):
     A row with pivot k (its first nonzero coordinate) is scaled so that
     c_k = 1; its index is the size of the blocks of smaller pivot,
     projective_size(n, p) - projective_size(n - k, p), plus the free
-    digits sum_{j>k} c_j p^(j-k-1).  This numbers the points of P^n(F_p)
-    0..projective_size(n, p) - 1.  Base rows (image identically zero) get
-    -1, so callers drop or ignore them with index >= 0.  _pivot_index
-    computes it by recursion on the pivot.  A P^n(F_p) of 2^31 points or
-    more has no int32 index and is refused (_check_domain).
+    digits sum_{j>k} c_j p^(n-j), the last coordinate lowest, in the order
+    _chunk_points enumerates the block.  This numbers the points of
+    P^n(F_p) 0..projective_size(n, p) - 1.  Base rows (image identically
+    zero) get -1, so callers drop or ignore them with index >= 0.
+    _pivot_index computes it by recursion on the pivot.  A P^n(F_p) of
+    2^31 points or more has no int32 index and is refused (_check_domain).
     """
     _check_domain(images.shape[1] - 1, p)
     return _pivot_index(images, p)
@@ -292,8 +297,8 @@ def _normalized_keys(images, p):
 def _pivot_index(images, p):
     """_normalized_keys by recursion on the pivot: (index, base count).
 
-    A row with y_0 != 0 has pivot 0 and index sum_{j>=1} (y_j / y_0) p^(j-1),
-    one Horner pass over y_n..y_1 scaled by 1/y_0.  The rows with y_0 = 0
+    A row with y_0 != 0 has pivot 0 and index sum_{j>=1} (y_j / y_0) p^(n-j),
+    one Horner pass over y_1..y_n scaled by 1/y_0.  The rows with y_0 = 0
     (about 1/p of them) are points of P^(n-1) in columns 1..n, after the
     p^n points of pivot 0; rows zero all the way down are base rows.  The
     caller keeps P^n(F_p) under 2^31 points, so every step fits in int32.
@@ -303,7 +308,7 @@ def _pivot_index(images, p):
     index = np.zeros(len(images), dtype=np.int32)
     # one reused product buffer: this loop runs on whole exhaustive chunks
     term = np.empty(len(images), dtype=np.int32)
-    for j in range(n, 0, -1):
+    for j in range(1, n + 1):
         index *= p
         index += _reduce(np.multiply(images[:, j], scale, out=term), p)
     rest = np.flatnonzero(scale == 0)

@@ -23,11 +23,11 @@ class ProjectivePoint:
 
     def index(self):
         """Position in P^n(F_p): the blocks of smaller pivot come first,
-        then the free digits, the coordinate after the pivot lowest."""
+        then the free digits, the last coordinate lowest."""
         n, p = len(self.coords) - 1, self.p
         pivot = self.coords.index(1)
         free = 0
-        for c in reversed(self.coords[pivot + 1:]):
+        for c in self.coords[pivot + 1:]:
             free = free * p + c
         return projective_size(n, p) - projective_size(n - pivot, p) + free
 

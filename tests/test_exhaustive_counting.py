@@ -1,7 +1,8 @@
 """Exhaustive fiber counting: the dense projective index against the
 unique-and-merge counter it replaced, the index against the reference
-point, index bijectivity, int32 bounds, cache tiles, counting inside pool
-workers and in-process scans of small domains."""
+point, index bijectivity, the index as the enumeration position, int32
+bounds, cache tiles, counting inside pool workers and in-process scans of
+small domains."""
 
 import random
 import tracemalloc
@@ -170,6 +171,49 @@ def test_projective_index_is_a_bijection(n, p):
         indices.append(index)
     assert sorted(np.concatenate(indices).tolist()) == \
         list(range(projective_size(n, p)))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_point_keys_to_its_enumeration_position(monkeypatch, n, p):
+    # one numbering for points and images: a point's index is its position
+    # in the enumeration, its pivot block's offset plus its place in the
+    # block; 2p-point tasks split the blocks of P^2 and P^3, some raggedly
+    monkeypatch.setattr(oracle, "_CHUNK", 2 * p)
+    tasks = oracle._block_tasks(n, p)
+    if n > 1:
+        assert len(tasks) > n + 1
+    for pivot, lo, hi in tasks:
+        points = oracle._chunk_points(n, p, pivot, lo, hi)
+        factors = np.arange(len(points), dtype=np.int32) % (p - 1) + 1
+        index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
+        offset = projective_size(n, p) - projective_size(n - pivot, p)
+        assert base == 0
+        assert index.tolist() == list(range(offset + lo, offset + hi))
+
+
+def test_identity_tiles_key_to_contiguous_runs(monkeypatch):
+    # the quadric's polar map is 2 * identity: every exhaustive tile counts
+    # into one contiguous run of the fiber array, and the runs tile it
+    runs = []
+    real = oracle._normalized_keys
+
+    def keys(images, p):
+        index, base = real(images, p)
+        run = np.arange(index[0], index[0] + len(index))
+        assert np.array_equal(index, run)
+        runs.append((int(index[0]), len(index)))
+        return index, base
+
+    monkeypatch.setattr(oracle, "_normalized_keys", keys)
+    p = 211
+    domain = projective_size(3, p)
+    rep = scan_exhaustive(polar_of("x0^2 + x1^2 + x2^2 + x3^2"), p)
+    assert rep.fiber_histogram == {1: domain}
+    assert len(runs) > 1
+    starts = np.cumsum([0] + [length for _, length in sorted(runs)])
+    assert [start for start, _ in sorted(runs)] == starts[:-1].tolist()
+    assert starts[-1] == domain
 
 
 def random_rows(rng, n, p, count):
