@@ -1,15 +1,19 @@
 """Dominance and degree of a rational map by fiber counting over P^n(F_p).
 
 Every point of P^n(F_p) is written with its first nonzero coordinate
-normalized to 1, enumerated in blocks by the position of that pivot, and
-pushed through the map in vectorized chunks.  Inside a block the last
-coordinate x_n varies fastest, so every chunk (a multiple of p points) is
-a grid of prefixes (x_0..x_{n-1}) times the p values of x_n: each
-component f_j = sum_k g_{j,k}(x_0..x_{n-1}) x_n^k is evaluated once per
-prefix as the coefficients g_{j,k}, then expanded over x_n by Horner's
-rule.  Random sample points have no such grid and are evaluated row by
-row.  _normalized_keys turns each image row into its index in P^n(F_p)
-(pivot block, then the free digits with x_n lowest, from 0 to
+normalized to 1 and numbered by the position of that pivot, then by its
+free digits, x_n lowest.  So every point but e_n = (0,..,0,1) is a prefix
+(x_0..x_{n-1}), a point of P^(n-1)(F_p), times a value t of x_n, and its
+index is the prefix's index times p plus t; e_n has the last index.  The
+scans push the domain through the map in tasks, each the grid of a range
+of consecutive prefixes, which may cross pivot blocks, times the p values
+of x_n: each component f_j = sum_k g_{j,k}(x_0..x_{n-1}) x_n^k is
+evaluated once per prefix as the coefficients g_{j,k}, then expanded over
+x_n by Horner's rule.  The task that ends the range takes e_n on its own,
+its image read off the g_{j,k}'s constant terms.  Random sample points
+have no such grid and are evaluated row by row.
+_normalized_keys turns each image row into its index in P^n(F_p) (pivot
+block, then the free digits with x_n lowest, from 0 to
 projective_size(n, p) - 1, and -1 for a base row); that index is the only
 encoding of a point, and it is the point's position in the enumeration,
 so under the identity a tile's points count into one contiguous run of
@@ -24,22 +28,23 @@ cache-sized, into the scan's own array in-process or into a pool
 worker's shared mapping, which the scan sums slice by slice before it
 reads the degree off the fiber-size histogram.
 Sampled mode picks seeded random targets, then counts their preimages in
-one pass over the domain.  Per chunk it first computes only the head,
+one pass over the domain.  Per task it first computes only the head,
 w <= 3 components chosen once per scan with the lowest powers of x_n
 (_head_columns), and looks each head up in a table of the heads a
 target's preimage can have: c * head(t) for every target t and c in F_p,
 indexed by the raw digits of the head while p^w <= 2^20, and by the
 head's point of P^(w-1) past that.  A head free of x_n is the same along
-a grid row, so it is evaluated and looked up once per prefix, and a kept
-prefix keeps its whole row (the determinantal cubic, head (2, 4, 5),
-keeps 6% of them); any other head is expanded over the grid and looked
-up point by point.  Only what is kept gets its full image, from the
-_block_images that builds the heads (exhaustive tasks expand their tiles
-with its _expand_images), and an index; a dropped row provably hits no
-target (scan_sampled).  The match is a binary search in the sorted
-target indices, reached only by rows whose index has the low 16 bits of
-some target's (a 2^16-entry bitmap built per chunk; 0.3% of the kept
-rows of the determinantal cubic at p=31 pass it).
+a grid row, so only its tables are evaluated on every prefix, it is
+looked up once per prefix, and a kept prefix keeps its whole row (the
+determinantal cubic, head (2, 4, 5), keeps 6% of them); any other head
+is expanded over the grid from the g_{j,k} of every component, evaluated
+once, and looked up point by point.  Only what is kept gets its full
+image (_block_images, _expand_images, which also expand exhaustive
+tiles) and an index; a dropped row provably hits no target
+(scan_sampled).  The match is a binary search in the sorted target
+indices, reached only by rows whose index has the low 16 bits of some
+target's (a 2^16-entry bitmap built per task; 0.3% of the kept rows of
+the determinantal cubic at p=31 pass it).
 
 Remainders mod p skip numpy's per-element hardware division wherever the
 arrays are large: digits and remainders are taken as v - (v // p) * p,
@@ -145,7 +150,7 @@ def _chunk_points(n, p, pivot, lo, hi):
     The block for pivot position k holds p^(n-k) points, indexed by the
     base-p digits of the free coordinates, x_n lowest, as _normalized_keys
     numbers images.  The scans call it with n-1 to
-    build the prefixes of a chunk (_block_grid); the random-point
+    build the prefixes of a task (_block_grid); the random-point
     evaluators build their own rows.  int32 is safe throughout the scan:
     _component_tables keeps p < 46341, so a product of two residues, and
     a Horner step (p-1)^2 + (p-1), stay below 2^31.  Positions are int32
@@ -323,16 +328,21 @@ def _pivot_index(images, p):
 
 
 def _block_tasks(n, p):
-    """(pivot, lo, hi) chunks tiling every pivot block once.
+    """(lo, hi) ranges of prefix indices tiling P^(n-1)(F_p) once.
 
-    A chunk holds a multiple of p points (at least p, at most _CHUNK when
-    _CHUNK >= p), so below the last pivot lo and hi are multiples of p and
-    a chunk is whole rows of the x_n grid; the last block is one point.
+    Every point of P^n(F_p) but e_n = (0,..,0,1) is a prefix, a point of
+    P^(n-1)(F_p), times a value t of x_n, and its index is the prefix's
+    index times p plus t; e_n has the last index, projective_size(n, p) - 1.
+    A task is the x_n grid of at most max(1, _CHUNK // p) consecutive
+    prefixes (_block_grid), whole rows, its range running straight across
+    the pivot blocks of P^(n-1); the task that ends the range also holds
+    e_n (_last_image).  P^0 has no prefixes: its one task is (0, 0), e_0
+    alone.
     """
-    step = max(p, _CHUNK // p * p)
-    return [(pivot, lo, min(lo + step, p ** (n - pivot)))
-            for pivot in range(n + 1)
-            for lo in range(0, p ** (n - pivot), step)]
+    prefixes = projective_size(n - 1, p)
+    step = max(1, _CHUNK // p)
+    return [(lo, min(lo + step, prefixes))
+            for lo in range(0, prefixes, step)] or [(0, 0)]
 
 
 def _split_tables(tables, n):
@@ -356,18 +366,42 @@ def _split_tables(tables, n):
     return prefix_tables, powers
 
 
-def _block_grid(n, p, pivot, lo, hi):
-    """(prefixes x_0..x_{n-1}, the values t of x_n) of a chunk.
+def _block_grid(n, p, lo, hi):
+    """(prefixes x_0..x_{n-1}, the values t of x_n) of a task's grid.
 
-    Below the last pivot the chunk is (hi - lo) / p prefixes times the p
-    values of x_n; the last block, the single point (0,..,0,1), is a zero
-    prefix at t = 1.  Row r of the chunk is prefix r // len(t) at
-    t[r % len(t)].
+    The prefixes are points lo..hi of P^(n-1)(F_p) in enumeration order,
+    a _chunk_points piece of every pivot block of P^(n-1) the range
+    crosses; t is the p values of x_n.  Row r of the grid is prefix
+    r // p at t = r % p, the point of index (lo + r // p) * p + r % p.
+    e_n is on no grid (_last_image).
     """
-    if pivot == n:
-        return np.zeros((1, n), dtype=np.int32), np.ones(1, dtype=np.int32)
-    return (_chunk_points(n - 1, p, pivot, lo // p, hi // p),
-            np.arange(p, dtype=np.int32))
+    pieces = []
+    start = 0
+    for pivot in range(n):
+        end = start + p ** (n - 1 - pivot)
+        if lo < end and start < hi:
+            pieces.append(_chunk_points(n - 1, p, pivot, max(lo, start) - start,
+                                        min(hi, end) - start))
+        start = end
+    t = np.arange(p, dtype=np.int32)
+    if len(pieces) == 1:
+        # most ranges lie in one block: its piece goes uncopied, since a
+        # copy shifts malloc's thresholds and raises the scans' peak RSS
+        return pieces[0], t
+    return np.concatenate([np.zeros((0, n), dtype=np.int32), *pieces]), t
+
+
+def _last_image(split, p):
+    """The image of e_n = (0,..,0,1), one row, read off the split.
+
+    f_j(e_n) = sum_k g_{j,k}(0,..,0): the constant terms of the component's
+    prefix tables, summed mod p; nothing is evaluated.
+    """
+    prefix_tables, powers = split
+    row = [sum(c for i in component.values()
+               for e, c in zip(*prefix_tables[i]) if not any(e)) % p
+           for component in powers]
+    return np.array([row], dtype=np.int32)
 
 
 def _expand(coeffs, powers, t, p, out):
@@ -396,19 +430,16 @@ def _expand(coeffs, powers, t, p, out):
                 acc *= t
 
 
-def _block_images(split, prefixes, t, p, rows=None):
+def _block_images(split, prefixes, t, p):
     """Images of the points with prefixes x_0..x_{n-1} and x_n = t.
 
-    The g_{j,k} are evaluated once per prefix, only `rows` of them kept if
-    given, then expanded over t (_expand_images): the x_n grid of every
-    kept prefix (_block_grid), or a (kept, 1) column, one value per kept
-    row.
+    The g_{j,k} are evaluated once per prefix, then expanded over t
+    (_expand_images), the x_n grid of every prefix (_block_grid) or a
+    part of it.
     """
     prefix_tables, powers = split
-    values = _evaluate_images(prefix_tables, prefixes, p)
-    if rows is not None:
-        values = values[rows]
-    return _expand_images(values, powers, t, p)
+    return _expand_images(_evaluate_images(prefix_tables, prefixes, p),
+                          powers, t, p)
 
 
 def _expand_images(values, powers, t, p):
@@ -429,33 +460,43 @@ def _exhaustive_chunk(args, fibers=None):
     The g_{j,k} are evaluated once for all the task's prefixes; expansion,
     keys and counting then run on tiles of max(1, _REDUCE_BLOCK // p)
     prefixes, so every int32 column of a tile, at most _REDUCE_BLOCK
-    points, stays in cache.  fibers is the scan's own array in-process; a
+    points, stays in cache.  The task that ends the prefix range keys and
+    counts e_n on its own.  fibers is the scan's own array in-process; a
     pool worker counts into the mapping it claims on its first task
     (_claim_fibers).  Returns the task's base count, an 8-byte int64: all
     a pool worker sends back.
     """
-    split, n, p, pivot, lo, hi = args
+    split, n, p, lo, hi = args
     if fibers is None:
         fibers = _claim_fibers()
-    prefixes, last = _block_grid(n, p, pivot, lo, hi)
+    prefixes, last = _block_grid(n, p, lo, hi)
     prefix_tables, powers = split
     values = _evaluate_images(prefix_tables, prefixes, p)
     step = max(1, _REDUCE_BLOCK // p)
     # numpy >= 1.25 runs ufunc.at on matching int32 arrays in a fast path;
     # a scalar 1 takes the slow generic loop
-    ones = np.ones(min(step, len(values)) * len(last), dtype=np.int32)
-    base = np.int64(0)
-    for start in range(0, len(values), step):
-        images = _expand_images(values[start:start + step], powers, last, p)
-        index, tile_base = _normalized_keys(images, p)
-        if tile_base:
+    ones = np.ones(max(1, min(step, len(values)) * p), dtype=np.int32)
+
+    def count(images):
+        index, base = _normalized_keys(images, p)
+        if base:
             index = index[index >= 0]
-            base += tile_base
         # np.add.at would wrap a negative index silently
         if index.size and (index.min() < 0 or index.max() >= len(fibers)):
             raise InconsistencyError(
                 f"an image index mod {p} lies outside P^{n}: indexing is broken")
         np.add.at(fibers, index, ones[:index.size])
+        return base
+
+    base = np.int64(0)
+    for start in range(0, len(values), step):
+        # a tile's images stay alive until the next tile's are made: freed
+        # first, malloc unmaps them and every tile faults in fresh pages
+        # (about 7,700 minor faults a task against 600, Cremona at p=211)
+        images = _expand_images(values[start:start + step], powers, last, p)
+        base += count(images)
+    if hi == projective_size(n - 1, p):
+        base += count(_last_image(split, p))
     return base
 
 
@@ -535,36 +576,51 @@ def _head_split(split, columns):
 _MARK_BITS = 1 << 16
 
 
-def _sampled_chunk(args):
-    split, n, p, pivot, lo, hi, target_index, table = args
-    head_split = _head_split(split, _head_columns(split[1], p))
-    prefixes, last = _block_grid(n, p, pivot, lo, hi)
-    # a head free of x_n is the same along a row of the grid: it is looked
-    # up once per prefix (q = 1), else once per point (q = len(last))
-    flat = not any(k for component in head_split[1] for k in component)
-    q = 1 if flat else len(last)
-    head = _block_images(head_split, prefixes, last[:q], p)
-    # the prefilter drops only heads no target has; only the kept rows get
-    # their images and an index, and the full index comparison below stays
-    # the only hit test
-    kept = np.flatnonzero(table[_head_index(head.T, p)])
-    if flat:
-        # a kept prefix keeps its whole row of the x_n grid
-        images = _block_images(split, prefixes[kept], last, p)
-    else:
-        # a kept point is one row, at its own value of x_n
-        images = _block_images(split, prefixes, last[kept % q][:, None], p,
-                               kept // q)
-    index, base = _normalized_keys(images, p)
-    # only rows whose low 16 bits are those of a target go on to the binary
-    # search; target indices are >= 0, so base rows (-1) never register a hit
-    marked = np.zeros(_MARK_BITS, dtype=bool)
-    marked[target_index & (_MARK_BITS - 1)] = True
-    index = index[marked[index & (_MARK_BITS - 1)]]
+def _target_counts(index, target_index):
+    """How many of the indices hit each target (binary search in the
+    sorted target indices); base rows, -1, hit none."""
     positions = np.searchsorted(target_index, index)
     positions[positions == len(target_index)] = 0
     hits = target_index[positions] == index
-    counts = np.bincount(positions[hits], minlength=len(target_index))
+    return np.bincount(positions[hits], minlength=len(target_index))
+
+
+def _sampled_chunk(args):
+    split, n, p, lo, hi, target_index, table = args
+    columns = _head_columns(split[1], p)
+    prefixes, last = _block_grid(n, p, lo, hi)
+    prefix_tables, powers = split
+    # the prefilter drops only heads no target has; only the kept rows get
+    # their images and an index, and the full index comparison below stays
+    # the only hit test
+    if not any(k for j in columns for k in powers[j]):
+        # a head free of x_n is the same along a row of the grid: only the
+        # head's tables are evaluated on every prefix, the head is looked
+        # up once per prefix, and a kept prefix keeps its whole row
+        head = _block_images(_head_split(split, columns), prefixes, last[:1], p)
+        kept = np.flatnonzero(table[_head_index(head.T, p)])
+        images = _block_images(split, prefixes[kept], last, p)
+    else:
+        # else every g_{j,k} is evaluated once on every prefix, the head is
+        # expanded over the grid and looked up per point, and a kept point
+        # is one row, at its own value of x_n
+        values = _evaluate_images(prefix_tables, prefixes, p)
+        head = _expand_images(values, [powers[j] for j in columns], last, p)
+        kept = np.flatnonzero(table[_head_index(head.T, p)])
+        images = _expand_images(values[kept // p], powers,
+                                last[kept % p][:, None], p)
+    index, base = _normalized_keys(images, p)
+    # only rows whose low 16 bits are those of a target go on to the binary
+    # search
+    marked = np.zeros(_MARK_BITS, dtype=bool)
+    marked[target_index & (_MARK_BITS - 1)] = True
+    counts = _target_counts(index[marked[index & (_MARK_BITS - 1)]],
+                            target_index)
+    if hi == projective_size(n - 1, p):
+        # e_n, keyed and matched on its own
+        last_index, last_base = _normalized_keys(_last_image(split, p), p)
+        counts += _target_counts(last_index, target_index)
+        base += last_base
     return counts, base
 
 
@@ -661,7 +717,7 @@ class _FiberCounts:
 
 
 def _run_tasks(fn, tables, n, p, workers, *extra, counts=None):
-    """fn((split, n, p, pivot, lo, hi, *extra)) for every chunk, in order.
+    """fn((split, n, p, lo, hi, *extra)) for every task, in order.
 
     The one decision on processes: in-process for a domain of one chunk (a
     pool costs more than such a scan), else at most one per task (a fork
@@ -674,8 +730,8 @@ def _run_tasks(fn, tables, n, p, workers, *extra, counts=None):
     worker claims.
     """
     split = _split_tables(tables, n)
-    args_list = [(split, n, p, pivot, lo, hi, *extra)
-                 for pivot, lo, hi in _block_tasks(n, p)]
+    args_list = [(split, n, p, lo, hi, *extra)
+                 for lo, hi in _block_tasks(n, p)]
     if projective_size(n, p) <= _CHUNK:
         workers = 1
     workers = min(workers, len(args_list))

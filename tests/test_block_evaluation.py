@@ -34,8 +34,9 @@ DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
 QUARTIC = "x0^4 + 3*x0^3*x1 + 2*x0^2*x1^2 + x0*x1^3 + x1^4"
 
 def det_cubic_tasks(tasks):
-    # the first pivot-0 chunk, every pivot >= 1 block (the last is one point)
-    return tasks[:1] + [task for task in tasks if task[0] >= 1]
+    # the first task, the one whose prefixes cross from pivot 0 to pivot 1
+    # of P^4, and the last, every pivot >= 2 block of P^4 and e_5
+    return tasks[:1] + tasks[-2:]
 
 
 CASES = {
@@ -66,16 +67,31 @@ CASES = {
 }
 
 
-def per_row_images(tables, n, p, pivot, lo, hi):
-    """The reference: build every point of the chunk, evaluate row by row."""
-    return oracle._evaluate_images(
-        tables, oracle._chunk_points(n, p, pivot, lo, hi), p)
+def points_at(n, p, lo, hi):
+    """The points of P^n(F_p) at indices lo..hi, from a _chunk_points piece
+    of every pivot block of P^n the range meets (blocks of smaller pivot
+    first, a point's index its place in its block past them)."""
+    pieces, start = [], 0
+    for pivot in range(n + 1):
+        end = start + p ** (n - pivot)
+        if lo < end and start < hi:
+            pieces.append(oracle._chunk_points(n, p, pivot, max(lo, start) - start,
+                                               min(hi, end) - start))
+        start = end
+    return np.concatenate(pieces)
+
+
+def per_row_images(tables, n, p, lo, hi):
+    """The reference: build the points of indices lo..hi, evaluate row by
+    row."""
+    return oracle._evaluate_images(tables, points_at(n, p, lo, hi), p)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_block_images_match_the_per_row_evaluator(name):
-    """Both forms of _block_images: the chunk's grid, and a seeded subset
-    of its points gathered as (prefix rows, each point's own x_n)."""
+    """The task's grid from _block_images, a seeded subset of its points
+    gathered as (prefix rows, each point's own x_n) and expanded from the
+    evaluated prefixes, and e_n read off the split."""
     build, p, *pick = CASES[name]
     rational_map = build()
     n = rational_map.n
@@ -84,21 +100,26 @@ def test_block_images_match_the_per_row_evaluator(name):
     tasks = oracle._block_tasks(n, p)
     if pick:
         tasks = pick[0](tasks)
-    assert tasks[-1] == (n, 0, 1)
+    assert tasks[-1][1] == projective_size(n - 1, p)
     rng = np.random.default_rng(0)
-    for pivot, lo, hi in tasks:
-        expected = per_row_images(tables, n, p, pivot, lo, hi)
-        prefixes, last = oracle._block_grid(n, p, pivot, lo, hi)
+    for lo, hi in tasks:
+        expected = per_row_images(tables, n, p, lo * p, hi * p)
+        prefixes, last = oracle._block_grid(n, p, lo, hi)
         images = oracle._block_images(split, prefixes, last, p)
         assert images.dtype == np.int32
         assert images.shape == expected.shape
-        assert np.array_equal(images, expected), (pivot, lo, hi)
-        points = rng.choice(hi - lo, size=min(hi - lo, 1000), replace=False)
+        assert np.array_equal(images, expected), (lo, hi)
+        size = (hi - lo) * p
+        points = rng.choice(size, size=min(size, 1000), replace=False)
         rows, cols = np.divmod(points, len(last))
-        gathered = oracle._block_images(split, prefixes, last[cols][:, None],
-                                        p, rows)
+        values = oracle._evaluate_images(split[0], prefixes, p)
+        gathered = oracle._expand_images(values[rows], split[1],
+                                         last[cols][:, None], p)
         assert gathered.dtype == np.int32
-        assert np.array_equal(gathered, expected[points]), (pivot, lo, hi)
+        assert np.array_equal(gathered, expected[points]), (lo, hi)
+    last_point = projective_size(n, p) - 1
+    assert np.array_equal(oracle._last_image(split, p),
+                          per_row_images(tables, n, p, last_point, last_point + 1))
 
 
 def test_the_edge_case_runs_horner_at_the_largest_prime():
@@ -117,18 +138,22 @@ def test_the_edge_case_runs_horner_at_the_largest_prime():
     (2, 101, 16), (2, 101, 1000), (5, 3, 10), (4, 11, 1 << 20), (1, 101, 1),
 ])
 def test_tasks_tile_each_block_once_in_whole_rows(monkeypatch, n, p, chunk):
+    # a task is whole rows of the x_n grid, at most max(p, chunk) points:
+    # its prefixes tile P^(n-1) once, and e_n makes up the rest
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     tasks = oracle._block_tasks(n, p)
-    for pivot in range(n + 1):
-        bounds = [(lo, hi) for k, lo, hi in tasks if k == pivot]
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == p ** (n - pivot)
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        for lo, hi in bounds:
-            assert 0 < hi - lo <= max(p, chunk)
-            if pivot < n:
-                assert lo % p == 0 and hi % p == 0
-    assert sum(hi - lo for _, lo, hi in tasks) == projective_size(n, p)
+    assert tasks[0][0] == 0
+    assert tasks[-1][1] == projective_size(n - 1, p)
+    assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
+    for lo, hi in tasks:
+        assert 0 < (hi - lo) * p <= max(p, chunk)
+    assert sum(hi - lo for lo, hi in tasks) * p + 1 == projective_size(n, p)
+
+
+def test_a_census_scan_is_one_task():
+    # P^2(F_101): the 102 prefixes of P^1 and e_2 in one task, not one task
+    # per pivot block
+    assert oracle._block_tasks(2, 101) == [(0, 102)]
 
 
 def test_chunks_smaller_than_p_give_the_same_scans(monkeypatch):
@@ -163,7 +188,7 @@ class RecordingPool:
 
 
 def pool_sizes(monkeypatch, workers, cpus, cpu_count=10 ** 9):
-    """Pool sizes of one exhaustive and one sampled scan of 13 tasks, when
+    """Pool sizes of one exhaustive and one sampled scan of 12 tasks, when
     the process may run on `cpus` of the machine's `cpu_count` CPUs (None:
     the platform has no affinity mask)."""
     pm = polar_of("x0*x1*x2")
@@ -182,7 +207,7 @@ def pool_sizes(monkeypatch, workers, cpus, cpu_count=10 ** 9):
         monkeypatch.setattr(oracle.os, "sched_getaffinity",
                             lambda pid: range(cpus), raising=False)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpu_count)
-    assert len(oracle._block_tasks(pm.n, p)) == p + 2
+    assert len(oracle._block_tasks(pm.n, p)) == p + 1
     monkeypatch.setattr(RecordingPool, "sizes", [])
     assert scan_exhaustive(pm, p, workers=workers) == reports[0]
     assert scan_sampled(pm, p, targets=8, seed=3, workers=workers) == reports[1]
@@ -191,14 +216,14 @@ def pool_sizes(monkeypatch, workers, cpus, cpu_count=10 ** 9):
 
 @pytest.mark.parametrize("workers", [2, 3, 64, 10 ** 6])
 def test_pool_never_exceeds_the_task_count(monkeypatch, workers):
-    tasks = 13
+    tasks = 12
     assert pool_sizes(monkeypatch, workers, 10 ** 9) == [min(workers, tasks)] * 2
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 10 ** 6])
 def test_pool_never_exceeds_the_cpu_count(monkeypatch, workers):
-    # 2 workers stay 2; past 3 CPUs the pool stays at 3, below the 13 tasks
-    assert pool_sizes(monkeypatch, workers, 3) == [min(workers, 13, 3)] * 2
+    # 2 workers stay 2; past 3 CPUs the pool stays at 3, below the 12 tasks
+    assert pool_sizes(monkeypatch, workers, 3) == [min(workers, 12, 3)] * 2
 
 
 @pytest.mark.parametrize("workers", [2, 64])
@@ -213,13 +238,13 @@ def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
 
 
 @pytest.mark.parametrize("bound, cap", [(133, 2), (199, 2), (200, 3),
-                                        (266, 4), (10 ** 9, 13)])
+                                        (266, 4), (10 ** 9, 12)])
 def test_exhaustive_pool_holds_at_most_two_domain_arrays(monkeypatch, bound,
                                                          cap):
     # each exhaustive worker counts into a fiber array of the 133 points:
-    # at most 2 * bound // 133 of them; the sampled scan keeps all 13
+    # at most 2 * bound // 133 of them; the sampled scan keeps all 12
     monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", bound)
-    assert pool_sizes(monkeypatch, 64, 10 ** 9) == [cap, 13]
+    assert pool_sizes(monkeypatch, 64, 10 ** 9) == [cap, 12]
 
 
 def test_one_worker_never_asks_for_the_affinity(monkeypatch):

@@ -15,7 +15,7 @@ from polarmap.cli import main
 from polarmap.errors import InconsistencyError, ResourceBoundError
 from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
-from polarmap.polar import moving_part, polar_system
+from polarmap.polar import RationalMap, moving_part, polar_system
 
 from projective import ProjectivePoint
 
@@ -30,12 +30,13 @@ def moving_of(text, nvars=None):
 
 def reference_counts(rational_map, p):
     """(fiber histogram, base points, image size) by the former counter:
-    np.unique per chunk, then one global unique(return_inverse) merge."""
+    np.unique per pivot block, then one global unique(return_inverse)
+    merge.  It walks the blocks itself, not the scan's tasks."""
     n = rational_map.n
     tables = oracle._component_tables(rational_map, p)
     uniqs, counts, base_points = [], [], 0
-    for pivot, lo, hi in oracle._block_tasks(n, p):
-        coords = oracle._chunk_points(n, p, pivot, lo, hi)
+    for pivot in range(n + 1):
+        coords = oracle._chunk_points(n, p, pivot, 0, p ** (n - pivot))
         keys, base = oracle._normalized_keys(
             oracle._evaluate_images(tables, coords, p), p)
         u, c = np.unique(keys[keys >= 0], return_counts=True)
@@ -95,7 +96,8 @@ def test_dense_counter_matches_the_merge_counter(monkeypatch, name, workers):
     assert rep.base_points == base
     assert rep.image_size == image
     if workers == 2:
-        assert CountingPool.built == 1
+        # P^1 is one prefix, e_1 and one task: in-process
+        assert CountingPool.built == (rational_map.n > 1)
 
 
 def through_the_pool(monkeypatch, chunk):
@@ -119,13 +121,14 @@ def test_pooled_scans_equal_in_process_ones(monkeypatch, name, parts):
     through_the_pool(monkeypatch,
                      max(16, projective_size(rational_map.n, p) // parts))
     assert scan_exhaustive(rational_map, p, workers=2) == serial
-    assert CountingPool.built == 1
+    # P^1 is one prefix, e_1 and one task: in-process
+    assert CountingPool.built == (rational_map.n > 1)
 
 
 @pytest.mark.parametrize("block", [31, 7 * 31 + 3, 1 << 16])
 def test_tiles_of_any_size_give_the_same_counts(monkeypatch, block):
     # _REDUCE_BLOCK // p prefixes a tile: one prefix a tile, 7 with a
-    # ragged last tile (961 = 7 * 137 + 2 prefixes a pivot-0 task), and the
+    # ragged last tile (the one task's 993 = 7 * 141 + 6 prefixes), and the
     # default, against the unique-and-merge counter
     rational_map = polar_of("x0*x1*x2*x3")
     histogram, base, image = reference_counts(rational_map, 31)
@@ -162,8 +165,8 @@ def test_projective_index_is_a_bijection(n, p):
     # every point of P^n(F_p), each scaled by a nonzero factor, must hit
     # every position of the count array once
     indices = []
-    for pivot, lo, hi in oracle._block_tasks(n, p):
-        points = oracle._chunk_points(n, p, pivot, lo, hi)
+    for pivot in range(n + 1):
+        points = oracle._chunk_points(n, p, pivot, 0, p ** (n - pivot))
         factors = np.arange(len(points), dtype=np.int32) % (p - 1) + 1
         index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
         assert base == 0
@@ -175,21 +178,107 @@ def test_projective_index_is_a_bijection(n, p):
 
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_a_point_keys_to_its_enumeration_position(monkeypatch, n, p):
+def test_a_point_keys_to_its_enumeration_position(n, p):
     # one numbering for points and images: a point's index is its position
     # in the enumeration, its pivot block's offset plus its place in the
-    # block; 2p-point tasks split the blocks of P^2 and P^3, some raggedly
-    monkeypatch.setattr(oracle, "_CHUNK", 2 * p)
-    tasks = oracle._block_tasks(n, p)
+    # block; 2p-point pieces split the blocks of P^2 and P^3, some raggedly
+    pieces = 0
+    for pivot in range(n + 1):
+        size = p ** (n - pivot)
+        for lo in range(0, size, 2 * p):
+            hi = min(lo + 2 * p, size)
+            points = oracle._chunk_points(n, p, pivot, lo, hi)
+            factors = np.arange(len(points), dtype=np.int32) % (p - 1) + 1
+            index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
+            offset = projective_size(n, p) - projective_size(n - pivot, p)
+            assert base == 0
+            assert index.tolist() == list(range(offset + lo, offset + hi))
+            pieces += 1
     if n > 1:
-        assert len(tasks) > n + 1
-    for pivot, lo, hi in tasks:
-        points = oracle._chunk_points(n, p, pivot, lo, hi)
-        factors = np.arange(len(points), dtype=np.int32) % (p - 1) + 1
+        assert pieces > n + 1
+
+
+def identity_map(n):
+    return RationalMap([parse_polynomial(f"x{j}", nvars=n + 1)
+                        for j in range(n + 1)])
+
+
+def all_points(n, p):
+    """Every point of P^n(F_p) in index order, block by pivot block."""
+    return np.concatenate([oracle._chunk_points(n, p, pivot, 0, p ** (n - pivot))
+                           for pivot in range(n + 1)])
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_tasks_count_every_point_once_and_only_the_last_holds_e_n(
+        monkeypatch, n, p):
+    # 3 prefixes a task, so that ranges cross the pivot blocks of P^(n-1)
+    # (p^(n-1), .., p, 1 prefixes); under the identity a task's own fiber
+    # array and its sampled counts, every point a target, show the points
+    # it scanned: its grid, indices lo * p..hi * p, and e_n in the last
+    monkeypatch.setattr(oracle, "_CHUNK", 3 * p)
+    prefixes, domain = projective_size(n - 1, p), projective_size(n, p)
+    tasks = oracle._block_tasks(n, p)
+    assert tasks[0][0] == 0 and tasks[-1][1] == prefixes
+    assert all(a[1] == b[0] for a, b in zip(tasks, tasks[1:]))
+    ends = np.cumsum([p ** (n - 1 - k) for k in range(n)])
+    crossing = [(lo, hi) for lo, hi in tasks if ((lo < ends) & (ends < hi)).any()]
+    assert crossing or n < 2
+    tables = oracle._component_tables(identity_map(n), p)
+    split = oracle._split_tables(tables, n)
+    target_index = np.arange(domain, dtype=np.int32)
+    table = oracle._ratio_table(all_points(n, p),
+                                oracle._head_columns(split[1], p), p)
+    counted = np.zeros(domain, dtype=np.int64)
+    for lo, hi in tasks:
+        expected = np.zeros(domain, dtype=np.int64)
+        expected[lo * p:hi * p] = 1
+        expected[-1] = hi == prefixes
+        fibers = np.zeros(domain, dtype=np.int32)
+        assert oracle._exhaustive_chunk((split, n, p, lo, hi), fibers=fibers) == 0
+        assert np.array_equal(fibers, expected), (lo, hi)
+        counts, base = oracle._sampled_chunk(
+            (split, n, p, lo, hi, target_index, table))
+        assert np.array_equal(counts, expected) and base == 0, (lo, hi)
+        counted += fibers
+    assert (counted == 1).all()
+
+
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_grid_points_key_to_prefix_index_times_p_plus_t(monkeypatch, n, p):
+    # a grid row, prefix lo + r // p at x_n = t, scaled by a nonzero factor,
+    # keys to (lo + r // p) * p + t, across pivot blocks (2 prefixes a task
+    # of odd-sized blocks); the prefixes themselves key to lo..hi in P^(n-1)
+    # and e_n, read off the identity's split, to the last index
+    monkeypatch.setattr(oracle, "_CHUNK", 2 * p)
+    rng = np.random.default_rng(n * p)
+    for lo, hi in oracle._block_tasks(n, p):
+        prefixes, t = oracle._block_grid(n, p, lo, hi)
+        assert t.tolist() == list(range(p))
+        if n:
+            assert oracle._normalized_keys(prefixes, p)[0].tolist() == \
+                list(range(lo, hi))
+        points = np.concatenate([np.repeat(prefixes, p, axis=0),
+                                 np.tile(t, hi - lo)[:, None]], axis=1)
+        factors = rng.integers(1, p, size=len(points), dtype=np.int32)
         index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
-        offset = projective_size(n, p) - projective_size(n - pivot, p)
         assert base == 0
-        assert index.tolist() == list(range(offset + lo, offset + hi))
+        assert index.tolist() == list(range(lo * p, hi * p))
+    split = oracle._split_tables(
+        oracle._component_tables(identity_map(n), p), n)
+    index, base = oracle._normalized_keys(oracle._last_image(split, p), p)
+    assert index.tolist() == [projective_size(n, p) - 1] and base == 0
+
+
+@pytest.mark.parametrize("p", [5, 101])
+def test_e_n_as_the_only_base_point(p):
+    # (x0^2, x0*x1, x1^2) vanishes on P^2 only at e_2 = (0, 0, 1)
+    m = RationalMap([parse_polynomial(text, nvars=3)
+                     for text in ("x0^2", "x0*x1", "x1^2")])
+    assert scan_exhaustive(m, p).base_points == 1
+    assert scan_sampled(m, p, targets=8, seed=0).base_points == 1
 
 
 def test_identity_tiles_key_to_contiguous_runs(monkeypatch):

@@ -33,17 +33,23 @@ QUADRIC_P3 = "x0^2 + x1^2 + x2^2 + x3^2"
 QUADRIC_P4 = "x0^2 + x1^2 + x2^2 + x3^2 + x4^2"
 
 
-def chunk_images(split, n, p, pivot, lo, hi):
-    """The image of every point of the chunk, in scan order."""
-    prefixes, last = oracle._block_grid(n, p, pivot, lo, hi)
+def chunk_images(split, n, p, lo, hi):
+    """The image of every point of the task's grid, in scan order."""
+    prefixes, last = oracle._block_grid(n, p, lo, hi)
     return oracle._block_images(split, prefixes, last, p)
 
 
 def keyed_chunk(args):
-    """The reference: index every row of the chunk, then match the targets."""
-    split, n, p, pivot, lo, hi, target_index = args[:7]
-    index, base = oracle._normalized_keys(
-        chunk_images(split, n, p, pivot, lo, hi), p)
+    """The reference: index every row of the task, e_n evaluated as a zero
+    prefix at x_n = 1 after the grid of the last task, then match the
+    targets."""
+    split, n, p, lo, hi, target_index = args[:6]
+    images = chunk_images(split, n, p, lo, hi)
+    if hi == projective_size(n - 1, p):
+        last = oracle._block_images(split, np.zeros((1, n), dtype=np.int32),
+                                    np.ones(1, dtype=np.int32), p)
+        images = np.concatenate([images, last])
+    index, base = oracle._normalized_keys(images, p)
     positions = np.searchsorted(target_index, index)
     positions[positions == len(target_index)] = 0
     hits = target_index[positions] == index
@@ -52,10 +58,10 @@ def keyed_chunk(args):
 
 
 def pivot_targets(split, n, p, count):
-    """Up to `count` image indices with t_0 = 0 from the first chunk, and
+    """Up to `count` image indices with t_0 = 0 from the first task, and
     an image row of each."""
-    pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    images = chunk_images(split, n, p, pivot, lo, hi)
+    lo, hi = oracle._block_tasks(n, p)[0]
+    images = chunk_images(split, n, p, lo, hi)
     index, _ = oracle._normalized_keys(images, p)
     keys, first = np.unique(index, return_index=True)
     # pivot-0 points have the indices below p^n
@@ -91,13 +97,14 @@ def is_flat(split, p):
 
 
 def det_cubic_tasks(tasks):
-    # the first pivot-0 chunk, every pivot >= 1 block (the last is one point)
-    return tasks[:1] + [task for task in tasks if task[0] >= 1]
+    # the first task, the one whose prefixes cross from pivot 0 to pivot 1
+    # of P^4, and the last, every pivot >= 2 block of P^4 and e_5
+    return tasks[:1] + tasks[-2:]
 
 
 CASES = {
-    # head (2, 4, 5) free of x_5: whole grid rows; a pivot >= 1 block and
-    # the one-point last block
+    # head (2, 4, 5) free of x_5: whole grid rows; a task across pivot
+    # blocks and the last task, with e_5
     "det_cubic_p31": (lambda: polar_of(DET_CUBIC), 31, det_cubic_tasks, 0, True),
     "det_cubic_p7": (lambda: polar_of(DET_CUBIC), 7, None, 0, True),
     # n = 1: w = 2, both components hold x_1
@@ -140,13 +147,13 @@ def counts_match_the_keyed_chunk(split, n, p, tasks, target_keys, table):
     """Assert _sampled_chunk equals keyed_chunk on every task; the summed
     counts."""
     total = np.zeros(len(target_keys), dtype=np.int64)
-    for pivot, lo, hi in tasks:
-        args = (split, n, p, pivot, lo, hi, target_keys, table)
+    for lo, hi in tasks:
+        args = (split, n, p, lo, hi, target_keys, table)
         expected_counts, expected_base = keyed_chunk(args)
         counts, base = oracle._sampled_chunk(args)
         assert counts.dtype == expected_counts.dtype
-        assert np.array_equal(counts, expected_counts), (pivot, lo, hi)
-        assert base == expected_base, (pivot, lo, hi)
+        assert np.array_equal(counts, expected_counts), (lo, hi)
+        assert base == expected_base, (lo, hi)
         total += counts
     return total
 
@@ -163,7 +170,7 @@ def test_prefiltered_chunk_matches_the_keyed_chunk(name):
     tasks = oracle._block_tasks(n, p)
     if pick:
         tasks = pick(tasks)
-    assert tasks[-1] == (n, 0, 1)
+    assert tasks[-1][1] == projective_size(n - 1, p)
     total = counts_match_the_keyed_chunk(split, n, p, tasks, target_keys, table)
     if extra:
         # the t_0 = 0 targets really were hit
@@ -171,7 +178,7 @@ def test_prefiltered_chunk_matches_the_keyed_chunk(name):
 
 
 def low_bit_targets(split, n, p, task):
-    """Image indices a, a + 2^16, c and c + 2^16 of the task's chunk, and
+    """Image indices a, a + 2^16, c and c + 2^16 of the task's grid, and
     an image row of each: a and a + 2^16 share their low 16 bits, and
     c + 2^16 has those of c."""
     images = chunk_images(split, n, p, *task)
@@ -355,8 +362,11 @@ def test_prefilter_keys_exactly_the_rows_with_a_target_head(monkeypatch, extra):
     columns = oracle._head_columns(split[1], p)
     assert columns == [4, 0, 1]
     table = oracle._ratio_table(rows, columns, p)
-    pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    images = chunk_images(split, n, p, pivot, lo, hi)
+    # the one task: every prefix of P^3(F_31), then e_4
+    tasks = oracle._block_tasks(n, p)
+    assert len(tasks) == 1
+    lo, hi = tasks[0]
+    images = chunk_images(split, n, p, lo, hi)
     target_heads = {ProjectivePoint(row, p)
                     for row in rows[:, columns].tolist() if any(row)}
     # each head as one base-p integer: a 1-D unique, not a row-wise one
@@ -375,9 +385,12 @@ def test_prefilter_keys_exactly_the_rows_with_a_target_head(monkeypatch, extra):
         assert kept_zero_first < (images[:, columns[0]] == 0).sum()
 
     keyed = recording_keys(monkeypatch)
-    oracle._sampled_chunk((split, n, p, pivot, lo, hi, target_keys, table))
-    assert len(keyed) == 1
+    oracle._sampled_chunk((split, n, p, lo, hi, target_keys, table))
+    assert len(keyed) == 2
     assert np.array_equal(keyed[0], expected)
+    # e_4, keyed on its own: a base point, as every component holds three
+    # of x_0..x_3
+    assert keyed[1].tolist() == [[0, 0, 0, 0, 0]]
     # every t_0 = 0 target added has a preimage among the rows keyed
     zero_first = np.unique(keyed[0][keyed[0][:, 0] == 0], axis=0)
     hit = {ProjectivePoint(row, p).index()
@@ -412,8 +425,9 @@ def test_prefilter_keys_few_rows(monkeypatch):
     columns = oracle._head_columns(powers, p)
     assert columns == [2, 4, 5] and is_flat(split, p)
     table = oracle._ratio_table(rows, columns, p)
-    pivot, lo, hi = oracle._block_tasks(n, p)[0]
-    images = chunk_images(split, n, p, pivot, lo, hi)
+    lo, hi = oracle._block_tasks(n, p)[0]
+    assert hi < projective_size(n - 1, p)
+    images = chunk_images(split, n, p, lo, hi)
     # the reference: a grid row is kept when its head, the same at every
     # value of x_5, is zero or a multiple of a target's head
     target_heads = {ProjectivePoint(row, p)
@@ -427,14 +441,14 @@ def test_prefilter_keys_few_rows(monkeypatch):
 
     keyed = recording_keys(monkeypatch)
     calls = recording_evaluations(monkeypatch)
-    oracle._sampled_chunk((split, n, p, pivot, lo, hi, target_keys, table))
+    oracle._sampled_chunk((split, n, p, lo, hi, target_keys, table))
     assert len(keyed) == 1
     assert np.array_equal(keyed[0], expected)
-    assert len(expected) < (hi - lo) // 5
-    # the head split's tables on all (hi - lo) / p prefixes, then every
-    # prefix table on the kept prefixes only, and no other call
-    prefixes, _ = oracle._block_grid(n, p, pivot, lo, hi)
-    assert len(prefixes) == (hi - lo) // p
+    assert len(expected) < (hi - lo) * p // 5
+    # the head split's tables on all hi - lo prefixes, then every prefix
+    # table on the kept prefixes only, and no other call
+    prefixes, _ = oracle._block_grid(n, p, lo, hi)
+    assert len(prefixes) == hi - lo
     head_tables = [prefix_tables[powers[j][0]] for j in columns]
     assert [tables for tables, _ in calls] == [head_tables, prefix_tables]
     assert np.array_equal(calls[0][1], prefixes)
@@ -472,6 +486,30 @@ def test_a_dropped_table_entry_raises(monkeypatch, text, p, columns):
 
     monkeypatch.setattr(oracle, "_ratio_table", dropping)
     with pytest.raises(InconsistencyError, match="no preimage"):
+        scan_sampled(rational_map, p, targets=8, seed=0)
+
+
+def test_e_n_alone_hits_its_target(monkeypatch):
+    # the quadric's polar map is 2 * identity: the target e_2, the last
+    # index, has e_2 as its only preimage, scanned apart from every grid;
+    # a scan that loses it raises
+    rational_map = polar_of("x0^2 + x1^2 + x2^2")
+    p = 101
+    last = projective_size(2, p) - 1
+    sample_targets = oracle._sample_targets
+
+    def with_e_n(*args):
+        indices, rows = sample_targets(*args)
+        assert last not in indices
+        return (np.append(indices, np.int32(last)),
+                np.concatenate([rows, np.array([[0, 0, 2]], dtype=rows.dtype)]))
+
+    monkeypatch.setattr(oracle, "_sample_targets", with_e_n)
+    rep = scan_sampled(rational_map, p, targets=8, seed=0)
+    assert rep.image_size == 9 and rep.fiber_histogram == {1: 9}
+    monkeypatch.setattr(oracle, "_last_image",
+                        lambda split, p: np.zeros((1, 3), dtype=np.int32))
+    with pytest.raises(InconsistencyError, match="1 sampled image points have no"):
         scan_sampled(rational_map, p, targets=8, seed=0)
 
 
