@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .fields import QQ
-from .poly import Polynomial, exact_rank
+from .poly import Polynomial
 
 
 def canonical_row(coeffs):
@@ -33,6 +33,35 @@ def canonical_row(coeffs):
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints)
+
+
+def integer_rank(rows):
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each pivot step every entry below it is a minor of the matrix
+    (Sylvester's identity), so dividing by the previous pivot is exact and
+    no entry grows past the size of a minor.
+    """
+    matrix = [list(row) for row in rows]
+    rank = 0
+    previous = 1
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        lead = top[col]
+        for r in range(rank + 1, len(matrix)):
+            row = matrix[r]
+            factor = row[col]
+            matrix[r] = [(lead * x - factor * y) // previous
+                         for x, y in zip(row, top)]
+        previous = lead
+        rank += 1
+        if rank == len(matrix):
+            break
+    return rank
 
 
 class LinearFormProduct:
@@ -86,7 +115,7 @@ class LinearFormProduct:
         return LinearFormProduct(self.forms, [1] * len(self.forms), self.nvars)
 
     def rank(self):
-        return exact_rank(self.forms, QQ)
+        return integer_rank(self.forms)
 
     def form_polynomial(self, i, field=QQ):
         terms = {}

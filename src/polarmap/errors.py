@@ -11,7 +11,8 @@ class ParseError(ValueError):
 
 
 class InexactDivisionError(ArithmeticError):
-    """exact_divide was asked for a quotient that does not exist."""
+    """A quotient that must be exact does not exist: exact_divide's, or a
+    factored moving part that fails its product-rule check."""
 
 
 class DegenerateRestrictionError(ValueError):

@@ -311,11 +311,14 @@ def _pivot_index(images, p):
     n = images.shape[1] - 1
     scale = np.take(_inverse_table(p), images[:, 0])
     index = np.zeros(len(images), dtype=np.int32)
+    # e_n's one row, and the ~1/p rows of a deeper pivot in a small scan,
+    # are too few to pay for _reduce's block loop
+    reduce = _reducer(len(images))
     # one reused product buffer: this loop runs on whole exhaustive chunks
     term = np.empty(len(images), dtype=np.int32)
     for j in range(1, n + 1):
         index *= p
-        index += _reduce(np.multiply(images[:, j], scale, out=term), p)
+        index += reduce(np.multiply(images[:, j], scale, out=term), p)
     rest = np.flatnonzero(scale == 0)
     if not rest.size:
         return index, 0

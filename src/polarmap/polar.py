@@ -5,6 +5,13 @@ a rational self-map of P^n.  The partials usually share a divisorial
 factor (for F = prod L_i^{m_i} it is exactly prod L_i^{m_i - 1}); dividing
 it out leaves the moving part, the map whose birationality decides
 homaloidality.
+
+For a factored F the moving part has a closed form: its k-th component is
+sum_i m_i a_ik prod_{j != i} L_j, where a_ik is the x_k coefficient of
+L_i.  It is built over the integers (canonical_row makes every form a
+primitive integer vector, so by Gauss's lemma nothing is lost) and checked
+exactly by the product rule: base * moving_k must equal the k-th partial
+of base * reduced.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import LinearFormProduct
-from .errors import DegenerateRestrictionError
+from .errors import DegenerateRestrictionError, InexactDivisionError
 from .fields import QQ
 from .poly import Polynomial, exact_rank, gcd, grlex_key, monic
 
@@ -127,15 +134,6 @@ def polar_system(f):
     return RationalMap(partials)
 
 
-def base_divisor_factored(F):
-    """prod L_i^{m_i - 1}, built directly from the factored shape."""
-    total = Polynomial.constant(QQ, F.nvars, 1)
-    for i, m in enumerate(F.multiplicities):
-        if m > 1:
-            total = total * F.form_polynomial(i) ** (m - 1)
-    return total
-
-
 @dataclass
 class PolarDecomposition:
     """base_divisor * moving[i] = the i-th partial; reduced = F / base_divisor."""
@@ -144,30 +142,131 @@ class PolarDecomposition:
     reduced: Polynomial
 
 
+# Factored input is computed over Python ints, in term dicts keyed by packed
+# exponents: the monomial prod x_j^e_j is the int sum_j e_j radix^j, so a
+# product of monomials is a sum of keys.  radix = deg F + 1 exceeds every
+# exponent of F and of its partials, so no digit carries.
+
+def _int_product(a, b):
+    """Product of two packed term dicts with int coefficients."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _int_derivative(terms, place, radix):
+    """Partial of a packed term dict by the variable whose key is place."""
+    out = {}
+    for k, c in terms.items():
+        e = k // place % radix
+        if e:
+            out[k - place] = c * e
+    return out
+
+
+def _packed_forms(F):
+    """(radix, places, forms): F's forms as packed term dicts, where
+    places[j] is the key of x_j."""
+    radix = F.degree() + 1
+    places = [radix ** j for j in range(F.nvars)]
+    forms = [{place: a for place, a in zip(places, row) if a}
+             for row in F.forms]
+    return radix, places, forms
+
+
+def _int_base(forms, multiplicities):
+    """prod L_i^{m_i - 1} as a packed term dict."""
+    base = {0: 1}
+    for form, m in zip(forms, multiplicities):
+        for _ in range(m - 1):
+            base = _int_product(base, form)
+    return base
+
+
+def _polynomial(terms, nvars, radix):
+    """A packed term dict as a Polynomial over QQ."""
+    unpacked = {}
+    for k, c in terms.items():
+        exps = []
+        for _ in range(nvars):
+            k, e = divmod(k, radix)
+            exps.append(e)
+        unpacked[tuple(exps)] = c
+    return Polynomial(QQ, nvars, unpacked)
+
+
+def base_divisor_factored(F):
+    """prod L_i^{m_i - 1}, built directly from the factored shape."""
+    radix, _, forms = _packed_forms(F)
+    return _polynomial(_int_base(forms, F.multiplicities), F.nvars, radix)
+
+
+def _factored_moving_part(F):
+    """moving_part of a LinearFormProduct, in integer arithmetic.
+
+    others_i = prod_{j != i} L_j comes from prefix and suffix products;
+    reduced = prod L_i, base = prod L_i^{m_i - 1}, and moving_k =
+    sum_i m_i a_ik others_i.  Each moving_k is checked by the product rule,
+    base * moving_k == d/dx_k (base * reduced) over Z, so a wrong
+    coefficient anywhere raises InexactDivisionError as an inexact
+    division would.
+    """
+    radix, places, forms = _packed_forms(F)
+    prefixes = [{0: 1}]
+    for form in forms[:-1]:
+        prefixes.append(_int_product(prefixes[-1], form))
+    others = [None] * len(forms)
+    suffix = {0: 1}
+    for i in reversed(range(len(forms))):
+        others[i] = _int_product(prefixes[i], suffix)
+        suffix = _int_product(suffix, forms[i])
+    reduced = suffix
+    base = _int_base(forms, F.multiplicities)
+    f = _int_product(base, reduced)
+    moving = []
+    for k, place in enumerate(places):
+        component = {}
+        for row, m, other in zip(F.forms, F.multiplicities, others):
+            scale = m * row[k]
+            if scale:
+                for key, c in other.items():
+                    component[key] = component.get(key, 0) + scale * c
+        component = {key: c for key, c in component.items() if c}
+        if _int_product(base, component) != _int_derivative(f, place, radix):
+            raise InexactDivisionError(
+                f"moving part of {F} fails the product rule in x{k}")
+        moving.append(component)
+    nvars = F.nvars
+    return PolarDecomposition(
+        _polynomial(base, nvars, radix),
+        RationalMap([_polynomial(c, nvars, radix) for c in moving]),
+        _polynomial(reduced, nvars, radix))
+
+
 def moving_part(source):
     """Split the polar system of a polynomial or factored arrangement.
 
-    Factored inputs take the closed-form base divisor and verify each
-    division exactly; polynomial inputs compute the honest GCD of the
-    partials.  Both paths produce a moving part with component gcd 1.
+    Factored inputs take the closed form over the integers: base divisor
+    prod L_i^{m_i - 1}, reduced prod L_i, and moving part
+    sum_i m_i a_ik prod_{j != i} L_j, each component checked exactly by
+    the product rule (_factored_moving_part).  Polynomial inputs compute
+    the honest GCD of the partials.  Both paths produce a moving part with
+    component gcd 1.
     """
     if isinstance(source, LinearFormProduct):
-        f = source.expand(QQ)
-        base = base_divisor_factored(source)
-    elif isinstance(source, Polynomial):
-        f = source
-        base = None
-    else:
+        return _factored_moving_part(source)
+    if not isinstance(source, Polynomial):
         raise TypeError("moving_part takes a Polynomial or a LinearFormProduct")
-    system = polar_system(f)
-    if base is None:
-        base = system.component_gcd()
+    system = polar_system(source)
+    base = system.component_gcd()
     if base.degree() == 0:
-        return PolarDecomposition(base, system, f)
+        return PolarDecomposition(base, system, source)
     moving = RationalMap([c if c.is_zero else c.exact_divide(base)
                           for c in system.components])
-    reduced = f.exact_divide(base)
-    return PolarDecomposition(base, moving, reduced)
+    return PolarDecomposition(base, moving, source.exact_divide(base))
 
 
 def is_cone(f):

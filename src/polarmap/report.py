@@ -7,7 +7,7 @@ Keys are fixed; "p" and "seed" are null when not applicable, and the
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -27,7 +27,9 @@ class ReportDocument:
     millis: int = 0
 
     def to_json(self):
-        payload = asdict(self)
+        # shallow: the certificate's entries are already plain dicts and
+        # lists, which asdict would only deep-copy
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["fiber_histogram"] = {str(k): self.fiber_histogram[k]
                                       for k in sorted(self.fiber_histogram)}
         return json.dumps(payload, sort_keys=True, indent=2)

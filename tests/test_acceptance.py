@@ -3,9 +3,9 @@
 Each test prints "ACCEPTANCE <k>: PASS" once its assertions hold (visible
 under pytest -s, and in captured output otherwise); a failure prints the
 FAIL line and re-raises.  Tolerances are exact unless a comment at the
-assertion says otherwise.  Criterion 8 scans 8.6e8 points at p=61 (about
-3.5 s single-core on a 2-core AMD EPYC VM); the census of criterion 3
-takes longest (about 9 s).
+assertion says otherwise.  Criterion 8 scans 8.6e8 points at p=61
+(1.0-1.5 s single-core on a shared 2-vCPU Intel Xeon VM); the census of
+criterion 3 takes longest (4.4-6.8 s there).
 """
 
 import functools

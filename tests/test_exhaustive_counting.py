@@ -329,6 +329,28 @@ def test_index_matches_the_reference_point(n, p):
     assert index.dtype == np.int32
 
 
+# below _REDUCE_ROWS rows the index reduces with np.remainder, from it
+# with _reduce
+@pytest.mark.parametrize("count", [1, 4095, 4096])
+def test_index_of_few_and_many_rows(count, monkeypatch):
+    assert oracle._REDUCE_ROWS == 4096
+    real, blocks = oracle._reduce, []
+
+    def counting(values, p):
+        blocks.append(len(values))
+        return real(values, p)
+
+    monkeypatch.setattr(oracle, "_reduce", counting)
+    n, p = 3, 101
+    rows = random_rows(random.Random(count), n, p, count)
+    index, base = oracle._normalized_keys(np.array(rows, dtype=np.int32), p)
+    expected = [ProjectivePoint(r, p).index() if any(r) else -1 for r in rows]
+    assert index.tolist() == expected
+    assert base == expected.count(-1)
+    # only the top level of 4096 rows is that large
+    assert blocks == ([count] * n if count >= 4096 else [])
+
+
 @pytest.mark.parametrize("pivot", [0, 1])
 def test_chunk_points_at_the_top_of_the_int32_range(pivot):
     # the last positions of the largest int32 blocks, 1289^3 - 1 =

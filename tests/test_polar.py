@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from polarmap import QQ, DegenerateRestrictionError, LinearFormProduct, Polynomial
+from polarmap import (QQ, DegenerateRestrictionError, InexactDivisionError,
+                      LinearFormProduct, Polynomial)
+from polarmap import polar
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import (
     RationalMap,
@@ -122,6 +124,81 @@ def test_moving_part_reconstructs_partials():
     for i in range(3):
         assert dec.base_divisor * dec.moving.components[i] == F.derivative(i)
     assert dec.base_divisor * dec.reduced == F
+
+
+def _reference_decomposition(F):
+    """moving_part's three fields by expanding and dividing over Q."""
+    base = Polynomial.constant(QQ, F.nvars, 1)
+    for i, m in enumerate(F.multiplicities):
+        base = base * F.form_polynomial(i) ** (m - 1)
+    f = F.expand()
+    moving = [f.derivative(k).exact_divide(base) for k in range(F.nvars)]
+    return base, RationalMap(moving), f.exact_divide(base)
+
+
+def _differential_arrangements():
+    rng = random.Random(1901)
+    for _ in range(40):
+        nvars = rng.randint(2, 5)
+        nforms = rng.randint(1, 6)
+        # a degree cap keeps the expanded reference small in five variables
+        cap = 12 if nvars <= 3 else 8
+        A = random_arrangement(rng, nvars, nforms, coeff_bound=7, max_mult=4)
+        while A.degree() > cap:
+            A = random_arrangement(rng, nvars, nforms, coeff_bound=7, max_mult=4)
+        yield A
+        if nvars >= 3 and nforms >= 2:
+            yield restrict_arrangement(A, rng.randrange(nforms))
+
+
+def test_moving_part_matches_the_expanded_division():
+    for A in _differential_arrangements():
+        base, moving, reduced = _reference_decomposition(A)
+        dec = moving_part(A)
+        assert dec.base_divisor == base, A
+        assert dec.moving == moving, A
+        assert dec.reduced == reduced, A
+        assert base_divisor_factored(A) == base, A
+
+
+def test_factored_moving_part_neither_expands_nor_divides(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factored input took the polynomial route")
+
+    monkeypatch.setattr(Polynomial, "exact_divide", refuse)
+    monkeypatch.setattr(LinearFormProduct, "expand", refuse)
+    monkeypatch.setattr(polar, "polar_system", refuse)
+    dec = moving_part(parse_arrangement("(x0+x1)^2*(x1-2*x2)*x2^3"))
+    assert dec.base_divisor == parse_polynomial("(x0+x1)*x2^2")
+
+
+def test_moving_part_raises_on_a_corrupted_product(monkeypatch):
+    # positive coefficients throughout, so adding 1 never cancels a term,
+    # and no form is a monomial, so no corruption is a mere rescaling
+    A = parse_arrangement("(x0+x1)^2*(x1+2*x2)*(x0+x1+x2)^3*(x0+3*x2)")
+    real = polar._int_product
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(polar, "_int_product", counting)
+    moving_part(A)
+    assert len(calls) > 10
+    for bad in range(len(calls)):
+        seen = []
+
+        def corrupting(a, b, bad=bad, seen=seen):
+            out = real(a, b)
+            if len(seen) == bad:
+                out[max(out)] += 1
+            seen.append(None)
+            return out
+
+        monkeypatch.setattr(polar, "_int_product", corrupting)
+        with pytest.raises(InexactDivisionError):
+            moving_part(A)
 
 
 def test_reduced_part():

@@ -16,6 +16,7 @@ from polarmap import (
     gcd,
     restrict_to_hyperplane,
 )
+from polarmap.arrangement import integer_rank
 from gens import random_poly, random_fraction_poly
 
 
@@ -333,6 +334,38 @@ def test_arrangement_merge_and_expand():
     assert A.rank() == 2
     assert A.r == 1
     assert A.n == 2
+
+
+def _integer_matrices(rng):
+    """Integer matrices of every shape the elimination has to get right."""
+    for rows, cols in [(1, 1), (1, 5), (5, 1), (3, 7), (7, 3), (6, 6)]:
+        for bound in (3, 10 ** 9):
+            yield [[rng.randint(-bound, bound) for _ in range(cols)]
+                   for _ in range(rows)]
+            # rank-deficient: a product through k < min(rows, cols)
+            for k in range(min(rows, cols)):
+                left = [[rng.randint(-bound, bound) for _ in range(k)]
+                        for _ in range(rows)]
+                right = [[rng.randint(-bound, bound) for _ in range(cols)]
+                         for _ in range(k)]
+                yield [[sum(a * b for a, b in zip(row, col))
+                        for col in zip(*right)] or [0] * cols for row in left]
+            # repeated rows and zero columns
+            matrix = [[rng.randint(-bound, bound) for _ in range(cols)]
+                      for _ in range(rows)]
+            yield matrix + [list(matrix[0]), [-x for x in matrix[-1]]]
+            yield [[0 if c % 2 else x for c, x in enumerate(row)]
+                   for row in matrix]
+    yield []
+
+
+def test_integer_rank_matches_exact_rank():
+    ranks = set()
+    for matrix in _integer_matrices(random.Random(1902)):
+        rank = integer_rank(matrix)
+        assert rank == exact_rank(matrix, QQ), matrix
+        ranks.add(rank)
+    assert ranks == set(range(7))
 
 
 def test_arrangement_validation():
