@@ -8,31 +8,26 @@ nonzero entry positive) so projective equality is plain tuple equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as int_gcd
+import math
 
 from .fields import QQ
 from .poly import Polynomial
 
 
 def canonical_row(coeffs):
-    """Primitive integer vector spanning the same line, first nonzero entry > 0."""
-    fractions = [Fraction(c) for c in coeffs]
-    if all(c == 0 for c in fractions):
+    """Primitive integer vector spanning the same line, first nonzero entry > 0.
+
+    The coefficients are ints or Fractions: both have a numerator and a
+    denominator.
+    """
+    if not any(coeffs):
         raise ValueError("linear form is identically zero")
-    denom_lcm = 1
-    for c in fractions:
-        d = c.denominator
-        denom_lcm = denom_lcm * d // int_gcd(denom_lcm, d)
-    ints = [int(c * denom_lcm) for c in fractions]
-    content = 0
-    for x in ints:
-        content = int_gcd(content, x)
-    ints = [x // content for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (denom_lcm // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        content = -content
+    return tuple(x // content for x in ints)
 
 
 def integer_rank(rows):

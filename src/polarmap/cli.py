@@ -17,9 +17,11 @@ from itertools import combinations, product
 from .arrangement import LinearFormProduct, canonical_row
 from .errors import (InconsistencyError, ParseError, ReductionError,
                      ResourceBoundError)
+from .fields import QQ
 from .oracle import DEFAULT_PRIMES, SAMPLED_MAX_TARGETS, scan_primes
 from .parsing import parse_arrangement, parse_polynomial
 from .polar import moving_part, polar_system
+from .poly import exact_rank
 from .verdict import build_report, full_verdict, structural_verdict
 
 EXIT_OK = 0
@@ -54,8 +56,9 @@ def _build_parser():
                        f"in sampled mode, at most {SAMPLED_MAX_TARGETS}")
         p.add_argument("--seed", type=int, default=0,
                        help="RNG seed in sampled mode")
-        p.add_argument("--workers", type=int, default=1, help="scan worker "
-                       "processes, at least 1, at most one per CPU (default 1)")
+        p.add_argument("--workers", type=int, default=1, help="worker "
+                       "processes of a sampled scan, at least 1, at most one "
+                       "per CPU (default 1)")
         p.add_argument("--json", dest="json_path", metavar="PATH",
                        help="write the JSON report here; stdout then keeps "
                             "a one-line summary")
@@ -205,9 +208,15 @@ def cmd_classify(args):
             raise InconsistencyError(
                 f"census disagreement at p={scan.p} on {F}: structural "
                 f"{structural}, oracle {scan.homaloidal}")
+        # Gauss-Jordan over Q, not the Bareiss rank structural_verdict uses
+        independent = F.r == F.n and exact_rank(F.forms, QQ) == nvars
+        if independent != structural:
+            raise InconsistencyError(
+                f"census disagreement on {F}: structural {structural}, "
+                f"rank over Q {independent}")
         count += 1
         homaloidal_count += structural
-        full_rank_count += F.rank() == nvars and F.r == F.n
+        full_rank_count += independent
     primes = _primes(args)
     coeffs = ",".join(str(c) for c in coefficients)
     listed = ",".join(str(p) for p in primes)

@@ -21,12 +21,11 @@ the fiber array.  It recurses on the pivot: rows with y_0 != 0 get their
 index from one Horner pass over the ratios y_j / y_0, and only the ~1/p
 rows with y_0 = 0 go on to columns 1..n, as points of P^(n-1) after the
 p^n of pivot 0.
-Exhaustive mode counts the fiber of every image point in a dense int32
-array indexed by it, one per process that keys: a task evaluates its
+Exhaustive mode counts the fiber of every image point in one dense int32
+array indexed by it, in the scan's own process: a task evaluates its
 g_{j,k} once, then expands, keys and counts tiles of at most 2^16 points,
-cache-sized, into the scan's own array in-process or into a pool
-worker's shared mapping, which the scan sums slice by slice before it
-reads the degree off the fiber-size histogram.
+cache-sized, into that array, and the scan reads the degree off the
+fiber-size histogram, taken a slice at a time.
 Sampled mode picks seeded random targets, then counts their preimages in
 one pass over the domain.  Per task it first computes only the head,
 w <= 3 components chosen once per scan with the lowest powers of x_n
@@ -63,7 +62,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import mmap
 import multiprocessing
 import os
 import random
@@ -78,13 +76,12 @@ from .fields import PrimeField
 from .polar import moving_part
 from .poly import exact_rank
 
-# exhaustive mode holds one int32 fiber count per domain point in each
-# process that counts (in-process, the quadric in P^3 at p=577, 1.92e8
-# points, peaks at 772 MiB, 4.2 bytes/pt), and a pool has at most
-# 2 * DEFAULT_MAX_DOMAIN // domain workers (_run_tasks); sampled mode
-# streams in constant memory and can afford more, but first draws its
-# targets as Python ints.  Scans read these bounds when they start, and
-# both refuse 2^31 points whatever the bound (_check_domain).
+# exhaustive mode holds one int32 fiber count per domain point, in the
+# scan's own process (the quadric in P^3 at p=577, 1.92e8 points, peaks
+# at 772 MiB, 4.2 bytes/pt); sampled mode streams in constant memory and
+# can afford more, but first draws its targets as Python ints.  Scans
+# read these bounds when they start, and both refuse 2^31 points whatever
+# the bound (_check_domain).
 DEFAULT_MAX_DOMAIN = 200_000_000
 SAMPLED_MAX_DOMAIN = 2_000_000_000
 SAMPLED_MAX_TARGETS = 1 << 16
@@ -457,21 +454,17 @@ def _expand_images(values, powers, t, p):
     return images.reshape(len(powers), -1).T
 
 
-def _exhaustive_chunk(args, fibers=None):
-    """Key one task's points and count them into its process's fibers.
+def _exhaustive_chunk(args, fibers):
+    """Key one task's points and count them into the scan's fibers.
 
     The g_{j,k} are evaluated once for all the task's prefixes; expansion,
     keys and counting then run on tiles of max(1, _REDUCE_BLOCK // p)
     prefixes, so every int32 column of a tile, at most _REDUCE_BLOCK
     points, stays in cache.  The task that ends the prefix range keys and
-    counts e_n on its own.  fibers is the scan's own array in-process; a
-    pool worker counts into the mapping it claims on its first task
-    (_claim_fibers).  Returns the task's base count, an 8-byte int64: all
-    a pool worker sends back.
+    counts e_n on its own.  fibers is the scan's int32 array of the
+    domain.  Returns the task's base count, an int64.
     """
     split, n, p, lo, hi = args
-    if fibers is None:
-        fibers = _claim_fibers()
     prefixes, last = _block_grid(n, p, lo, hi)
     prefix_tables, powers = split
     values = _evaluate_images(prefix_tables, prefixes, p)
@@ -641,98 +634,15 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-# a pool worker's share of an exhaustive scan: the scan's (mappings, claim
-# counter), given by _share_fibers, and the array of the mapping it claimed
-_pool_mappings = None
-_worker_fibers = None
-
-
-def _share_fibers(mappings, claimed):
-    """Pool initializer: the shared mappings a worker may claim."""
-    global _pool_mappings, _worker_fibers
-    _pool_mappings, _worker_fibers = (mappings, claimed), None
-
-
-def _claim_fibers():
-    """This worker's fiber array: on its first task, the next unclaimed
-    mapping, its number drawn under the counter's lock."""
-    global _worker_fibers
-    if _worker_fibers is None:
-        mappings, claimed = _pool_mappings
-        with claimed.get_lock():
-            slot = claimed.value
-            claimed.value += 1
-        _worker_fibers = np.frombuffer(mappings[slot], dtype=np.int32)
-    return _worker_fibers
-
-
-class _FiberCounts:
-    """The fiber counts of one exhaustive scan, kept where they are made.
-
-    _run_tasks decides which processes count.  In-process the scan counts
-    into one int32 array of its own (local).  A pool gets one anonymous
-    shared int32 mapping of domain size per worker (share), made before
-    the pool forks its workers; each worker claims one on its first task.
-    slices() sums the arrays counted into, a _CHUNK slice at a time, and
-    frees each shared slice once it is read, so the parent of a pool never
-    holds a domain-sized array.
-    """
-
-    def __init__(self, domain):
-        self.domain = domain
-        self._local = None
-        self._mappings = []
-        self._claimed = None
-
-    def local(self):
-        """The scan's own array, for counting in-process."""
-        self._local = np.zeros(self.domain, dtype=np.int32)
-        return self._local
-
-    def share(self, workers, context):
-        """(mappings, claim counter), the initializer arguments of a pool
-        of `workers` processes forked from `context`."""
-        self._mappings = [mmap.mmap(-1, 4 * self.domain)
-                          for _ in range(workers)]
-        self._claimed = context.Value("i", 0)
-        return self._mappings, self._claimed
-
-    def slices(self):
-        """The fiber count of every domain point, a slice at a time: _CHUNK
-        points rounded up to whole pages, as madvise takes page offsets."""
-        step = -(-4 * _CHUNK // mmap.PAGESIZE) * mmap.PAGESIZE // 4
-        if self._local is not None:
-            claimed, arrays = [], [self._local]
-        else:
-            claimed = self._mappings[:self._claimed.value]
-            arrays = [np.frombuffer(m, dtype=np.int32) for m in claimed]
-            # MADV_REMOVE (Linux) frees a shared page's memory; MADV_DONTNEED
-            # only unmaps it from this process and keeps its data
-            release = getattr(mmap, "MADV_REMOVE", mmap.MADV_DONTNEED)
-        for lo in range(0, self.domain, step):
-            # summed into the first claimed slice, which is freed next
-            total, *rest = [a[lo:lo + step] for a in arrays]
-            for part in rest:
-                total += part
-            yield total
-            for m in claimed:
-                m.madvise(release, 4 * lo, 4 * len(total))
-
-
-def _run_tasks(fn, tables, n, p, workers, *extra, counts=None):
+def _run_tasks(fn, split, n, p, workers, *extra):
     """fn((split, n, p, lo, hi, *extra)) for every task, in order.
 
-    The one decision on processes: in-process for a domain of one chunk (a
-    pool costs more than such a scan), else at most one per task (a fork
-    pool starts all its processes at the first submit) and one per CPU the
-    process may run on.  An exhaustive scan passes its _FiberCounts as
-    counts: each process that counts holds a fiber array of the domain, so
-    it gets at most 2 * DEFAULT_MAX_DOMAIN // domain of them (at least 1),
-    two domain arrays at the bound.  fn then counts into its process's
-    array: in-process the scan's own (fibers=), in a pool the mapping its
-    worker claims.
+    split is the caller's _split_tables of its component tables.  The one
+    decision on processes: in-process for a domain of one chunk (a pool
+    costs more than such a scan), else at most one per task (a fork pool
+    starts all its processes at the first submit) and one per CPU the
+    process may run on.  Exhaustive scans always pass workers=1.
     """
-    split = _split_tables(tables, n)
     args_list = [(split, n, p, lo, hi, *extra)
                  for lo, hi in _block_tasks(n, p)]
     if projective_size(n, p) <= _CHUNK:
@@ -740,20 +650,13 @@ def _run_tasks(fn, tables, n, p, workers, *extra, counts=None):
     workers = min(workers, len(args_list))
     if workers > 1:
         workers = min(workers, _usable_cpus())
-    if counts is not None:
-        workers = min(workers, max(1, 2 * DEFAULT_MAX_DOMAIN // counts.domain))
     if workers <= 1:
-        if counts is not None:
-            fn = functools.partial(fn, fibers=counts.local())
         yield from map(fn, args_list)
         return
-    # fork: the workers inherit the shared mappings, which cannot be pickled
+    # fork: a worker starts as a copy of this process, without importing
+    # numpy and the package again
     context = multiprocessing.get_context("fork")
-    shared = {} if counts is None else {
-        "initializer": _share_fibers,
-        "initargs": counts.share(workers, context)}
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                             **shared) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         yield from pool.map(fn, args_list, chunksize=1)
 
 
@@ -801,25 +704,26 @@ def scan_exhaustive(rational_map, p, workers=1):
     homaloidal: dominant, degree estimate 1, and at least 90% of non-base
     domain points sit in size-1 fibers.  Domain bound: DEFAULT_MAX_DOMAIN.
 
-    Each process that keys points counts them (_exhaustive_chunk, a
-    cache-sized tile at a time): in-process into one int32 array of the
-    domain, in a pool into one shared mapping per worker, which the scan
-    sums and frees a slice at a time, so its own process holds no array
-    of the domain and a worker sends back only its base count
-    (_FiberCounts).  The histogram is that of the summed counts either way.
+    The scan counts in its own process whatever workers says (it is
+    checked, then unused): every task counts into one int32 array of the
+    domain (_exhaustive_chunk, a cache-sized tile at a time), and the
+    histogram is taken a _CHUNK slice at a time.  A pool would hold one
+    array per worker and sum them in this process, which cost what the
+    second worker saved on scans of about 1e7 points.
     """
     n = rational_map.n
     # building the tables refuses a composite or too large p first
     tables = _component_tables(rational_map, p)
     domain = _check_domain(n, p, DEFAULT_MAX_DOMAIN)
     _check_workers(workers)
-    counts = _FiberCounts(domain)
-    base_points = int(sum(_run_tasks(_exhaustive_chunk, tables, n, p, workers,
-                                     counts=counts)))
+    fibers = np.zeros(domain, dtype=np.int32)
+    base_points = int(sum(_run_tasks(
+        functools.partial(_exhaustive_chunk, fibers=fibers),
+        _split_tables(tables, n), n, p, workers=1)))
     tally = collections.Counter()
-    for fibers in counts.slices():
+    for lo in range(0, domain, _CHUNK):
         # slice by slice: a whole-array unique or bincount would copy it
-        sizes, points = np.unique(fibers, return_counts=True)
+        sizes, points = np.unique(fibers[lo:lo + _CHUNK], return_counts=True)
         tally.update(dict(zip(sizes.tolist(), points.tolist())))
     del tally[0]
     histogram = dict(sorted(tally.items()))
@@ -912,9 +816,9 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     per_target, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
     target_index, target_of = np.unique(per_target, return_inverse=True)
-    columns = _head_columns(_split_tables(tables, n)[1], p)
-    table = _ratio_table(image_rows, columns, p)
-    parts = list(_run_tasks(_sampled_chunk, tables, n, p, workers,
+    split = _split_tables(tables, n)
+    table = _ratio_table(image_rows, _head_columns(split[1], p), p)
+    parts = list(_run_tasks(_sampled_chunk, split, n, p, workers,
                             target_index, table))
     fiber_counts = sum(counts for counts, _ in parts)
     base_points = sum(base for _, base in parts)

@@ -167,15 +167,12 @@ def test_chunks_smaller_than_p_give_the_same_scans(monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process
-    as one worker (its initializer, then every task)."""
+    """Stands in for ProcessPoolExecutor: records its size, runs every task
+    in-process."""
     sizes = []
 
-    def __init__(self, max_workers, mp_context=None, initializer=None,
-                 initargs=()):
+    def __init__(self, max_workers, mp_context=None):
         RecordingPool.sizes.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -188,18 +185,16 @@ class RecordingPool:
 
 
 def pool_sizes(monkeypatch, workers, cpus, cpu_count=10 ** 9):
-    """Pool sizes of one exhaustive and one sampled scan of 12 tasks, when
-    the process may run on `cpus` of the machine's `cpu_count` CPUs (None:
-    the platform has no affinity mask)."""
+    """Pool sizes started by one exhaustive and one sampled scan of 12
+    tasks, when the process may run on `cpus` of the machine's `cpu_count`
+    CPUs (None: the platform has no affinity mask).  The exhaustive scan
+    counts in-process, so only the sampled one can start a pool."""
     pm = polar_of("x0*x1*x2")
     p = 11
     reports = (scan_exhaustive(pm, p, workers=1),
                scan_sampled(pm, p, targets=8, seed=3, workers=1))
     monkeypatch.setattr(oracle, "_CHUNK", 16)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
-    # the in-process worker's claimed fibers go when the test ends
-    monkeypatch.setattr(oracle, "_pool_mappings", None)
-    monkeypatch.setattr(oracle, "_worker_fibers", None)
     if cpus is None:
         monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
     else:
@@ -217,34 +212,24 @@ def pool_sizes(monkeypatch, workers, cpus, cpu_count=10 ** 9):
 @pytest.mark.parametrize("workers", [2, 3, 64, 10 ** 6])
 def test_pool_never_exceeds_the_task_count(monkeypatch, workers):
     tasks = 12
-    assert pool_sizes(monkeypatch, workers, 10 ** 9) == [min(workers, tasks)] * 2
+    assert pool_sizes(monkeypatch, workers, 10 ** 9) == [min(workers, tasks)]
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 10 ** 6])
 def test_pool_never_exceeds_the_cpu_count(monkeypatch, workers):
     # 2 workers stay 2; past 3 CPUs the pool stays at 3, below the 12 tasks
-    assert pool_sizes(monkeypatch, workers, 3) == [min(workers, 12, 3)] * 2
+    assert pool_sizes(monkeypatch, workers, 3) == [min(workers, 12, 3)]
 
 
 @pytest.mark.parametrize("workers", [2, 64])
 def test_pool_counts_only_the_cpus_the_process_may_run_on(monkeypatch, workers):
     # pinned to one of 64 CPUs (taskset -c 0): the scans run in-process
     assert pool_sizes(monkeypatch, workers, 1, cpu_count=64) == []
-    assert pool_sizes(monkeypatch, workers, 2, cpu_count=64) == [2, 2]
+    assert pool_sizes(monkeypatch, workers, 2, cpu_count=64) == [2]
 
 
 def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
-    assert pool_sizes(monkeypatch, 4, None, cpu_count=3) == [3, 3]
-
-
-@pytest.mark.parametrize("bound, cap", [(133, 2), (199, 2), (200, 3),
-                                        (266, 4), (10 ** 9, 12)])
-def test_exhaustive_pool_holds_at_most_two_domain_arrays(monkeypatch, bound,
-                                                         cap):
-    # each exhaustive worker counts into a fiber array of the 133 points:
-    # at most 2 * bound // 133 of them; the sampled scan keeps all 12
-    monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", bound)
-    assert pool_sizes(monkeypatch, 64, 10 ** 9) == [cap, 12]
+    assert pool_sizes(monkeypatch, 4, None, cpu_count=3) == [3]
 
 
 def test_one_worker_never_asks_for_the_affinity(monkeypatch):

@@ -167,6 +167,16 @@ def test_classify_counts_match_rank(capsys, tmp_path):
     assert summary["disagreements"] == 0
 
 
+def test_classify_exits_3_when_the_rank_over_q_disagrees(capsys, monkeypatch):
+    # the independent count is a second route to the structural verdict:
+    # a rank that disagrees with it stops the census
+    from polarmap import cli
+    monkeypatch.setattr(cli, "exact_rank", lambda rows, field: 0)
+    code, out, err = run(capsys, "classify", "--n", "1", "--r", "1")
+    assert code == 3
+    assert "rank over Q False" in err and "arrangements:" not in out
+
+
 def test_classify_deduplicates_coefficients(capsys, tmp_path):
     path = tmp_path / "census.json"
     code, out, _ = run(capsys, "classify", "--n", "1", "--r", "1",

@@ -1,8 +1,8 @@
 """Exhaustive fiber counting: the dense projective index against the
 unique-and-merge counter it replaced, the index against the reference
 point, index bijectivity, the index as the enumeration position, int32
-bounds, cache tiles, counting inside pool workers and in-process scans of
-small domains."""
+bounds, cache tiles, and counting in the scan's own process whatever the
+worker count."""
 
 import random
 import tracemalloc
@@ -51,17 +51,18 @@ def reference_counts(rational_map, p):
     return histogram, base_points, len(final_keys)
 
 
-class CountingPool(oracle.ProcessPoolExecutor):
-    built = 0
-
-    def __init__(self, *args, **kwargs):
-        CountingPool.built += 1
-        super().__init__(*args, **kwargs)
-
-
 class RefusedPool:
     def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was started for a one-chunk scan")
+        raise AssertionError("a process pool was started")
+
+
+def without_a_pool(monkeypatch, chunk):
+    """Give exhaustive scans tasks of about `chunk` points and 64 CPUs to
+    run them on; a pool started all the same raises (RefusedPool)."""
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: range(64),
+                        raising=False)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RefusedPool)
 
 
 DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
@@ -84,45 +85,35 @@ def test_dense_counter_matches_the_merge_counter(monkeypatch, name, workers):
     build, p = CASES[name]
     rational_map = build()
     histogram, base, image = reference_counts(rational_map, p)
+    serial = None
     if workers == 2:
-        # every case fits in one default chunk and would run in-process;
-        # smaller chunks send it through the pool and the slice loop
-        domain = projective_size(rational_map.n, p)
-        monkeypatch.setattr(oracle, "_CHUNK", max(16, domain // 6))
-        CountingPool.built = 0
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+        # every case fits in one default chunk; smaller chunks give it
+        # several tasks and histogram slices, all in this process
+        serial = scan_exhaustive(rational_map, p, workers=1)
+        without_a_pool(monkeypatch,
+                       max(16, projective_size(rational_map.n, p) // 6))
     rep = scan_exhaustive(rational_map, p, workers=workers)
     assert list(rep.fiber_histogram.items()) == list(histogram.items())
     assert rep.base_points == base
     assert rep.image_size == image
-    if workers == 2:
-        # P^1 is one prefix, e_1 and one task: in-process
-        assert CountingPool.built == (rational_map.n > 1)
-
-
-def through_the_pool(monkeypatch, chunk):
-    """Send exhaustive scans of tasks of about `chunk` points through a real
-    two-worker pool, whatever CPUs the machine has; CountingPool.built
-    counts the pools started."""
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: range(2),
-                        raising=False)
-    CountingPool.built = 0
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
+    assert serial is None or rep == serial
 
 
 @pytest.mark.parametrize("parts", [3, 7, 20])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_pooled_scans_equal_in_process_ones(monkeypatch, name, parts):
-    # the workers count into shared mappings, merged slice by slice
+    # asked for a pool, an exhaustive scan still counts every task into its
+    # own array, in its own process
     build, p = CASES[name]
     rational_map = build()
     serial = scan_exhaustive(rational_map, p, workers=1)
-    through_the_pool(monkeypatch,
-                     max(16, projective_size(rational_map.n, p) // parts))
-    assert scan_exhaustive(rational_map, p, workers=2) == serial
-    # P^1 is one prefix, e_1 and one task: in-process
-    assert CountingPool.built == (rational_map.n > 1)
+    without_a_pool(monkeypatch,
+                   max(16, projective_size(rational_map.n, p) // parts))
+    # P^1 is one prefix, e_1 and one task
+    tasks = len(oracle._block_tasks(rational_map.n, p))
+    assert (tasks > 1) == (rational_map.n > 1)
+    for workers in (2, 64):
+        assert scan_exhaustive(rational_map, p, workers=workers) == serial
 
 
 @pytest.mark.parametrize("block", [31, 7 * 31 + 3, 1 << 16])
@@ -423,9 +414,8 @@ def test_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
 
 
 @pytest.mark.parametrize("bad_index", [-2, projective_size(3, 13)])
-def test_pool_worker_raises_on_a_key_without_index(monkeypatch, bad_index):
-    # the range check runs where the keys are made: in a pool worker, forked
-    # after the patch, with the message of the in-process scan
+def test_multi_task_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
+    # the range check runs in every task, with the message of a one-task scan
     real = oracle._normalized_keys
 
     def corrupted(images, p):
@@ -435,32 +425,35 @@ def test_pool_worker_raises_on_a_key_without_index(monkeypatch, bad_index):
 
     pm = polar_of("x0^2 + x1^2 + x2^2 + x3^2")
     monkeypatch.setattr(oracle, "_normalized_keys", corrupted)
-    with pytest.raises(InconsistencyError) as serial:
+    assert len(oracle._block_tasks(3, 13)) == 1
+    with pytest.raises(InconsistencyError) as one_task:
         scan_exhaustive(pm, 13, workers=1)
-    through_the_pool(monkeypatch, 13 ** 2)
-    with pytest.raises(InconsistencyError) as pooled:
+    without_a_pool(monkeypatch, 13 ** 2)
+    assert len(oracle._block_tasks(3, 13)) > 1
+    with pytest.raises(InconsistencyError) as tasks:
         scan_exhaustive(pm, 13, workers=2)
-    assert str(pooled.value) == str(serial.value)
-    assert CountingPool.built == 1
+    assert str(tasks.value) == str(one_task.value)
 
 
-def test_pool_parent_allocates_no_domain_array(monkeypatch):
-    # tracemalloc sees numpy's allocations but not the shared mappings: the
-    # parent merges the workers' counts in slices and never allocates the
-    # 4-byte-per-point array an in-process scan counts into
+def test_scan_allocates_one_domain_array(monkeypatch):
+    # tracemalloc sees numpy's allocations: the 4-byte-per-point fiber
+    # array, and besides it only the buffers of a task, a tile and a
+    # histogram slice, each far below a second array of the domain
     pm = polar_of("x0^2 + x1^2 + x2^2 + x3^2")
-    domain = projective_size(3, 101)
-    serial = scan_exhaustive(pm, 101, workers=1)
-    through_the_pool(monkeypatch, 1 << 16)
+    p, chunk = 131, 1 << 14
+    domain = projective_size(3, p)
+    serial = scan_exhaustive(pm, p, workers=1)
+    without_a_pool(monkeypatch, chunk)
     tracemalloc.start()
     try:
-        pooled = scan_exhaustive(pm, 101, workers=2)
+        rep = scan_exhaustive(pm, p, workers=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pooled == serial
-    assert CountingPool.built == 1
-    assert peak < 2 * domain
+    assert rep == serial
+    # about 60 bytes per chunk point here; a second array adds 4 per domain
+    # point, 550 per chunk point
+    assert 4 * domain <= peak < 4 * domain + 128 * chunk
 
 
 def test_int32_domain_refused_before_allocating(monkeypatch):

@@ -351,7 +351,8 @@ def test_bad_prime_raises_not_lies():
 
 
 def test_worker_merge_matches_serial(monkeypatch):
-    # a one-chunk domain runs in-process; small chunks keep the pool in play
+    # a one-chunk domain runs in-process; small chunks keep the sampled
+    # pool in play, while exhaustive scans always count in-process
     monkeypatch.setattr(oracle, "_CHUNK", 16)
     pm = polar_of("x0*x1*x2")
     assert scan_exhaustive(pm, 11, workers=2) == scan_exhaustive(pm, 11, workers=1)

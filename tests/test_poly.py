@@ -318,6 +318,11 @@ def test_canonical_row():
     assert canonical_row([2, 0, 0]) == (1, 0, 0)
     assert canonical_row([-1, 2, 0]) == (1, -2, 0)
     assert canonical_row([Fraction(1, 2), Fraction(1, 3), 0]) == (3, 2, 0)
+    # ints far past 2^63 stay exact, alone and next to Fractions
+    big = 3 ** 80
+    assert canonical_row([-2 * big, 4 * big, 6 * big]) == (1, -2, -3)
+    assert canonical_row([0, big, big + 1]) == (0, big, big + 1)
+    assert canonical_row([Fraction(big, 7), -2 * big]) == (1, -14)
     with pytest.raises(ValueError):
         canonical_row([0, 0, 0])
 
