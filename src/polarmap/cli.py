@@ -56,9 +56,6 @@ def _build_parser():
                        f"in sampled mode, at most {SAMPLED_MAX_TARGETS}")
         p.add_argument("--seed", type=int, default=0,
                        help="RNG seed in sampled mode")
-        p.add_argument("--workers", type=int, default=1, help="worker "
-                       "processes of a sampled scan, at least 1, at most one "
-                       "per CPU (default 1)")
         p.add_argument("--json", dest="json_path", metavar="PATH",
                        help="write the JSON report here; stdout then keeps "
                             "a one-line summary")
@@ -98,14 +95,10 @@ def _nvars(args):
     return None if args.ambient is None else args.ambient + 1
 
 
-def _primes(args):
-    return tuple(dict.fromkeys(args.prime)) if args.prime else DEFAULT_PRIMES
-
-
 def _scan_args(args):
     """scan_primes keywords from the scan flags."""
-    return dict(primes=_primes(args), mode=args.mode, targets=args.targets,
-                seed=args.seed, workers=args.workers)
+    return dict(primes=args.prime or DEFAULT_PRIMES, mode=args.mode,
+                targets=args.targets, seed=args.seed)
 
 
 def _input_text(args):
@@ -200,10 +193,15 @@ def cmd_classify(args):
     nvars = args.census_n + 1
     rows = _census_rows(nvars, coefficients)
     count = homaloidal_count = full_rank_count = 0
+    scan_args = _scan_args(args)
+    # the primes scanned, each once, as scan_primes reports them
+    primes = scan_args["primes"]
     for chosen in combinations(rows, args.census_r + 1):
         F = LinearFormProduct(chosen, nvars=nvars)
         structural = structural_verdict(F)
-        scan = scan_primes(moving_part(F).moving, **_scan_args(args))[0]
+        reports = scan_primes(moving_part(F).moving, **scan_args)
+        primes = [r.p for r in reports]
+        scan = reports[0]
         if scan.homaloidal != structural:
             raise InconsistencyError(
                 f"census disagreement at p={scan.p} on {F}: structural "
@@ -217,7 +215,6 @@ def cmd_classify(args):
         count += 1
         homaloidal_count += structural
         full_rank_count += independent
-    primes = _primes(args)
     coeffs = ",".join(str(c) for c in coefficients)
     listed = ",".join(str(p) for p in primes)
     print(f"census n={args.census_n} r={args.census_r} "

@@ -5,13 +5,14 @@ normalized to 1 and numbered by the position of that pivot, then by its
 free digits, x_n lowest.  So every point but e_n = (0,..,0,1) is a prefix
 (x_0..x_{n-1}), a point of P^(n-1)(F_p), times a value t of x_n, and its
 index is the prefix's index times p plus t; e_n has the last index.  The
-scans push the domain through the map in tasks, each the grid of a range
-of consecutive prefixes, which may cross pivot blocks, times the p values
-of x_n: each component f_j = sum_k g_{j,k}(x_0..x_{n-1}) x_n^k is
-evaluated once per prefix as the coefficients g_{j,k}, then expanded over
-x_n by Horner's rule.  The task that ends the range takes e_n on its own,
-its image read off the g_{j,k}'s constant terms.  Random sample points
-have no such grid and are evaluated row by row.
+scans push the domain through the map in tasks, run one after the other
+in the calling process, each the grid of a range of consecutive
+prefixes, which may cross pivot blocks, times the p values of x_n: each
+component f_j = sum_k g_{j,k}(x_0..x_{n-1}) x_n^k is evaluated once per
+prefix as the coefficients g_{j,k}, then expanded over x_n by Horner's
+rule.  The task that ends the range takes e_n on its own, its image read
+off the g_{j,k}'s constant terms.  Random sample points have no such grid
+and are evaluated row by row.
 _normalized_keys turns each image row into its index in P^n(F_p) (pivot
 block, then the free digits with x_n lowest, from 0 to
 projective_size(n, p) - 1, and -1 for a base row); that index is the only
@@ -22,10 +23,10 @@ index from one Horner pass over the ratios y_j / y_0, and only the ~1/p
 rows with y_0 = 0 go on to columns 1..n, as points of P^(n-1) after the
 p^n of pivot 0.
 Exhaustive mode counts the fiber of every image point in one dense int32
-array indexed by it, in the scan's own process: a task evaluates its
-g_{j,k} once, then expands, keys and counts tiles of at most 2^16 points,
-cache-sized, into that array, and the scan reads the degree off the
-fiber-size histogram, taken a slice at a time.
+array indexed by it: a task evaluates its g_{j,k} once, then expands,
+keys and counts tiles of at most 2^16 points, cache-sized, into that
+array, and the scan reads the degree off the fiber-size histogram, taken
+a slice at a time.
 Sampled mode picks seeded random targets, then counts their preimages in
 one pass over the domain.  Per task it first computes only the head,
 w <= 3 components chosen once per scan with the lowest powers of x_n
@@ -62,10 +63,7 @@ from __future__ import annotations
 
 import collections
 import functools
-import multiprocessing
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +74,11 @@ from .fields import PrimeField
 from .polar import moving_part
 from .poly import exact_rank
 
-# exhaustive mode holds one int32 fiber count per domain point, in the
-# scan's own process (the quadric in P^3 at p=577, 1.92e8 points, peaks
-# at 772 MiB, 4.2 bytes/pt); sampled mode streams in constant memory and
-# can afford more, but first draws its targets as Python ints.  Scans
-# read these bounds when they start, and both refuse 2^31 points whatever
-# the bound (_check_domain).
+# exhaustive mode holds one int32 fiber count per domain point (the quadric
+# in P^3 at p=577, 1.92e8 points, peaks at 772 MiB, 4.2 bytes/pt); sampled
+# mode streams in constant memory and can afford more, but first draws its
+# targets as Python ints.  Scans read these bounds when they start, and
+# both refuse 2^31 points whatever the bound (_check_domain).
 DEFAULT_MAX_DOMAIN = 200_000_000
 SAMPLED_MAX_DOMAIN = 2_000_000_000
 SAMPLED_MAX_TARGETS = 1 << 16
@@ -496,7 +493,7 @@ def _exhaustive_chunk(args, fibers):
     return base
 
 
-# the most entries of a head table (1 MiB of bool, sent to every task)
+# the most entries of a head table (1 MiB of bool)
 _HEAD_TABLE_ENTRIES = 1 << 20
 
 
@@ -620,44 +617,17 @@ def _sampled_chunk(args):
     return counts, base
 
 
-def _check_workers(workers):
-    """Refuse fewer than 1 worker process."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-
-
-def _usable_cpus():
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (taskset, cgroup cpusets), else every CPU of the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_tasks(fn, split, n, p, workers, *extra):
+def _run_tasks(fn, split, n, p, *extra):
     """fn((split, n, p, lo, hi, *extra)) for every task, in order.
 
-    split is the caller's _split_tables of its component tables.  The one
-    decision on processes: in-process for a domain of one chunk (a pool
-    costs more than such a scan), else at most one per task (a fork pool
-    starts all its processes at the first submit) and one per CPU the
-    process may run on.  Exhaustive scans always pass workers=1.
+    split is the caller's _split_tables of its component tables.  Every
+    task runs in the calling process, one after the other.  A fork pool
+    was faster only on sampled scans of a few tasks, 47% slower near
+    SAMPLED_MAX_DOMAIN (each task's arguments pickled the head table), and
+    added about 25 MiB of peak RSS at every size.
     """
-    args_list = [(split, n, p, lo, hi, *extra)
-                 for lo, hi in _block_tasks(n, p)]
-    if projective_size(n, p) <= _CHUNK:
-        workers = 1
-    workers = min(workers, len(args_list))
-    if workers > 1:
-        workers = min(workers, _usable_cpus())
-    if workers <= 1:
-        yield from map(fn, args_list)
-        return
-    # fork: a worker starts as a copy of this process, without importing
-    # numpy and the package again
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        yield from pool.map(fn, args_list, chunksize=1)
+    for lo, hi in _block_tasks(n, p):
+        yield fn((split, n, p, lo, hi, *extra))
 
 
 def _check_domain(n, p, bound=None):
@@ -704,22 +674,19 @@ def scan_exhaustive(rational_map, p, workers=1):
     homaloidal: dominant, degree estimate 1, and at least 90% of non-base
     domain points sit in size-1 fibers.  Domain bound: DEFAULT_MAX_DOMAIN.
 
-    The scan counts in its own process whatever workers says (it is
-    checked, then unused): every task counts into one int32 array of the
-    domain (_exhaustive_chunk, a cache-sized tile at a time), and the
-    histogram is taken a _CHUNK slice at a time.  A pool would hold one
-    array per worker and sum them in this process, which cost what the
-    second worker saved on scans of about 1e7 points.
+    Every task counts, in this process, into one int32 array of the domain
+    (_exhaustive_chunk, a cache-sized tile at a time), and the histogram
+    is taken a _CHUNK slice at a time.  workers is accepted and ignored,
+    until the benchmark stops passing it (ROADMAP item 7).
     """
     n = rational_map.n
     # building the tables refuses a composite or too large p first
     tables = _component_tables(rational_map, p)
     domain = _check_domain(n, p, DEFAULT_MAX_DOMAIN)
-    _check_workers(workers)
     fibers = np.zeros(domain, dtype=np.int32)
     base_points = int(sum(_run_tasks(
         functools.partial(_exhaustive_chunk, fibers=fibers),
-        _split_tables(tables, n), n, p, workers=1)))
+        _split_tables(tables, n), n, p)))
     tally = collections.Counter()
     for lo in range(0, domain, _CHUNK):
         # slice by slice: a whole-array unique or bincount would copy it
@@ -804,6 +771,10 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     from every target's in those bits, hence from every target; the rows
     it keeps are compared in full, so two targets with the same low bits,
     and a row that shares a target's low bits only, count as before.
+
+    The tasks run one after the other in this process (_run_tasks).
+    workers is accepted and ignored, until the benchmark stops passing it
+    (ROADMAP item 7).
     """
     n = rational_map.n
     tables = _component_tables(rational_map, p)
@@ -812,14 +783,12 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
         raise ValueError(f"need at least n+2 = {n + 2} targets for the span test")
     if targets > SAMPLED_MAX_TARGETS:
         raise ResourceBoundError(f"more than {SAMPLED_MAX_TARGETS} targets")
-    _check_workers(workers)
     per_target, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
     target_index, target_of = np.unique(per_target, return_inverse=True)
     split = _split_tables(tables, n)
     table = _ratio_table(image_rows, _head_columns(split[1], p), p)
-    parts = list(_run_tasks(_sampled_chunk, split, n, p, workers,
-                            target_index, table))
+    parts = list(_run_tasks(_sampled_chunk, split, n, p, target_index, table))
     fiber_counts = sum(counts for counts, _ in parts)
     base_points = sum(base for _, base in parts)
     if not fiber_counts.all():
@@ -842,11 +811,12 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
 
 
 def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
-                targets=64, seed=0, workers=1):
-    """One scan per prime in the given mode; the verdicts must agree.
+                targets=64, seed=0):
+    """One scan per distinct prime in the given mode; the verdicts must agree.
 
     mode "exhaustive" runs scan_exhaustive, "sample" scan_sampled with
-    targets and seed; the DegreeReports come back in the order of primes.
+    targets and seed; the DegreeReports come back in the order of primes,
+    a repeated prime scanned and reported once.
     dominant and homaloidal must match at every prime.  degree is compared
     only when it is below p-1 at every prime, i.e. a generic fiber size:
     larger values are _degree_estimate's fallback, which for a non-dominant
@@ -855,13 +825,12 @@ def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
     if not primes:
         raise ValueError("need at least one prime")
     if mode == "exhaustive":
-        scan = functools.partial(scan_exhaustive, workers=workers)
+        scan = scan_exhaustive
     elif mode == "sample":
-        scan = functools.partial(scan_sampled, targets=targets, seed=seed,
-                                 workers=workers)
+        scan = functools.partial(scan_sampled, targets=targets, seed=seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    reports = [scan(rational_map, p) for p in primes]
+    reports = [scan(rational_map, p) for p in dict.fromkeys(primes)]
     first = reports[0]
     compare_degree = all(r.degree < r.p - 1 for r in reports)
     for r in reports[1:]:
@@ -904,6 +873,9 @@ def check_contraction(F, i, p, samples=100, seed=0):
         raise TypeError("check_contraction takes a LinearFormProduct")
     if not 0 <= i <= F.r:
         raise IndexError(f"form index {i} out of range")
+    if samples < 1:
+        # no point checked is no evidence of a contraction
+        raise ValueError(f"need at least one sample, got {samples}")
     tables = _component_tables(moving_part(F).moving, p)
     forms = np.array([[int(c) % p for c in form] for form in F.forms],
                      dtype=np.int64)

@@ -202,7 +202,7 @@ def full_verdict(F, input_text=None, **scan):
     Routes: structural_verdict, inductive_certificate, and the oracle's
     homaloidal flag on the moving part of F and, when F has a repeated
     form, of its reduction (scan_primes, given the keywords primes, mode,
-    targets, seed and workers, requires the primes to agree).  A homaloidal
+    targets and seed, requires the primes to agree).  A homaloidal
     F also gets the restriction cross-check (its first descent restriction
     must itself be structurally homaloidal).  Any mismatch raises
     InconsistencyError: a bug or a bad prime may not pass silently.

@@ -1,6 +1,6 @@
 """Block-structured scan evaluation: the prefix-then-Horner evaluator
-against the per-row evaluator it replaced in the scans, chunk tiling, and
-the pool size cap."""
+against the per-row evaluator it replaced in the scans, and chunk
+tiling."""
 
 import numpy as np
 import pytest
@@ -159,85 +159,8 @@ def test_a_census_scan_is_one_task():
 def test_chunks_smaller_than_p_give_the_same_scans(monkeypatch):
     # every task then holds p points, more than _CHUNK
     pm = polar_of("x0*x1*x2")
-    reports = (scan_exhaustive(pm, 11, workers=1),
-               scan_sampled(pm, 11, targets=8, seed=3, workers=1))
+    reports = (scan_exhaustive(pm, 11),
+               scan_sampled(pm, 11, targets=8, seed=3))
     monkeypatch.setattr(oracle, "_CHUNK", 4)
-    assert scan_exhaustive(pm, 11, workers=1) == reports[0]
-    assert scan_sampled(pm, 11, targets=8, seed=3, workers=1) == reports[1]
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs every task
-    in-process."""
-    sizes = []
-
-    def __init__(self, max_workers, mp_context=None):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
-
-
-def pool_sizes(monkeypatch, workers, cpus, cpu_count=10 ** 9):
-    """Pool sizes started by one exhaustive and one sampled scan of 12
-    tasks, when the process may run on `cpus` of the machine's `cpu_count`
-    CPUs (None: the platform has no affinity mask).  The exhaustive scan
-    counts in-process, so only the sampled one can start a pool."""
-    pm = polar_of("x0*x1*x2")
-    p = 11
-    reports = (scan_exhaustive(pm, p, workers=1),
-               scan_sampled(pm, p, targets=8, seed=3, workers=1))
-    monkeypatch.setattr(oracle, "_CHUNK", 16)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
-    if cpus is None:
-        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
-    else:
-        # a range has a length but holds no elements
-        monkeypatch.setattr(oracle.os, "sched_getaffinity",
-                            lambda pid: range(cpus), raising=False)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpu_count)
-    assert len(oracle._block_tasks(pm.n, p)) == p + 1
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    assert scan_exhaustive(pm, p, workers=workers) == reports[0]
-    assert scan_sampled(pm, p, targets=8, seed=3, workers=workers) == reports[1]
-    return RecordingPool.sizes
-
-
-@pytest.mark.parametrize("workers", [2, 3, 64, 10 ** 6])
-def test_pool_never_exceeds_the_task_count(monkeypatch, workers):
-    tasks = 12
-    assert pool_sizes(monkeypatch, workers, 10 ** 9) == [min(workers, tasks)]
-
-
-@pytest.mark.parametrize("workers", [2, 3, 4, 10 ** 6])
-def test_pool_never_exceeds_the_cpu_count(monkeypatch, workers):
-    # 2 workers stay 2; past 3 CPUs the pool stays at 3, below the 12 tasks
-    assert pool_sizes(monkeypatch, workers, 3) == [min(workers, 12, 3)]
-
-
-@pytest.mark.parametrize("workers", [2, 64])
-def test_pool_counts_only_the_cpus_the_process_may_run_on(monkeypatch, workers):
-    # pinned to one of 64 CPUs (taskset -c 0): the scans run in-process
-    assert pool_sizes(monkeypatch, workers, 1, cpu_count=64) == []
-    assert pool_sizes(monkeypatch, workers, 2, cpu_count=64) == [2]
-
-
-def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
-    assert pool_sizes(monkeypatch, 4, None, cpu_count=3) == [3]
-
-
-def test_one_worker_never_asks_for_the_affinity(monkeypatch):
-    def refuse(pid):
-        raise AssertionError("affinity read for a one-worker scan")
-
-    pm = polar_of("x0*x1*x2")
-    monkeypatch.setattr(oracle, "_CHUNK", 16)
-    monkeypatch.setattr(oracle.os, "sched_getaffinity", refuse, raising=False)
-    scan_exhaustive(pm, 11, workers=1)
-    scan_sampled(pm, 11, targets=8, seed=3, workers=1)
+    assert scan_exhaustive(pm, 11) == reports[0]
+    assert scan_sampled(pm, 11, targets=8, seed=3) == reports[1]

@@ -190,11 +190,18 @@ def test_classify_deduplicates_coefficients(capsys, tmp_path):
     assert code == 0 and plain == out
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_are_refused(capsys, workers):
-    code, out, err = run(capsys, "homaloidal", "x0*x1", "--workers", workers)
-    assert code == 2 and out == ""
-    assert "workers must be at least 1" in err
+@pytest.mark.parametrize("argv", [
+    ("homaloidal", "x0*x1"),
+    ("classify", "--n", "2", "--r", "2"),
+])
+def test_workers_is_an_unknown_option(capsys, argv):
+    # every scan runs in the calling process: there is no worker count
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--workers", "2"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --workers 2" in captured.err
 
 
 def test_classify_rejects_big_parameters(capsys):

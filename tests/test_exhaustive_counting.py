@@ -1,9 +1,10 @@
 """Exhaustive fiber counting: the dense projective index against the
 unique-and-merge counter it replaced, the index against the reference
 point, index bijectivity, the index as the enumeration position, int32
-bounds, cache tiles, and counting in the scan's own process whatever the
-worker count."""
+bounds, cache tiles, and scans of many tasks that start no process."""
 
+import multiprocessing.process
+import os
 import random
 import tracemalloc
 
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from polarmap import oracle
-from polarmap.cli import main
 from polarmap.errors import InconsistencyError, ResourceBoundError
 from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
@@ -51,18 +51,15 @@ def reference_counts(rational_map, p):
     return histogram, base_points, len(final_keys)
 
 
-class RefusedPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was started")
+def without_a_process(monkeypatch, chunk):
+    """Give scans tasks of about `chunk` points; a process started all the
+    same, by os.fork or by multiprocessing, raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan started a process")
 
-
-def without_a_pool(monkeypatch, chunk):
-    """Give exhaustive scans tasks of about `chunk` points and 64 CPUs to
-    run them on; a pool started all the same raises (RefusedPool)."""
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: range(64),
-                        raising=False)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RefusedPool)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
@@ -89,9 +86,9 @@ def test_dense_counter_matches_the_merge_counter(monkeypatch, name, workers):
     if workers == 2:
         # every case fits in one default chunk; smaller chunks give it
         # several tasks and histogram slices, all in this process
-        serial = scan_exhaustive(rational_map, p, workers=1)
-        without_a_pool(monkeypatch,
-                       max(16, projective_size(rational_map.n, p) // 6))
+        serial = scan_exhaustive(rational_map, p)
+        without_a_process(monkeypatch,
+                          max(16, projective_size(rational_map.n, p) // 6))
     rep = scan_exhaustive(rational_map, p, workers=workers)
     assert list(rep.fiber_histogram.items()) == list(histogram.items())
     assert rep.base_points == base
@@ -102,13 +99,13 @@ def test_dense_counter_matches_the_merge_counter(monkeypatch, name, workers):
 @pytest.mark.parametrize("parts", [3, 7, 20])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_pooled_scans_equal_in_process_ones(monkeypatch, name, parts):
-    # asked for a pool, an exhaustive scan still counts every task into its
-    # own array, in its own process
+    # asked for 2 or 64 workers, an exhaustive scan of many tasks counts
+    # every task into its one array, in its own process
     build, p = CASES[name]
     rational_map = build()
-    serial = scan_exhaustive(rational_map, p, workers=1)
-    without_a_pool(monkeypatch,
-                   max(16, projective_size(rational_map.n, p) // parts))
+    serial = scan_exhaustive(rational_map, p)
+    without_a_process(monkeypatch,
+                      max(16, projective_size(rational_map.n, p) // parts))
     # P^1 is one prefix, e_1 and one task
     tasks = len(oracle._block_tasks(rational_map.n, p))
     assert (tasks > 1) == (rational_map.n > 1)
@@ -427,8 +424,8 @@ def test_multi_task_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
     monkeypatch.setattr(oracle, "_normalized_keys", corrupted)
     assert len(oracle._block_tasks(3, 13)) == 1
     with pytest.raises(InconsistencyError) as one_task:
-        scan_exhaustive(pm, 13, workers=1)
-    without_a_pool(monkeypatch, 13 ** 2)
+        scan_exhaustive(pm, 13)
+    without_a_process(monkeypatch, 13 ** 2)
     assert len(oracle._block_tasks(3, 13)) > 1
     with pytest.raises(InconsistencyError) as tasks:
         scan_exhaustive(pm, 13, workers=2)
@@ -442,8 +439,8 @@ def test_scan_allocates_one_domain_array(monkeypatch):
     pm = polar_of("x0^2 + x1^2 + x2^2 + x3^2")
     p, chunk = 131, 1 << 14
     domain = projective_size(3, p)
-    serial = scan_exhaustive(pm, p, workers=1)
-    without_a_pool(monkeypatch, chunk)
+    serial = scan_exhaustive(pm, p)
+    without_a_process(monkeypatch, chunk)
     tracemalloc.start()
     try:
         rep = scan_exhaustive(pm, p, workers=2)
@@ -483,24 +480,14 @@ def test_sampled_int32_domain_refused_before_drawing_targets(monkeypatch):
         scan_sampled(polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 1297)
 
 
-def test_one_chunk_scans_run_in_process(monkeypatch):
+def test_scans_ignore_workers_and_start_no_process(monkeypatch):
+    # 16-point chunks give the P^2(F_11) scans 12 tasks, one per prefix;
+    # workers changes nothing, and every task runs in this process
     pm = polar_of("x0*x1*x2")
-    serial = (scan_exhaustive(pm, 101, workers=1),
-              scan_sampled(pm, 101, targets=8, seed=3, workers=1))
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RefusedPool)
-    assert scan_exhaustive(pm, 101, workers=2) == serial[0]
-    assert scan_sampled(pm, 101, targets=8, seed=3, workers=2) == serial[1]
-
-
-def run_classify(capsys, path, workers):
-    assert main(["classify", "--n", "2", "--r", "2", "--workers", workers,
-                 "--json", str(path)]) == 0
-    return capsys.readouterr().out, path.read_bytes()
-
-
-def test_classify_is_identical_at_one_and_two_workers(monkeypatch, capsys,
-                                                      tmp_path):
-    serial = run_classify(capsys, tmp_path / "w1.json", "1")
-    # every scan of classify --n 2 fits in one chunk: no pool at all
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RefusedPool)
-    assert run_classify(capsys, tmp_path / "w2.json", "2") == serial
+    serial = (scan_exhaustive(pm, 11), scan_sampled(pm, 11, targets=8, seed=3))
+    without_a_process(monkeypatch, 16)
+    assert len(oracle._block_tasks(pm.n, 11)) == 12
+    for workers in (1, 2, 64):
+        assert scan_exhaustive(pm, 11, workers=workers) == serial[0]
+        assert scan_sampled(pm, 11, targets=8, seed=3,
+                            workers=workers) == serial[1]

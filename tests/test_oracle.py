@@ -280,6 +280,18 @@ def test_check_contraction_validation():
         check_contraction(parse_polynomial("x0*x1*x2"), 0, 101)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_check_contraction_needs_a_sample(monkeypatch, samples):
+    # no sample point is no evidence: refused before any table is built
+    def no_tables(*args):
+        raise AssertionError("tables built for a check of no samples")
+
+    monkeypatch.setattr(oracle, "_component_tables", no_tables)
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_contraction(parse_arrangement("x0*x1*x2"), 0, 101,
+                          samples=samples)
+
+
 def test_degree_estimate_rules():
     # contracted images (size >= p-1) never count as generic
     assert _degree_estimate({1: 4953, 2: 384, 3: 1392, 100: 4}, 6733, 101) == 3
@@ -348,16 +360,6 @@ def test_bad_prime_raises_not_lies():
                      parse_polynomial("2*x1", nvars=2)])
     with pytest.raises(ReductionError):
         scan_exhaustive(m, 2)
-
-
-def test_worker_merge_matches_serial(monkeypatch):
-    # a one-chunk domain runs in-process; small chunks keep the sampled
-    # pool in play, while exhaustive scans always count in-process
-    monkeypatch.setattr(oracle, "_CHUNK", 16)
-    pm = polar_of("x0*x1*x2")
-    assert scan_exhaustive(pm, 11, workers=2) == scan_exhaustive(pm, 11, workers=1)
-    assert scan_sampled(pm, 11, targets=8, seed=3, workers=2) == \
-        scan_sampled(pm, 11, targets=8, seed=3, workers=1)
 
 
 def first_prime_from(p):
@@ -509,6 +511,21 @@ def test_scan_primes_returns_one_report_per_prime(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", 100)
     with pytest.raises(ResourceBoundError):
         scan_primes(m, (101,))
+
+
+def test_scan_primes_scans_a_repeated_prime_once(monkeypatch):
+    m = moving_of("x0*x1*x2*(x0+x1+x2)")
+    expected = scan_primes(m, (101, 211))
+    scanned = []
+    real = oracle.scan_exhaustive
+
+    def counted(rational_map, p):
+        scanned.append(p)
+        return real(rational_map, p)
+
+    monkeypatch.setattr(oracle, "scan_exhaustive", counted)
+    assert scan_primes(m, (101, 211, 101, 211)) == expected
+    assert scanned == [101, 211]
 
 
 def test_scan_primes_twisted_cube():

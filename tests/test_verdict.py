@@ -207,6 +207,15 @@ def test_full_verdict_rejects_four_lines():
         in rep.certificate
 
 
+def test_full_verdict_repeated_prime_is_no_stability_check():
+    F = parse_arrangement("x0*x1*x2")
+    once = full_verdict(F, primes=(101,))
+    twice = full_verdict(F, primes=(101, 101))
+    assert not any("prime_stability" in e for e in twice.certificate)
+    assert twice.certificate == once.certificate
+    assert twice.fiber_histogram == once.fiber_histogram
+
+
 def test_full_verdict_random_frame_image():
     # invertible integer change of coordinates applied to the frame rows
     rng = random.Random(41)
