@@ -204,6 +204,17 @@ def test_workers_is_an_unknown_option(capsys, argv):
     assert "unrecognized arguments: --workers 2" in captured.err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_refused(capsys, workers):
+    # no worker count is accepted, so none below one is either
+    with pytest.raises(SystemExit) as exit_:
+        main(["homaloidal", "x0*x1", "--workers", workers])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --workers {workers}" in captured.err
+
+
 def test_classify_rejects_big_parameters(capsys):
     code, out, err = run(capsys, "classify", "--n", "7", "--r", "1")
     assert code == 2

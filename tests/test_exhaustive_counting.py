@@ -3,8 +3,6 @@ unique-and-merge counter it replaced, the index against the reference
 point, index bijectivity, the index as the enumeration position, int32
 bounds, cache tiles, and scans of many tasks that start no process."""
 
-import multiprocessing.process
-import os
 import random
 import tracemalloc
 
@@ -17,6 +15,7 @@ from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, moving_part, polar_system
 
+from processes import without_a_process
 from projective import ProjectivePoint
 
 
@@ -49,17 +48,6 @@ def reference_counts(rational_map, p):
     sizes, size_counts = np.unique(fiber_sizes, return_counts=True)
     histogram = {int(s): int(c) for s, c in zip(sizes, size_counts)}
     return histogram, base_points, len(final_keys)
-
-
-def without_a_process(monkeypatch, chunk):
-    """Give scans tasks of about `chunk` points; a process started all the
-    same, by os.fork or by multiprocessing, raises."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a scan started a process")
-
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
@@ -480,14 +468,12 @@ def test_sampled_int32_domain_refused_before_drawing_targets(monkeypatch):
         scan_sampled(polar_of("x0^2 + x1^2 + x2^2 + x3^2"), 1297)
 
 
-def test_scans_ignore_workers_and_start_no_process(monkeypatch):
-    # 16-point chunks give the P^2(F_11) scans 12 tasks, one per prefix;
-    # workers changes nothing, and every task runs in this process
+def test_one_chunk_scans_run_in_process(monkeypatch):
+    # P^2(F_101) fits in one task: workers 2 runs it here, as workers 1 does
     pm = polar_of("x0*x1*x2")
-    serial = (scan_exhaustive(pm, 11), scan_sampled(pm, 11, targets=8, seed=3))
-    without_a_process(monkeypatch, 16)
-    assert len(oracle._block_tasks(pm.n, 11)) == 12
-    for workers in (1, 2, 64):
-        assert scan_exhaustive(pm, 11, workers=workers) == serial[0]
-        assert scan_sampled(pm, 11, targets=8, seed=3,
-                            workers=workers) == serial[1]
+    serial = (scan_exhaustive(pm, 101, workers=1),
+              scan_sampled(pm, 101, targets=8, seed=3, workers=1))
+    without_a_process(monkeypatch, oracle._CHUNK)
+    assert len(oracle._block_tasks(pm.n, 101)) == 1
+    assert scan_exhaustive(pm, 101, workers=2) == serial[0]
+    assert scan_sampled(pm, 101, targets=8, seed=3, workers=2) == serial[1]

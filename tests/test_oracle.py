@@ -19,6 +19,7 @@ from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, polar_system, moving_part
 from polarmap.poly import Polynomial
 
+from processes import without_a_process
 from projective import ProjectivePoint
 
 
@@ -360,6 +361,20 @@ def test_bad_prime_raises_not_lies():
                      parse_polynomial("2*x1", nvars=2)])
     with pytest.raises(ReductionError):
         scan_exhaustive(m, 2)
+
+
+def test_worker_merge_matches_serial(monkeypatch):
+    # 16-point chunks give the P^2(F_11) scans 12 tasks, one per prefix;
+    # their merged reports equal the one-task scan whatever workers says,
+    # and every task runs in this process
+    pm = polar_of("x0*x1*x2")
+    serial = (scan_exhaustive(pm, 11), scan_sampled(pm, 11, targets=8, seed=3))
+    without_a_process(monkeypatch, 16)
+    assert len(oracle._block_tasks(pm.n, 11)) == 12
+    for workers in (1, 2, 64):
+        assert scan_exhaustive(pm, 11, workers=workers) == serial[0]
+        assert scan_sampled(pm, 11, targets=8, seed=3,
+                            workers=workers) == serial[1]
 
 
 def first_prime_from(p):
