@@ -123,6 +123,20 @@ def _emit_report(report, args):
         print(text)
 
 
+_LINEAR_INPUT = ("moving part needs a homogeneous input of degree at least 2 "
+                 "(the polar map of a linear form is constant)")
+
+
+def _check_verdict_input(degree, nvars):
+    """Refuse, for homaloidal and certify on either input path, degree
+    below 2, as moving does, and an ambient space below P^1, which the
+    certificate's descent needs."""
+    if degree < 2:
+        raise ValueError(_LINEAR_INPUT)
+    if nvars < 2:
+        raise ValueError("ambient space must be at least P^1")
+
+
 def cmd_polar(args):
     f = parse_polynomial(_input_text(args), nvars=_nvars(args))
     system = polar_system(f)
@@ -134,9 +148,7 @@ def cmd_polar(args):
 def cmd_moving(args):
     f = parse_polynomial(_input_text(args), nvars=_nvars(args))
     if f.is_zero or not f.is_homogeneous() or f.homogeneous_degree() < 2:
-        raise ValueError("moving part needs a homogeneous input of degree "
-                         "at least 2 (the polar map of a linear form is "
-                         "constant)")
+        raise ValueError(_LINEAR_INPUT)
     dec = moving_part(f)
     print(f"base divisor: {dec.base_divisor}")
     for i, comp in enumerate(dec.moving.components):
@@ -152,11 +164,11 @@ def cmd_homaloidal(args):
         arrangement = None
     started = time.monotonic()
     if arrangement is not None:
+        _check_verdict_input(arrangement.degree(), arrangement.nvars)
         report = full_verdict(arrangement, input_text=text, **_scan_args(args))
     else:
         f = parse_polynomial(text, nvars=_nvars(args), require_homogeneous=True)
-        if f.is_zero or f.homogeneous_degree() < 1:
-            raise ValueError("input must be homogeneous of degree at least 1")
+        _check_verdict_input(f.degree(), f.nvars)
         scan = scan_primes(moving_part(f).moving, **_scan_args(args))[0]
         report = build_report(text, f.nvars - 1, scan, [], started)
     _emit_report(report, args)
@@ -166,6 +178,7 @@ def cmd_homaloidal(args):
 def cmd_certify(args):
     text = _input_text(args)
     arrangement = parse_arrangement(text, nvars=_nvars(args))
+    _check_verdict_input(arrangement.degree(), arrangement.nvars)
     report = full_verdict(arrangement, input_text=text, **_scan_args(args))
     _emit_report(report, args)
     return EXIT_OK

@@ -39,12 +39,12 @@ looked up once per prefix, and a kept prefix keeps its whole row (the
 determinantal cubic, head (2, 4, 5), keeps 6% of them); any other head
 is expanded over the grid from the g_{j,k} of every component, evaluated
 once, and looked up point by point.  Only what is kept gets its full
-image (_block_images, _expand_images, which also expand exhaustive
-tiles) and an index; a dropped row provably hits no target
-(scan_sampled).  The match is a binary search in the sorted target
-indices, reached only by rows whose index has the low 16 bits of some
-target's (a 2^16-entry bitmap built per task; 0.3% of the kept rows of
-the determinantal cubic at p=31 pass it).
+image (_evaluate_images, then _expand_images, as exhaustive tiles do) and
+an index; a dropped row provably hits no target (scan_sampled).  The
+match is a binary search in the sorted target indices, reached only by
+rows whose index has the low 16 bits of some target's (a 2^16-entry
+bitmap built once per scan; 0.3% of the kept rows of the determinantal
+cubic at p=31 pass it).
 
 Remainders mod p skip numpy's per-element hardware division wherever the
 arrays are large: digits and remainders are taken as v - (v // p) * p,
@@ -138,29 +138,37 @@ def _component_tables(rational_map, p):
     return tables
 
 
-def _chunk_points(n, p, pivot, lo, hi):
-    """Points lo..hi of the pivot block: coords (0,..,0,1,free digits).
+def _chunk_points(n, p, lo, hi):
+    """Points lo..hi of P^n(F_p) in enumeration order, one row each.
 
-    The block for pivot position k holds p^(n-k) points, indexed by the
-    base-p digits of the free coordinates, x_n lowest, as _normalized_keys
-    numbers images.  The scans call it with n-1 to
-    build the prefixes of a task (_block_grid); the random-point
-    evaluators build their own rows.  int32 is safe throughout the scan:
-    _component_tables keeps p < 46341, so a product of two residues, and
-    a Horner step (p-1)^2 + (p-1), stay below 2^31.  Positions are int32
-    too, as _check_domain keeps P^n(F_p), and so every block, under 2^31
-    points; each digit is idx - (idx // p) * p, a floor-divide by a
-    scalar that numpy runs as a multiply and shift, where idx % p would
-    take one hardware division per element.
+    The block for pivot position k holds p^(n-k) points (0,..,0,1,free
+    digits), indexed by the base-p digits of the free coordinates, x_n
+    lowest, as _normalized_keys numbers images, after the blocks of
+    smaller pivot.  Each block the range crosses fills its rows of the one
+    array in place.  The scans call it with n-1 to build the prefixes of
+    a task (_block_grid); the random-point evaluators build their own
+    rows.  int32 is safe throughout the scan: _component_tables keeps
+    p < 46341, so a product of two residues, and a Horner step
+    (p-1)^2 + (p-1), stay below 2^31.  Positions are int32 too, as
+    _check_domain keeps P^n(F_p), and so every block, under 2^31 points;
+    each digit is idx - (idx // p) * p, a floor-divide by a scalar that
+    numpy runs as a multiply and shift, where idx % p would take one
+    hardware division per element.
     """
-    count = hi - lo
-    coords = np.zeros((count, n + 1), dtype=np.int32)
-    coords[:, pivot] = 1
-    idx = np.arange(lo, hi, dtype=np.int32)
-    for slot in range(n, pivot, -1):
-        quotient = idx // p
-        coords[:, slot] = idx - quotient * p
-        idx = quotient
+    coords = np.zeros((hi - lo, n + 1), dtype=np.int32)
+    start = 0
+    for pivot in range(n + 1):
+        end = start + p ** (n - pivot)
+        if lo < end and start < hi:
+            rows = coords[max(lo, start) - lo:min(hi, end) - lo]
+            rows[:, pivot] = 1
+            idx = np.arange(max(lo, start) - start, min(hi, end) - start,
+                            dtype=np.int32)
+            for slot in range(n, pivot, -1):
+                quotient = idx // p
+                rows[:, slot] = idx - quotient * p
+                idx = quotient
+        start = end
     return coords
 
 
@@ -343,7 +351,7 @@ def _block_tasks(n, p):
 
 
 def _split_tables(tables, n):
-    """Split each component by the power of x_n, for _block_images.
+    """Split each component by the power of x_n, for _expand_images.
 
     Returns (prefix tables, powers): prefix tables are _component_tables
     rows over x_0..x_{n-1}, one per (component j, power k) that occurs,
@@ -367,25 +375,11 @@ def _block_grid(n, p, lo, hi):
     """(prefixes x_0..x_{n-1}, the values t of x_n) of a task's grid.
 
     The prefixes are points lo..hi of P^(n-1)(F_p) in enumeration order,
-    a _chunk_points piece of every pivot block of P^(n-1) the range
-    crosses; t is the p values of x_n.  Row r of the grid is prefix
-    r // p at t = r % p, the point of index (lo + r // p) * p + r % p.
-    e_n is on no grid (_last_image).
+    across the pivot blocks of P^(n-1); t is the p values of x_n.  Row r
+    of the grid is prefix r // p at t = r % p, the point of index
+    (lo + r // p) * p + r % p.  e_n is on no grid (_last_image).
     """
-    pieces = []
-    start = 0
-    for pivot in range(n):
-        end = start + p ** (n - 1 - pivot)
-        if lo < end and start < hi:
-            pieces.append(_chunk_points(n - 1, p, pivot, max(lo, start) - start,
-                                        min(hi, end) - start))
-        start = end
-    t = np.arange(p, dtype=np.int32)
-    if len(pieces) == 1:
-        # most ranges lie in one block: its piece goes uncopied, since a
-        # copy shifts malloc's thresholds and raises the scans' peak RSS
-        return pieces[0], t
-    return np.concatenate([np.zeros((0, n), dtype=np.int32), *pieces]), t
+    return _chunk_points(n - 1, p, lo, hi), np.arange(p, dtype=np.int32)
 
 
 def _last_image(split, p):
@@ -401,16 +395,22 @@ def _last_image(split, p):
     return np.array([row], dtype=np.int32)
 
 
-def _expand(coeffs, powers, t, p, out):
-    """out[j] = sum_k g_{j,k} t^k mod p for the components in powers.
+def _expand_images(values, powers, t, p):
+    """Images from the g_{j,k} of each prefix (rows of values) over t.
 
-    coeffs[..., i] is the column of prefix table i, broadcast against t:
-    (prefixes, 1) against the values of x_n for a grid, or (rows, 1)
-    against each row's own t for gathered rows.  out holds one contiguous
-    array per component.  Horner's rule with one reduction per step:
-    acc < p, so acc * t + g <= (p-1)^2 + (p-1) < 2^31.
+    values[:, i] is the column of prefix table i at each prefix
+    (_evaluate_images), broadcast against t: the values of x_n for a
+    grid, or (rows, 1), each row's own t, for gathered rows.  One image
+    row per point, (points, components), x_n fastest: component j is
+    sum_k g_{j,k} t^k mod p for the powers[j] of the split.  Horner's rule
+    with one reduction per step: acc < p, so
+    acc * t + g <= (p-1)^2 + (p-1) < 2^31.
     """
-    for acc, component in zip(out, powers):
+    coeffs = values[:, None, :]
+    # component-major, so each expansion runs on contiguous memory; the
+    # transpose returned is the usual (points, components) view
+    images = np.empty((len(powers), len(values), t.shape[-1]), dtype=np.int32)
+    for acc, component in zip(images, powers):
         if not component:
             acc[:] = 0
             continue
@@ -425,33 +425,10 @@ def _expand(coeffs, powers, t, p, out):
             _reduce(acc, p)
             if k:
                 acc *= t
-
-
-def _block_images(split, prefixes, t, p):
-    """Images of the points with prefixes x_0..x_{n-1} and x_n = t.
-
-    The g_{j,k} are evaluated once per prefix, then expanded over t
-    (_expand_images), the x_n grid of every prefix (_block_grid) or a
-    part of it.
-    """
-    prefix_tables, powers = split
-    return _expand_images(_evaluate_images(prefix_tables, prefixes, p),
-                          powers, t, p)
-
-
-def _expand_images(values, powers, t, p):
-    """Images from the g_{j,k} of each prefix (rows of values) over t.
-
-    One image row per point, (points, components), x_n fastest.
-    """
-    # component-major, so each expansion runs on contiguous memory; the
-    # transpose returned is the usual (points, components) view
-    images = np.empty((len(powers), len(values), t.shape[-1]), dtype=np.int32)
-    _expand(values[:, None, :], powers, t, p, images)
     return images.reshape(len(powers), -1).T
 
 
-def _exhaustive_chunk(args, fibers):
+def _exhaustive_chunk(args):
     """Key one task's points and count them into the scan's fibers.
 
     The g_{j,k} are evaluated once for all the task's prefixes; expansion,
@@ -461,7 +438,7 @@ def _exhaustive_chunk(args, fibers):
     counts e_n on its own.  fibers is the scan's int32 array of the
     domain.  Returns the task's base count, an int64.
     """
-    split, n, p, lo, hi = args
+    split, n, p, lo, hi, fibers = args
     prefixes, last = _block_grid(n, p, lo, hi)
     prefix_tables, powers = split
     values = _evaluate_images(prefix_tables, prefixes, p)
@@ -557,15 +534,7 @@ def _ratio_table(target_rows, columns, p):
     return table
 
 
-def _head_split(split, columns):
-    """The _split_tables split of the head components alone, in head order."""
-    prefix_tables, powers = split
-    used = [i for j in columns for i in powers[j].values()]
-    heads = [{k: used.index(i) for k, i in powers[j].items()} for j in columns]
-    return [prefix_tables[i] for i in used], heads
-
-
-# entries of the bitmap of target indices' low bits in _sampled_chunk
+# entries of the bitmap of target indices' low bits (scan_sampled)
 _MARK_BITS = 1 << 16
 
 
@@ -579,34 +548,40 @@ def _target_counts(index, target_index):
 
 
 def _sampled_chunk(args):
-    split, n, p, lo, hi, target_index, table = args
-    columns = _head_columns(split[1], p)
+    """(hits per target, base count) of one task's points.
+
+    The scan fixes, once, the sorted target indices, the bitmap of their
+    low 16 bits (marked), the head columns and the head table.
+    """
+    split, n, p, lo, hi, target_index, marked, columns, table = args
     prefixes, last = _block_grid(n, p, lo, hi)
     prefix_tables, powers = split
+    heads = [powers[j] for j in columns]
     # the prefilter drops only heads no target has; only the kept rows get
     # their images and an index, and the full index comparison below stays
     # the only hit test
-    if not any(k for j in columns for k in powers[j]):
+    if not any(k for head in heads for k in head):
         # a head free of x_n is the same along a row of the grid: only the
         # head's tables are evaluated on every prefix, the head is looked
-        # up once per prefix, and a kept prefix keeps its whole row
-        head = _block_images(_head_split(split, columns), prefixes, last[:1], p)
+        # up once per prefix, and a kept prefix keeps its whole row (a zero
+        # component has no table; an empty one evaluates to 0)
+        head = _evaluate_images([prefix_tables[h[0]] if h else ([], [])
+                                 for h in heads], prefixes, p)
         kept = np.flatnonzero(table[_head_index(head.T, p)])
-        images = _block_images(split, prefixes[kept], last, p)
+        images = _expand_images(
+            _evaluate_images(prefix_tables, prefixes[kept], p), powers, last, p)
     else:
         # else every g_{j,k} is evaluated once on every prefix, the head is
         # expanded over the grid and looked up per point, and a kept point
         # is one row, at its own value of x_n
         values = _evaluate_images(prefix_tables, prefixes, p)
-        head = _expand_images(values, [powers[j] for j in columns], last, p)
+        head = _expand_images(values, heads, last, p)
         kept = np.flatnonzero(table[_head_index(head.T, p)])
         images = _expand_images(values[kept // p], powers,
                                 last[kept % p][:, None], p)
     index, base = _normalized_keys(images, p)
     # only rows whose low 16 bits are those of a target go on to the binary
     # search
-    marked = np.zeros(_MARK_BITS, dtype=bool)
-    marked[target_index & (_MARK_BITS - 1)] = True
     counts = _target_counts(index[marked[index & (_MARK_BITS - 1)]],
                             target_index)
     if hi == projective_size(n - 1, p):
@@ -684,9 +659,8 @@ def scan_exhaustive(rational_map, p, workers=1):
     tables = _component_tables(rational_map, p)
     domain = _check_domain(n, p, DEFAULT_MAX_DOMAIN)
     fibers = np.zeros(domain, dtype=np.int32)
-    base_points = int(sum(_run_tasks(
-        functools.partial(_exhaustive_chunk, fibers=fibers),
-        _split_tables(tables, n), n, p)))
+    base_points = int(sum(_run_tasks(_exhaustive_chunk,
+                                     _split_tables(tables, n), n, p, fibers)))
     tally = collections.Counter()
     for lo in range(0, domain, _CHUNK):
         # slice by slice: a whole-array unique or bincount would copy it
@@ -755,7 +729,7 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     target counted with an empty fiber raises InconsistencyError.
 
     Only rows that pass the head prefilter (_ratio_table, built once per
-    scan on the head columns) get images (_block_images), keys and a match.
+    scan on the head columns) get images (_expand_images), keys and a match.
     The filter is exact for any choice of head columns: a row equal to a
     target t in P^n is c * t for some c in F_p, so on those columns its
     head is c * head(t), which the table holds (the raw layout sets every
@@ -772,7 +746,8 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     it keeps are compared in full, so two targets with the same low bits,
     and a row that shares a target's low bits only, count as before.
 
-    The tasks run one after the other in this process (_run_tasks).
+    The tasks run one after the other in this process (_run_tasks), each
+    given the head columns, the head table and the bitmap built here.
     workers is accepted and ignored, until the benchmark stops passing it
     (ROADMAP item 7).
     """
@@ -786,9 +761,12 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     per_target, image_rows = _sample_targets(
         tables, rational_map.nvars, p, targets, seed)
     target_index, target_of = np.unique(per_target, return_inverse=True)
+    marked = np.zeros(_MARK_BITS, dtype=bool)
+    marked[target_index & (_MARK_BITS - 1)] = True
     split = _split_tables(tables, n)
-    table = _ratio_table(image_rows, _head_columns(split[1], p), p)
-    parts = list(_run_tasks(_sampled_chunk, split, n, p, target_index, table))
+    columns = _head_columns(split[1], p)
+    parts = list(_run_tasks(_sampled_chunk, split, n, p, target_index, marked,
+                            columns, _ratio_table(image_rows, columns, p)))
     fiber_counts = sum(counts for counts, _ in parts)
     base_points = sum(base for _, base in parts)
     if not fiber_counts.all():

@@ -136,11 +136,11 @@ def inductive_certificate(F):
 
     Each level first checks the two refutation conditions (coefficient
     rank below n+1, then a form count different from n+1), then either
-    lands in the P^1 base case of exactly two distinct forms or picks a
-    restriction index.  Indices are tried in ascending order and the
-    first square-free restriction wins; if none is square-free the first
-    index is taken (such an arrangement is already doomed to refutation
-    at a lower level, the choice only shapes the witness).
+    lands in the P^1 base case of exactly two distinct forms or restricts
+    along form 0.  A level that gets this far has n+1 distinct forms of
+    rank n+1, a basis, and restricting a basis along any member leaves n
+    independent forms, so the restriction along form 0 is square-free and
+    no other index is needed.
     """
     if not isinstance(F, LinearFormProduct):
         raise TypeError("inductive_certificate takes a LinearFormProduct")
@@ -162,14 +162,8 @@ def inductive_certificate(F):
             base = {"n": 1, "forms": [list(row) for row in current.forms]}
             return Certificate(True, tuple(chain), base, None)
         reduced = current.reduced()
-        dropped = reduced != current
-        for chosen in range(reduced.r + 1):
-            restricted = restrict_arrangement(reduced, chosen)
-            if restricted.is_squarefree():
-                break
-        else:
-            chosen, restricted = 0, restrict_arrangement(reduced, 0)
-        chain.append(CertificateStep(chosen, restricted, dropped))
+        restricted = restrict_arrangement(reduced, 0)
+        chain.append(CertificateStep(0, restricted, reduced != current))
         current = restricted
 
 

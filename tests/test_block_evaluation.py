@@ -67,31 +67,18 @@ CASES = {
 }
 
 
-def points_at(n, p, lo, hi):
-    """The points of P^n(F_p) at indices lo..hi, from a _chunk_points piece
-    of every pivot block of P^n the range meets (blocks of smaller pivot
-    first, a point's index its place in its block past them)."""
-    pieces, start = [], 0
-    for pivot in range(n + 1):
-        end = start + p ** (n - pivot)
-        if lo < end and start < hi:
-            pieces.append(oracle._chunk_points(n, p, pivot, max(lo, start) - start,
-                                               min(hi, end) - start))
-        start = end
-    return np.concatenate(pieces)
-
-
 def per_row_images(tables, n, p, lo, hi):
     """The reference: build the points of indices lo..hi, evaluate row by
     row."""
-    return oracle._evaluate_images(tables, points_at(n, p, lo, hi), p)
+    return oracle._evaluate_images(tables, oracle._chunk_points(n, p, lo, hi), p)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_block_images_match_the_per_row_evaluator(name):
-    """The task's grid from _block_images, a seeded subset of its points
+    """The task's grid, its prefixes evaluated (_evaluate_images) and
+    expanded over x_n (_expand_images), a seeded subset of its points
     gathered as (prefix rows, each point's own x_n) and expanded from the
-    evaluated prefixes, and e_n read off the split."""
+    same values, and e_n read off the split."""
     build, p, *pick = CASES[name]
     rational_map = build()
     n = rational_map.n
@@ -105,14 +92,14 @@ def test_block_images_match_the_per_row_evaluator(name):
     for lo, hi in tasks:
         expected = per_row_images(tables, n, p, lo * p, hi * p)
         prefixes, last = oracle._block_grid(n, p, lo, hi)
-        images = oracle._block_images(split, prefixes, last, p)
+        values = oracle._evaluate_images(split[0], prefixes, p)
+        images = oracle._expand_images(values, split[1], last, p)
         assert images.dtype == np.int32
         assert images.shape == expected.shape
         assert np.array_equal(images, expected), (lo, hi)
         size = (hi - lo) * p
         points = rng.choice(size, size=min(size, 1000), replace=False)
         rows, cols = np.divmod(points, len(last))
-        values = oracle._evaluate_images(split[0], prefixes, p)
         gathered = oracle._expand_images(values[rows], split[1],
                                          last[cols][:, None], p)
         assert gathered.dtype == np.int32

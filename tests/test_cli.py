@@ -38,6 +38,20 @@ def test_moving_rejects_linear_input(capsys):
     assert "degree at least 2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("homaloidal", "x0+x1"), "degree at least 2"),
+    (("certify", "x0+x1"), "degree at least 2"),
+    (("certify", "x0-x2", "--ambient", "2"), "degree at least 2"),
+    # a polynomial, not an arrangement, and an arrangement: both refused
+    (("homaloidal", "2*x0^2"), "ambient space must be at least P^1"),
+    (("homaloidal", "x0^2"), "ambient space must be at least P^1"),
+])
+def test_verdicts_refuse_linear_forms_and_p0(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "polar", "x0^2 +")
     assert code == 2

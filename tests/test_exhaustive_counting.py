@@ -27,6 +27,13 @@ def moving_of(text, nvars=None):
     return moving_part(parse_arrangement(text, nvars=nvars)).moving
 
 
+def block_points(n, p, pivot):
+    """The pivot block of P^n(F_p), the points after the p^n + .. +
+    p^(n-pivot+1) of smaller pivot."""
+    start = projective_size(n, p) - projective_size(n - pivot, p)
+    return oracle._chunk_points(n, p, start, start + p ** (n - pivot))
+
+
 def reference_counts(rational_map, p):
     """(fiber histogram, base points, image size) by the former counter:
     np.unique per pivot block, then one global unique(return_inverse)
@@ -35,7 +42,7 @@ def reference_counts(rational_map, p):
     tables = oracle._component_tables(rational_map, p)
     uniqs, counts, base_points = [], [], 0
     for pivot in range(n + 1):
-        coords = oracle._chunk_points(n, p, pivot, 0, p ** (n - pivot))
+        coords = block_points(n, p, pivot)
         keys, base = oracle._normalized_keys(
             oracle._evaluate_images(tables, coords, p), p)
         u, c = np.unique(keys[keys >= 0], return_counts=True)
@@ -142,7 +149,7 @@ def test_projective_index_is_a_bijection(n, p):
     # every position of the count array once
     indices = []
     for pivot in range(n + 1):
-        points = oracle._chunk_points(n, p, pivot, 0, p ** (n - pivot))
+        points = block_points(n, p, pivot)
         factors = np.arange(len(points), dtype=np.int32) % (p - 1) + 1
         index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
         assert base == 0
@@ -152,26 +159,27 @@ def test_projective_index_is_a_bijection(n, p):
         list(range(projective_size(n, p)))
 
 
-@pytest.mark.parametrize("p", [5, 7])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_a_point_keys_to_its_enumeration_position(n, p):
     # one numbering for points and images: a point's index is its position
     # in the enumeration, its pivot block's offset plus its place in the
-    # block; 2p-point pieces split the blocks of P^2 and P^3, some raggedly
-    pieces = 0
-    for pivot in range(n + 1):
-        size = p ** (n - pivot)
-        for lo in range(0, size, 2 * p):
-            hi = min(lo + 2 * p, size)
-            points = oracle._chunk_points(n, p, pivot, lo, hi)
-            factors = np.arange(len(points), dtype=np.int32) % (p - 1) + 1
-            index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
-            offset = projective_size(n, p) - projective_size(n - pivot, p)
-            assert base == 0
-            assert index.tolist() == list(range(offset + lo, offset + hi))
-            pieces += 1
-    if n > 1:
-        assert pieces > n + 1
+    # block.  The points of any range lo..hi key to lo..hi: 2p-point pieces
+    # of P^n, some ragged, all of P^n, and ranges across each boundary
+    # between pivot blocks, from one point on either side to p + 1 before
+    size = projective_size(n, p)
+    starts = [size - projective_size(n - k, p) for k in range(1, n + 1)]
+    ranges = [(lo, min(lo + 2 * p, size)) for lo in range(0, size, 2 * p)]
+    ranges += [(0, size)] + [(max(0, start - before), min(size, start + after))
+                             for start in starts
+                             for before, after in ((1, 1), (p + 1, 2))]
+    for lo, hi in ranges:
+        points = oracle._chunk_points(n, p, lo, hi)
+        assert points.dtype == np.int32 and points.shape == (hi - lo, n + 1)
+        factors = np.arange(len(points), dtype=np.int32) % (p - 1) + 1
+        index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
+        assert base == 0
+        assert index.tolist() == list(range(lo, hi))
 
 
 def identity_map(n):
@@ -180,9 +188,8 @@ def identity_map(n):
 
 
 def all_points(n, p):
-    """Every point of P^n(F_p) in index order, block by pivot block."""
-    return np.concatenate([oracle._chunk_points(n, p, pivot, 0, p ** (n - pivot))
-                           for pivot in range(n + 1)])
+    """Every point of P^n(F_p) in index order."""
+    return oracle._chunk_points(n, p, 0, projective_size(n, p))
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -204,18 +211,21 @@ def test_tasks_count_every_point_once_and_only_the_last_holds_e_n(
     tables = oracle._component_tables(identity_map(n), p)
     split = oracle._split_tables(tables, n)
     target_index = np.arange(domain, dtype=np.int32)
-    table = oracle._ratio_table(all_points(n, p),
-                                oracle._head_columns(split[1], p), p)
+    # every low-bit pattern of a target index is marked
+    marked = np.zeros(oracle._MARK_BITS, dtype=bool)
+    marked[target_index & (oracle._MARK_BITS - 1)] = True
+    columns = oracle._head_columns(split[1], p)
+    table = oracle._ratio_table(all_points(n, p), columns, p)
     counted = np.zeros(domain, dtype=np.int64)
     for lo, hi in tasks:
         expected = np.zeros(domain, dtype=np.int64)
         expected[lo * p:hi * p] = 1
         expected[-1] = hi == prefixes
         fibers = np.zeros(domain, dtype=np.int32)
-        assert oracle._exhaustive_chunk((split, n, p, lo, hi), fibers=fibers) == 0
+        assert oracle._exhaustive_chunk((split, n, p, lo, hi, fibers)) == 0
         assert np.array_equal(fibers, expected), (lo, hi)
         counts, base = oracle._sampled_chunk(
-            (split, n, p, lo, hi, target_index, table))
+            (split, n, p, lo, hi, target_index, marked, columns, table))
         assert np.array_equal(counts, expected) and base == 0, (lo, hi)
         counted += fibers
     assert (counted == 1).all()
@@ -330,11 +340,13 @@ def test_index_of_few_and_many_rows(count, monkeypatch):
 @pytest.mark.parametrize("pivot", [0, 1])
 def test_chunk_points_at_the_top_of_the_int32_range(pivot):
     # the last positions of the largest int32 blocks, 1289^3 - 1 =
-    # 2,141,700,568 at pivot 0: digits by floor-divide against int64 %
+    # 2,141,700,568 at pivot 0, and the last index of pivot 1,
+    # 1289^3 + 1289^2 - 1: digits by floor-divide against int64 %
     n, p = 3, 1289
     hi = p ** (n - pivot)
     lo = hi - 5000
-    coords = oracle._chunk_points(n, p, pivot, lo, hi)
+    start = projective_size(n, p) - projective_size(n - pivot, p)
+    coords = oracle._chunk_points(n, p, start + lo, start + hi)
     assert coords.dtype == np.int32
     idx = np.arange(lo, hi, dtype=np.int64)
     expected = np.zeros((hi - lo, n + 1), dtype=np.int64)

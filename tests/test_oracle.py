@@ -423,8 +423,8 @@ def test_sampled_scan_raises_on_an_empty_target_fiber(monkeypatch):
     # miss it, enumeration or keying is broken and must not pass silently
     real = oracle._chunk_points
 
-    def stuck_points(n, p, pivot, lo, hi):
-        coords = real(n, p, pivot, lo, hi)
+    def stuck_points(n, p, lo, hi):
+        coords = real(n, p, lo, hi)
         coords[:] = 1
         return coords
 

@@ -33,10 +33,24 @@ QUADRIC_P3 = "x0^2 + x1^2 + x2^2 + x3^2"
 QUADRIC_P4 = "x0^2 + x1^2 + x2^2 + x3^2 + x4^2"
 
 
+def images_at(split, prefixes, t, p):
+    """Images of the points with prefixes x_0..x_{n-1} and x_n = t."""
+    return oracle._expand_images(oracle._evaluate_images(split[0], prefixes, p),
+                                 split[1], t, p)
+
+
 def chunk_images(split, n, p, lo, hi):
     """The image of every point of the task's grid, in scan order."""
-    prefixes, last = oracle._block_grid(n, p, lo, hi)
-    return oracle._block_images(split, prefixes, last, p)
+    return images_at(split, *oracle._block_grid(n, p, lo, hi), p)
+
+
+def task_args(split, n, p, lo, hi, target_index, table):
+    """_sampled_chunk's arguments for one task, as scan_sampled builds
+    them: the targets' low-bit bitmap and the head columns added."""
+    marked = np.zeros(oracle._MARK_BITS, dtype=bool)
+    marked[target_index & (oracle._MARK_BITS - 1)] = True
+    return (split, n, p, lo, hi, target_index, marked,
+            oracle._head_columns(split[1], p), table)
 
 
 def keyed_chunk(args):
@@ -46,8 +60,8 @@ def keyed_chunk(args):
     split, n, p, lo, hi, target_index = args[:6]
     images = chunk_images(split, n, p, lo, hi)
     if hi == projective_size(n - 1, p):
-        last = oracle._block_images(split, np.zeros((1, n), dtype=np.int32),
-                                    np.ones(1, dtype=np.int32), p)
+        last = images_at(split, np.zeros((1, n), dtype=np.int32),
+                         np.ones(1, dtype=np.int32), p)
         images = np.concatenate([images, last])
     index, base = oracle._normalized_keys(images, p)
     positions = np.searchsorted(target_index, index)
@@ -148,7 +162,7 @@ def counts_match_the_keyed_chunk(split, n, p, tasks, target_keys, table):
     counts."""
     total = np.zeros(len(target_keys), dtype=np.int64)
     for lo, hi in tasks:
-        args = (split, n, p, lo, hi, target_keys, table)
+        args = task_args(split, n, p, lo, hi, target_keys, table)
         expected_counts, expected_base = keyed_chunk(args)
         counts, base = oracle._sampled_chunk(args)
         assert counts.dtype == expected_counts.dtype
@@ -175,6 +189,23 @@ def test_prefiltered_chunk_matches_the_keyed_chunk(name):
     if extra:
         # the t_0 = 0 targets really were hit
         assert total[np.isin(target_keys, pivot_keys)].all()
+
+
+def test_a_scan_builds_its_head_once(monkeypatch):
+    """The head columns and the head table are built once per scan and
+    handed to every task, never again per task."""
+    rational_map = polar_of(DET_CUBIC)
+    expected = scan_sampled(rational_map, 7, targets=16, seed=2)
+    calls = {"_head_columns": 0, "_ratio_table": 0}
+    for name in calls:
+        def counted(*args, real=getattr(oracle, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    monkeypatch.setattr(oracle, "_CHUNK", 7 * 50)
+    assert len(oracle._block_tasks(rational_map.n, 7)) > 50
+    assert scan_sampled(rational_map, 7, targets=16, seed=2) == expected
+    assert calls == {"_head_columns": 1, "_ratio_table": 1}
 
 
 def low_bit_targets(split, n, p, task):
@@ -385,7 +416,7 @@ def test_prefilter_keys_exactly_the_rows_with_a_target_head(monkeypatch, extra):
         assert kept_zero_first < (images[:, columns[0]] == 0).sum()
 
     keyed = recording_keys(monkeypatch)
-    oracle._sampled_chunk((split, n, p, lo, hi, target_keys, table))
+    oracle._sampled_chunk(task_args(split, n, p, lo, hi, target_keys, table))
     assert len(keyed) == 2
     assert np.array_equal(keyed[0], expected)
     # e_4, keyed on its own: a base point, as every component holds three
@@ -441,7 +472,7 @@ def test_prefilter_keys_few_rows(monkeypatch):
 
     keyed = recording_keys(monkeypatch)
     calls = recording_evaluations(monkeypatch)
-    oracle._sampled_chunk((split, n, p, lo, hi, target_keys, table))
+    oracle._sampled_chunk(task_args(split, n, p, lo, hi, target_keys, table))
     assert len(keyed) == 1
     assert np.array_equal(keyed[0], expected)
     assert len(expected) < (hi - lo) * p // 5
