@@ -1,6 +1,6 @@
 """Exact toolkit for polar maps of homogeneous polynomials.
 
-Core objects: sparse exact polynomials over Q and F_p, factored products
+Core objects: sparse exact polynomials over Q, factored products
 of linear forms, polar systems and their moving parts, a finite-field
 fiber-counting degree oracle, and the structural/inductive homaloidality
 verdicts for arrangements.
@@ -15,7 +15,7 @@ from .errors import (
     ReductionError,
     ResourceBoundError,
 )
-from .fields import QQ, PrimeField, RationalField, is_prime
+from .fields import is_prime, residue
 from .oracle import (
     DegreeReport,
     check_contraction,
@@ -26,7 +26,6 @@ from .oracle import (
     scan_sampled,
 )
 from .parsing import (
-    format_canonical,
     parse_arrangement,
     parse_polynomial,
 )
@@ -63,10 +62,8 @@ __all__ = [
     "ParseError",
     "ReductionError",
     "ResourceBoundError",
-    "QQ",
-    "PrimeField",
-    "RationalField",
     "is_prime",
+    "residue",
     "DegreeReport",
     "check_contraction",
     "dominance_by_span",
@@ -74,7 +71,6 @@ __all__ = [
     "scan_exhaustive",
     "scan_primes",
     "scan_sampled",
-    "format_canonical",
     "parse_arrangement",
     "parse_polynomial",
     "PolarDecomposition",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .fields import QQ
 from .poly import Polynomial
 
 
@@ -112,19 +111,19 @@ class LinearFormProduct:
     def rank(self):
         return integer_rank(self.forms)
 
-    def form_polynomial(self, i, field=QQ):
+    def form_polynomial(self, i):
         terms = {}
         for t, c in enumerate(self.forms[i]):
             if c:
                 exps = tuple(1 if j == t else 0 for j in range(self.nvars))
                 terms[exps] = c
-        return Polynomial(field, self.nvars, terms)
+        return Polynomial(self.nvars, terms)
 
-    def expand(self, field=QQ):
+    def expand(self):
         """The product as an honest sparse polynomial."""
-        total = Polynomial.constant(field, self.nvars, field.one)
+        total = Polynomial.constant(self.nvars, 1)
         for i, m in enumerate(self.multiplicities):
-            total = total * self.form_polynomial(i, field) ** m
+            total = total * self.form_polynomial(i) ** m
         return total
 
     def sort_key(self):

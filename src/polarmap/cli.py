@@ -17,7 +17,7 @@ from itertools import combinations, product
 from .arrangement import LinearFormProduct, canonical_row
 from .errors import (InconsistencyError, ParseError, ReductionError,
                      ResourceBoundError)
-from .fields import QQ
+from .fields import is_prime
 from .oracle import DEFAULT_PRIMES, SAMPLED_MAX_TARGETS, scan_primes
 from .parsing import parse_arrangement, parse_polynomial
 from .polar import moving_part, polar_system
@@ -207,20 +207,22 @@ def cmd_classify(args):
     rows = _census_rows(nvars, coefficients)
     count = homaloidal_count = full_rank_count = 0
     scan_args = _scan_args(args)
-    # the primes scanned, each once, as scan_primes reports them
-    primes = scan_args["primes"]
+    # each prime once, as scan_primes scans them, and refused even when
+    # the census is empty and no scan runs
+    primes = list(dict.fromkeys(scan_args["primes"]))
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
     for chosen in combinations(rows, args.census_r + 1):
         F = LinearFormProduct(chosen, nvars=nvars)
         structural = structural_verdict(F)
-        reports = scan_primes(moving_part(F).moving, **scan_args)
-        primes = [r.p for r in reports]
-        scan = reports[0]
+        scan = scan_primes(moving_part(F).moving, **scan_args)[0]
         if scan.homaloidal != structural:
             raise InconsistencyError(
                 f"census disagreement at p={scan.p} on {F}: structural "
                 f"{structural}, oracle {scan.homaloidal}")
         # Gauss-Jordan over Q, not the Bareiss rank structural_verdict uses
-        independent = F.r == F.n and exact_rank(F.forms, QQ) == nvars
+        independent = F.r == F.n and exact_rank(F.forms) == nvars
         if independent != structural:
             raise InconsistencyError(
                 f"census disagreement on {F}: structural {structural}, "
@@ -240,7 +242,7 @@ def cmd_classify(args):
         import json
         summary = {"n": args.census_n, "r": args.census_r,
                    "coefficients": list(coefficients),
-                   "primes": list(primes), "arrangements": count,
+                   "primes": primes, "arrangements": count,
                    "homaloidal": homaloidal_count,
                    "full_rank": full_rank_count, "disagreements": 0}
         with open(args.json_path, "w", encoding="utf-8") as handle:

@@ -1,15 +1,11 @@
-"""Coefficient fields.
+"""Primes and residues.
 
-Two ground fields are supported: the rationals (coefficients are
-``fractions.Fraction``, exact, characteristic 0) and prime fields F_p
-(coefficients are plain ints in ``[0, p)``).  A field object carries the
-arithmetic; polynomials store bare coefficient values plus a reference to
-their field, so the same sparse-term code runs over either ground field.
+Every polynomial is over Q.  F_p enters only through residues: the scans'
+int32 tables and the rank mod p take the image of a rational number in
+[0, p), which exists unless p divides its denominator.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ReductionError
 
@@ -39,113 +35,8 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class RationalField:
-    """The field Q; values are Fraction (always in lowest terms)."""
-
-    characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into Q")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def div(self, a, b):
-        return a / b
-
-    def inv(self, a):
-        return 1 / a
-
-    def power(self, a, e):
-        return a ** e
-
-    def is_zero(self, a):
-        return a == 0
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
-
-
-class PrimeField:
-    """F_p for prime p; values are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def coerce(self, value):
-        if isinstance(value, int):
-            return value % self.p
-        if isinstance(value, Fraction):
-            return self.from_rational(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into F_{self.p}")
-
-    def from_rational(self, q: Fraction) -> int:
-        if q.denominator % self.p == 0:
-            raise ReductionError(f"denominator of {q} vanishes mod {self.p}")
-        return q.numerator * pow(q.denominator, -1, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return a * pow(b, -1, self.p) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return pow(a, -1, self.p)
-
-    def power(self, a, e):
-        return pow(a, e, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
+def residue(value, p):
+    """The image of an int or Fraction in F_p, as an int in [0, p)."""
+    if value.denominator % p == 0:
+        raise ReductionError(f"denominator of {value} vanishes mod {p}")
+    return value.numerator * pow(value.denominator, -1, p) % p

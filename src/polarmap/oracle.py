@@ -70,7 +70,7 @@ import numpy as np
 
 from .arrangement import LinearFormProduct
 from .errors import InconsistencyError, ReductionError, ResourceBoundError
-from .fields import PrimeField
+from .fields import is_prime, residue
 from .polar import moving_part
 from .poly import exact_rank
 
@@ -121,18 +121,21 @@ def projective_size(n, p):
 def _component_tables(rational_map, p):
     """Reduce the components mod p into (exponent rows, coefficient) tables.
 
-    Every kernel user builds its tables here, so this is where primes too
-    large for the int32 kernel are refused.
+    Terms are kept in exponent order, those whose residue is 0 dropped.
+    Every kernel user builds its tables here, so this is where composite
+    moduli and primes too large for the int32 kernel are refused.
     """
-    fld = PrimeField(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p >= 46341:
         # kernel arithmetic runs in int32; products of two residues and
         # Horner steps, (p-1)^2 + (p-1), must stay below 2^31
         raise ResourceBoundError(f"prime {p} too large for the 32-bit scan")
     tables = []
     for comp in rational_map.components:
-        terms = sorted(comp.reduce_mod(fld).terms.items())
-        tables.append(([e for e, _ in terms], [c for _, c in terms]))
+        terms = {e: r for e, c in sorted(comp.terms.items())
+                 if (r := residue(c, p))}
+        tables.append((list(terms), list(terms.values())))
     if not any(coeffs for _, coeffs in tables):
         raise ReductionError(f"every component vanishes mod {p}; pick another prime")
     return tables
@@ -832,8 +835,7 @@ def dominance_by_span(points, p):
     nvars = len(coord_rows[0])
     if len(coord_rows) < nvars + 1:
         raise ValueError(f"need at least n+2 = {nvars + 1} points, got {len(coord_rows)}")
-    fld = PrimeField(p)
-    return exact_rank(coord_rows, fld) == nvars
+    return exact_rank(coord_rows, p) == nvars
 
 
 def check_contraction(F, i, p, samples=100, seed=0):

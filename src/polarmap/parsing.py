@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from .arrangement import LinearFormProduct
 from .errors import ParseError
-from .fields import QQ
-from .poly import Polynomial, format_terms
+from .poly import Polynomial
 
 _MAX_INPUT = 262144
 _MAX_EXPONENT = 9999
@@ -196,9 +195,9 @@ def _resolve_nvars(node, nvars):
 def _eval_ast(node, nvars):
     kind = node[0]
     if kind == "int":
-        return Polynomial.constant(QQ, nvars, node[1])
+        return Polynomial.constant(nvars, node[1])
     if kind == "var":
-        return Polynomial.variable(QQ, nvars, node[1])
+        return Polynomial.variable(nvars, node[1])
     if kind in ("neg", "group"):
         inner = _eval_ast(node[1], nvars)
         return -inner if kind == "neg" else inner
@@ -213,7 +212,7 @@ def _eval_ast(node, nvars):
         return left * right
     if kind == "pow":
         base = _eval_ast(node[1], nvars)
-        result = Polynomial.constant(QQ, nvars, 1)
+        result = Polynomial.constant(nvars, 1)
         # the multiplications of one power share the budget
         spent = 0
         for _ in range(node[2]):
@@ -286,8 +285,3 @@ def parse_arrangement(text, nvars=None):
         rows.append(_linear_row(_eval_ast(node, nvars), nvars, pos))
         mults.append(mult)
     return LinearFormProduct(rows, mults, nvars)
-
-
-def format_canonical(poly):
-    """Canonical text form: graded-lex descending terms, minimal signs."""
-    return format_terms(poly)

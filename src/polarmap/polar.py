@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .arrangement import LinearFormProduct
 from .errors import DegenerateRestrictionError, InexactDivisionError
-from .fields import QQ
 from .poly import Polynomial, exact_rank, gcd, grlex_key, monic
 
 
@@ -38,8 +37,7 @@ class RationalMap:
         if not components:
             raise ValueError("a map needs at least one component")
         nvars = components[0].nvars
-        fld = components[0].field
-        if any(c.nvars != nvars or c.field != fld for c in components):
+        if any(c.nvars != nvars for c in components):
             raise ValueError("components must share one ring")
         if len(components) != nvars:
             raise ValueError(f"{nvars} variables require {nvars} components, got {len(components)}")
@@ -51,7 +49,6 @@ class RationalMap:
             raise ValueError("nonzero components must be homogeneous of equal degree")
         self.components = components
         self.nvars = nvars
-        self.field = fld
         self.degree = degrees.pop()
         self._base_free = None
 
@@ -82,7 +79,7 @@ class RationalMap:
 
     def compose(self, other):
         """self after other, as raw polynomials (no base stripping)."""
-        if other.nvars != self.nvars or other.field != self.field:
+        if other.nvars != self.nvars:
             raise ValueError("maps must share one ring to compose")
         return RationalMap([c.substitute(list(other.components))
                             for c in self.components])
@@ -187,7 +184,7 @@ def _int_base(forms, multiplicities):
 
 
 def _polynomial(terms, nvars, radix):
-    """A packed term dict as a Polynomial over QQ."""
+    """A packed term dict as a Polynomial."""
     unpacked = {}
     for k, c in terms.items():
         exps = []
@@ -195,7 +192,7 @@ def _polynomial(terms, nvars, radix):
             k, e = divmod(k, radix)
             exps.append(e)
         unpacked[tuple(exps)] = c
-    return Polynomial(QQ, nvars, unpacked)
+    return Polynomial(nvars, unpacked)
 
 
 def base_divisor_factored(F):
@@ -270,7 +267,7 @@ def moving_part(source):
 
 
 def is_cone(f):
-    """True iff the partials are linearly dependent over the field.
+    """True iff the partials are linearly dependent over Q.
 
     Linear dependence of the partials says the zero set is a cone in
     suitable coordinates, and equivalently that the polar image lies in a
@@ -281,8 +278,8 @@ def is_cone(f):
         raise ValueError("zero polynomial")
     partials = [f.derivative(i) for i in range(f.nvars)]
     monomials = sorted({e for p in partials for e in p.terms}, key=grlex_key)
-    rows = [[p.terms.get(e, f.field.zero) for e in monomials] for p in partials]
-    return exact_rank(rows, f.field) < f.nvars
+    rows = [[p.terms.get(e, 0) for e in monomials] for p in partials]
+    return exact_rank(rows) < f.nvars
 
 
 def restrict_arrangement(F, i):

@@ -1,9 +1,8 @@
 """Sparse exact multivariate polynomial arithmetic.
 
 A polynomial is a map from exponent vectors (tuples of non-negative ints,
-one slot per variable) to nonzero coefficients in a ground field from
-``polarmap.fields``.  Everything is exact: Fraction coefficients over Q,
-int residues over F_p, no floating point anywhere.
+one slot per variable) to nonzero rational coefficients.  Everything is
+exact: coefficients are Fractions, no floating point anywhere.
 
 The monomial order fixed for the whole package is graded lexicographic
 with x0 > x1 > ... > xn.  It determines leading terms, the monic
@@ -15,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateRestrictionError, InexactDivisionError
-from .fields import PrimeField
+from .fields import is_prime, residue
 
 
 def grlex_key(exps):
@@ -23,12 +22,21 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _coerce(value):
+    """An int or Fraction as a Fraction; anything else is refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} into Q")
+
+
 class Polynomial:
-    """Immutable sparse polynomial over a fixed field and variable count."""
+    """Immutable sparse polynomial over Q in a fixed number of variables."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, field, nvars, terms):
+    def __init__(self, nvars, terms):
         if nvars < 0:
             raise ValueError("variable count must be non-negative")
         clean = {}
@@ -38,10 +46,9 @@ class Polynomial:
                 raise ValueError(f"exponent vector {exps} has wrong length, expected {nvars}")
             if any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
-            value = field.coerce(coeff)
-            if not field.is_zero(value):
+            value = _coerce(coeff)
+            if value:
                 clean[exps] = value
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
@@ -51,19 +58,19 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars, {})
+    def zero(cls, nvars):
+        return cls(nvars, {})
 
     @classmethod
-    def constant(cls, field, nvars, value):
-        return cls(field, nvars, {(0,) * nvars: value})
+    def constant(cls, nvars, value):
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, field, nvars, i):
+    def variable(cls, nvars, i):
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for {nvars} variables")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(field, nvars, {exps: field.one})
+        return cls(nvars, {exps: 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -97,7 +104,7 @@ class Polynomial:
         return exps, self.terms[exps]
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
+        return self.terms.get(tuple(exps), Fraction(0))
 
     def variables_present(self):
         present = set()
@@ -110,8 +117,6 @@ class Polynomial:
     def _check_same(self, other):
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
     # -- ring operations ---------------------------------------------------
 
@@ -120,18 +125,12 @@ class Polynomial:
             return NotImplemented
         self._check_same(other)
         out = dict(self.terms)
-        fld = self.field
         for exps, coeff in other.terms.items():
-            acc = fld.add(out.get(exps, fld.zero), coeff)
-            if fld.is_zero(acc):
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return Polynomial(fld, self.nvars, out)
+            out[exps] = out.get(exps, 0) + coeff
+        return Polynomial(self.nvars, out)
 
     def __neg__(self):
-        fld = self.field
-        return Polynomial(fld, self.nvars, {e: fld.neg(c) for e, c in self.terms.items()})
+        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -139,10 +138,8 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        fld = self.field
         if isinstance(other, (int, Fraction)):
-            scalar = fld.coerce(other)
-            return Polynomial(fld, self.nvars, {e: fld.mul(c, scalar) for e, c in self.terms.items()})
+            return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same(other)
@@ -150,9 +147,8 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                acc = fld.add(out.get(key, fld.zero), fld.mul(c1, c2))
-                out[key] = acc
-        return Polynomial(fld, self.nvars, out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return Polynomial(self.nvars, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -162,7 +158,7 @@ class Polynomial:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        result = Polynomial.constant(self.field, self.nvars, self.field.one)
+        result = Polynomial.constant(self.nvars, 1)
         base = self
         e = exponent
         while e:
@@ -176,31 +172,26 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range for {self.nvars} variables")
-        fld = self.field
         out = {}
         for exps, coeff in self.terms.items():
             if exps[i] == 0:
                 continue
             key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            value = fld.mul(coeff, fld.coerce(exps[i]))
-            if key in out:
-                value = fld.add(out[key], value)
-            out[key] = value
-        return Polynomial(fld, self.nvars, out)
+            out[key] = out.get(key, 0) + coeff * exps[i]
+        return Polynomial(self.nvars, out)
 
     def evaluate(self, point):
-        """Exact value at a point given as a sequence of field elements."""
+        """Exact value, a Fraction, at a point of ints and Fractions."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} entries, expected {self.nvars}")
-        fld = self.field
-        values = [fld.coerce(x) for x in point]
-        total = fld.zero
+        values = [_coerce(x) for x in point]
+        total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
             for x, e in zip(values, exps):
                 if e:
-                    term = fld.mul(term, fld.power(x, e))
-            total = fld.add(total, term)
+                    term *= x ** e
+            total += term
         return total
 
     def exact_divide(self, divisor):
@@ -214,7 +205,6 @@ class Polynomial:
         self._check_same(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        fld = self.field
         if self.is_zero:
             return self
         lead_b = max(divisor.terms, key=grlex_key)
@@ -226,16 +216,16 @@ class Polynomial:
             exps = tuple(a - b for a, b in zip(lead_r, lead_b))
             if any(e < 0 for e in exps):
                 raise InexactDivisionError("leading term not divisible")
-            coeff = fld.div(remainder[lead_r], lc_b)
+            coeff = remainder[lead_r] / lc_b
             quotient[exps] = coeff
             for eb, cb in divisor.terms.items():
                 key = tuple(a + b for a, b in zip(exps, eb))
-                acc = fld.sub(remainder.get(key, fld.zero), fld.mul(coeff, cb))
-                if fld.is_zero(acc):
-                    remainder.pop(key, None)
-                else:
+                acc = remainder.get(key, 0) - coeff * cb
+                if acc:
                     remainder[key] = acc
-        return Polynomial(fld, self.nvars, quotient)
+                else:
+                    remainder.pop(key, None)
+        return Polynomial(self.nvars, quotient)
 
     def substitute(self, images):
         """Replace variable i by images[i]; images live in a common target ring."""
@@ -243,14 +233,10 @@ class Polynomial:
             raise ValueError(f"need {self.nvars} substitution images, got {len(images)}")
         if self.nvars == 0:
             raise ValueError("nothing to substitute in a 0-variable polynomial")
-        fld = images[0].field
         target_nvars = images[0].nvars
-        for img in images:
-            if img.field != fld or img.nvars != target_nvars:
-                raise ValueError("substitution images must share one ring")
-        if fld != self.field:
-            raise ValueError("substitution images must match the coefficient field")
-        powers = [[Polynomial.constant(fld, target_nvars, fld.one)] for _ in range(self.nvars)]
+        if any(img.nvars != target_nvars for img in images):
+            raise ValueError("substitution images must share one ring")
+        powers = [[Polynomial.constant(target_nvars, 1)] for _ in range(self.nvars)]
 
         def power_of(i, k):
             cache = powers[i]
@@ -258,30 +244,24 @@ class Polynomial:
                 cache.append(cache[-1] * images[i])
             return cache[k]
 
-        total = Polynomial.zero(fld, target_nvars)
+        total = Polynomial.zero(target_nvars)
         for exps, coeff in self.terms.items():
-            term = Polynomial.constant(fld, target_nvars, coeff)
+            term = Polynomial.constant(target_nvars, coeff)
             for i, e in enumerate(exps):
                 if e:
                     term = term * power_of(i, e)
             total = total + term
         return total
 
-    def reduce_mod(self, p):
-        """Image under Q -> F_p (or F_p -> F_p identity); p prime."""
-        fld = PrimeField(p) if isinstance(p, int) else p
-        return Polynomial(fld, self.nvars, dict(self.terms))
-
     # -- comparisons and printing ------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (self.field == other.field and self.nvars == other.nvars
-                and self.terms == other.terms)
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.field, self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __str__(self):
         return format_terms(self)
@@ -293,17 +273,15 @@ class Polynomial:
 def format_terms(poly):
     """Canonical text: graded-lex descending, minimal signs.
 
-    Over Q this is the parseable canonical form (for integer coefficients;
-    Fractions print as 'a/b' which the integer-only grammar rejects).
-    Over F_p residues print as plain non-negative integers.
+    This is the parseable canonical form for integer coefficients;
+    Fractions print as 'a/b', which the integer-only grammar rejects.
     """
     if poly.is_zero:
         return "0"
-    signed = poly.field.characteristic == 0
     pieces = []
     for exps in sorted(poly.terms, key=grlex_key, reverse=True):
         coeff = poly.terms[exps]
-        negative = signed and coeff < 0
+        negative = coeff < 0
         magnitude = -coeff if negative else coeff
         factors = []
         for i, e in enumerate(exps):
@@ -342,52 +320,62 @@ def restrict_to_hyperplane(poly, form):
         raise ValueError("restriction form must be homogeneous of degree 1")
     poly._check_same(form)
     nvars = poly.nvars
-    fld = poly.field
     coeffs = [form.coefficient(tuple(1 if j == i else 0 for j in range(nvars)))
               for i in range(nvars)]
-    pivot = next(i for i, c in enumerate(coeffs) if not fld.is_zero(c))
+    pivot = next(i for i, c in enumerate(coeffs) if c)
     target = nvars - 1
     images = []
     for t in range(nvars):
         if t == pivot:
             terms = {}
             for s in range(nvars):
-                if s == pivot or fld.is_zero(coeffs[s]):
+                if s == pivot or not coeffs[s]:
                     continue
                 slot = s if s < pivot else s - 1
                 exps = tuple(1 if j == slot else 0 for j in range(target))
-                terms[exps] = fld.neg(fld.div(coeffs[s], coeffs[pivot]))
-            images.append(Polynomial(fld, target, terms))
+                terms[exps] = -(coeffs[s] / coeffs[pivot])
+            images.append(Polynomial(target, terms))
         else:
             slot = t if t < pivot else t - 1
-            images.append(Polynomial.variable(fld, target, slot))
+            images.append(Polynomial.variable(target, slot))
     restricted = poly.substitute(images)
     if restricted.is_zero and not poly.is_zero:
         raise DegenerateRestrictionError("restriction vanishes identically")
     return restricted
 
 
-# -- exact rank over the coefficient field ----------------------------------
+# -- exact rank ----------------------------------------------------------------
 
-def exact_rank(rows, field):
-    """Rank of a matrix given as an iterable of coefficient rows."""
-    matrix = [[field.coerce(x) for x in row] for row in rows]
+def exact_rank(rows, p=None):
+    """Rank of a matrix of ints and Fractions, over Q or, given a prime p,
+    over F_p: one Gauss-Jordan elimination either way."""
+    if p is None:
+        matrix = [[_coerce(x) for x in row] for row in rows]
+    elif not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    else:
+        matrix = [[residue(x, p) for x in row] for row in rows]
+
+    def cut(v):
+        return v if p is None else v % p
+
     rank = 0
     col = 0
     ncols = len(matrix[0]) if matrix else 0
     while rank < len(matrix) and col < ncols:
         pivot_row = next((r for r in range(rank, len(matrix))
-                          if not field.is_zero(matrix[r][col])), None)
+                          if matrix[r][col]), None)
         if pivot_row is None:
             col += 1
             continue
         matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        inv = field.inv(matrix[rank][col])
-        matrix[rank] = [field.mul(inv, x) for x in matrix[rank]]
+        pivot = matrix[rank][col]
+        inv = 1 / pivot if p is None else pow(pivot, -1, p)
+        matrix[rank] = [cut(inv * x) for x in matrix[rank]]
         for r in range(len(matrix)):
-            if r != rank and not field.is_zero(matrix[r][col]):
+            if r != rank and matrix[r][col]:
                 factor = matrix[r][col]
-                matrix[r] = [field.sub(x, field.mul(factor, y))
+                matrix[r] = [cut(x - factor * y)
                              for x, y in zip(matrix[r], matrix[rank])]
         rank += 1
         col += 1
@@ -419,14 +407,13 @@ def gcd(a, b):
 def monic(poly):
     """Scale a nonzero polynomial so its graded-lex leading coefficient is 1."""
     _, lc = poly.leading_term()
-    if lc == poly.field.one:
+    if lc == 1:
         return poly
-    return Polynomial(poly.field, poly.nvars,
-                      {e: poly.field.div(c, lc) for e, c in poly.terms.items()})
+    return Polynomial(poly.nvars, {e: c / lc for e, c in poly.terms.items()})
 
 
 def _one(poly):
-    return Polynomial.constant(poly.field, poly.nvars, poly.field.one)
+    return Polynomial.constant(poly.nvars, 1)
 
 
 def _gcd_nonzero(a, b):
@@ -460,7 +447,7 @@ def _coeffs_in(poly, v):
         k = exps[v]
         stripped = exps[:v] + (0,) + exps[v + 1:]
         buckets.setdefault(k, {})[stripped] = coeff
-    return {k: Polynomial(poly.field, poly.nvars, t) for k, t in buckets.items()}
+    return {k: Polynomial(poly.nvars, t) for k, t in buckets.items()}
 
 
 def _lc_in(poly, v):
@@ -490,7 +477,7 @@ def _shift_var(poly, v, k):
     if k == 0:
         return poly
     terms = {e[:v] + (e[v] + k,) + e[v + 1:]: c for e, c in poly.terms.items()}
-    return Polynomial(poly.field, poly.nvars, terms)
+    return Polynomial(poly.nvars, terms)
 
 
 def _prem(f, g, v):

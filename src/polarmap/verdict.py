@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .arrangement import LinearFormProduct
 from .errors import InconsistencyError
-from .fields import QQ
 from .oracle import scan_primes
 from .polar import RationalMap, moving_part, restrict_arrangement
 from .poly import Polynomial
@@ -42,7 +41,7 @@ class CremonaMap:
         return len(self.exponents) - 1
 
     def polynomial(self):
-        return Polynomial(QQ, len(self.exponents), {self.exponents: 1})
+        return Polynomial(len(self.exponents), {self.exponents: 1})
 
     def moving_map(self):
         return monomial_moving_part(self.exponents)
@@ -113,7 +112,7 @@ def monomial_moving_part(exponents):
     components = []
     for i, m in enumerate(exponents):
         exps = tuple(0 if j == i else 1 for j in range(nvars))
-        components.append(Polynomial(QQ, nvars, {exps: Fraction(m)}))
+        components.append(Polynomial(nvars, {exps: Fraction(m)}))
     return RationalMap(components)
 
 

@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 
-from polarmap import QQ, LinearFormProduct, Polynomial
+from polarmap import LinearFormProduct, Polynomial
 
 
-def random_poly(rng, nvars, max_degree=3, max_terms=5, field=QQ,
-                homogeneous=False, nonzero=False, coeff_bound=9):
+def random_poly(rng, nvars, max_degree=3, max_terms=5, homogeneous=False,
+                nonzero=False, coeff_bound=9):
     """Random sparse polynomial with small integer coefficients."""
     while True:
         terms = {}
@@ -21,7 +21,7 @@ def random_poly(rng, nvars, max_degree=3, max_terms=5, field=QQ,
                     exps = tuple(rng.randint(0, max_degree) for _ in range(nvars))
             coeff = rng.randint(-coeff_bound, coeff_bound)
             terms[exps] = terms.get(exps, 0) + coeff
-        poly = Polynomial(field, nvars, {e: c for e, c in terms.items() if c})
+        poly = Polynomial(nvars, {e: c for e, c in terms.items() if c})
         if not nonzero or not poly.is_zero:
             return poly
 
@@ -39,7 +39,7 @@ def _random_composition(rng, total, slots):
 def random_fraction_poly(rng, nvars, max_degree=3, max_terms=4):
     base = random_poly(rng, nvars, max_degree, max_terms)
     terms = {e: Fraction(c, rng.randint(1, 7)) for e, c in base.terms.items()}
-    return Polynomial(QQ, nvars, terms)
+    return Polynomial(nvars, terms)
 
 
 def random_arrangement(rng, nvars, nforms, coeff_bound=2, max_mult=1):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from polarmap import oracle
-from polarmap.fields import QQ
 from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, moving_part, polar_system
@@ -27,7 +26,7 @@ def map_of(*texts):
 
 def dense_binary(degree, coeff):
     """Every monomial x0^a x1^(degree-a) with the same coefficient."""
-    return Polynomial(QQ, 2, {(a, degree - a): coeff for a in range(degree + 1)})
+    return Polynomial(2, {(a, degree - a): coeff for a in range(degree + 1)})
 
 
 DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
@@ -62,7 +61,7 @@ CASES = {
     "independent_of_last_full": (lambda: map_of("x0^2", "x0*x1", "x1^2"), 31),
     # every Horner step reaches (p-1)^2 + (p-1), just below 2^31
     "int32_edge": (lambda: RationalMap([dense_binary(60, -1),
-                                        Polynomial(QQ, 2, {(0, 60): -1})]),
+                                        Polynomial(2, {(0, 60): -1})]),
                    46337),
 }
 

@@ -185,7 +185,7 @@ def test_classify_exits_3_when_the_rank_over_q_disagrees(capsys, monkeypatch):
     # the independent count is a second route to the structural verdict:
     # a rank that disagrees with it stops the census
     from polarmap import cli
-    monkeypatch.setattr(cli, "exact_rank", lambda rows, field: 0)
+    monkeypatch.setattr(cli, "exact_rank", lambda rows, p=None: 0)
     code, out, err = run(capsys, "classify", "--n", "1", "--r", "1")
     assert code == 3
     assert "rank over Q False" in err and "arrangements:" not in out
@@ -300,6 +300,22 @@ def test_repeated_prime_is_scanned_once(capsys):
                          "-p", "101", "-p", "211", "-p", "101")
     assert code == 0, err
     assert out.splitlines()[0].endswith("primes {101,211}")
+
+
+def test_classify_refuses_a_composite_before_any_scan(capsys):
+    # n=1 has four classes of forms, so r=5 is an empty census
+    code, out, err = run(capsys, "classify", "--n", "1", "--r", "5",
+                         "-p", "100")
+    assert code == 2
+    assert "100 is not prime" in err and out == ""
+
+
+def test_classify_lists_each_prime_once_in_an_empty_census(capsys):
+    code, out, err = run(capsys, "classify", "--n", "1", "--r", "5",
+                         "-p", "101", "-p", "101")
+    assert code == 0, err
+    assert out.splitlines()[0].endswith("primes {101}")
+    assert "arrangements: 0" in out
 
 
 def test_classify_at_two_primes(capsys):

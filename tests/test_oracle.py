@@ -2,6 +2,7 @@
 resource guards, and the sampled mode's seeded determinism."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from polarmap import oracle
 from polarmap.arrangement import LinearFormProduct
 from polarmap.errors import (InconsistencyError, ReductionError,
                              ResourceBoundError)
-from polarmap.fields import QQ, PrimeField, is_prime
+from polarmap.fields import is_prime, residue
 from polarmap.oracle import (DegreeReport, _degree_estimate,
                              check_contraction, dominance_by_span,
                              projective_size, scan_exhaustive, scan_primes,
@@ -165,10 +166,10 @@ def _random_linear_images(rng, nvars):
             continue
         c = rng.choice([-2, -1, 1, 2])
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    vars_ = [Polynomial.variable(QQ, nvars, j) for j in range(nvars)]
+    vars_ = [Polynomial.variable(nvars, j) for j in range(nvars)]
     images = []
     for row in rows:
-        acc = Polynomial.zero(QQ, nvars)
+        acc = Polynomial.zero(nvars)
         for c, v in zip(row, vars_):
             acc = acc + v * c
         images.append(acc)
@@ -226,6 +227,8 @@ def test_dominance_by_span():
     assert not dominance_by_span(flat, 101)
     with pytest.raises(ValueError):
         dominance_by_span(pts[:2], 101)
+    with pytest.raises(ValueError, match="100 is not prime"):
+        dominance_by_span(pts, 100)
 
 
 def test_check_contraction_four_lines():
@@ -363,6 +366,20 @@ def test_bad_prime_raises_not_lies():
         scan_exhaustive(m, 2)
 
 
+def test_denominator_divisible_by_p_raises():
+    # 1/7 has no residue mod 7: the scan refuses rather than drop the term
+    m = RationalMap([Polynomial(2, {(1, 0): Fraction(1, 7)}),
+                     parse_polynomial("x1", nvars=2)])
+    with pytest.raises(ReductionError, match="vanishes mod 7"):
+        scan_exhaustive(m, 7)
+    assert scan_exhaustive(m, 11).homaloidal
+
+
+def test_composite_modulus_is_refused():
+    with pytest.raises(ValueError, match="100 is not prime"):
+        scan_exhaustive(polar_of("x0*x1"), 100)
+
+
 def test_worker_merge_matches_serial(monkeypatch):
     # 16-point chunks give the P^2(F_11) scans 12 tasks, one per prefix;
     # their merged reports equal the one-task scan whatever workers says,
@@ -404,12 +421,11 @@ def test_sampled_targets_match_the_reference_evaluator():
     for m, p, seed in ((polar_of("x0*x1*x2*x3*x4"), 31, 0),
                        (moving_of("x0^2*x1*(x0+x1+x2)"), 13, 4),
                        (polar_of("x0^3 + x1^3 + x2^3 + x0*x1*x2"), 103, 7)):
-        components = [c.reduce_mod(PrimeField(p)) for c in m.components]
         rng = random.Random(seed)
         expected = []
         while len(expected) < 16:
             coords = [rng.randrange(p) for _ in range(m.nvars)]
-            value = [c.evaluate(coords) for c in components]
+            value = [residue(c.evaluate(coords), p) for c in m.components]
             if any(coords) and any(value):
                 expected.append(ProjectivePoint(value, p).index())
         keys, rows = oracle._sample_targets(
@@ -455,8 +471,8 @@ def test_targets_bound_refuses_before_drawing(monkeypatch):
 def test_int32_accumulation_is_exact():
     # 48,516 terms of value p-1: the unreduced int32 sum would wrap
     p = 46337
-    form = Polynomial(QQ, 3, {(a, b, 310 - a - b): -1
-                              for a in range(311) for b in range(311 - a)})
+    form = Polynomial(3, {(a, b, 310 - a - b): -1
+                          for a in range(311) for b in range(311 - a)})
     assert len(form.terms) == 48516
     tables = oracle._component_tables(RationalMap([form] * 3), p)
     images = oracle._evaluate_images(tables, np.ones((1, 3), dtype=np.int32), p)

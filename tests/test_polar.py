@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarmap import (QQ, DegenerateRestrictionError, InexactDivisionError,
+from polarmap import (DegenerateRestrictionError, InexactDivisionError,
                       LinearFormProduct, Polynomial)
 from polarmap import polar
 from polarmap.parsing import parse_arrangement, parse_polynomial
@@ -33,9 +33,9 @@ def test_polar_system_examples():
 
 def test_polar_system_rejects_bad_input():
     with pytest.raises(ValueError):
-        polar_system(Polynomial.zero(QQ, 2))
+        polar_system(Polynomial.zero(2))
     with pytest.raises(ValueError):
-        polar_system(Polynomial.constant(QQ, 2, 5))
+        polar_system(Polynomial.constant(2, 5))
     with pytest.raises(ValueError):
         polar_system(parse_polynomial("x0^2+x1"))
 
@@ -47,22 +47,22 @@ def test_polar_euler_link():
         if f.homogeneous_degree() < 1:
             continue
         m = polar_system(f)
-        total = Polynomial.zero(QQ, 3)
+        total = Polynomial.zero(3)
         for i in range(3):
-            total = total + Polynomial.variable(QQ, 3, i) * m.components[i]
+            total = total + Polynomial.variable(3, i) * m.components[i]
         assert total == f.homogeneous_degree() * f
 
 
 def test_rational_map_validation():
-    x0 = Polynomial.variable(QQ, 2, 0)
-    x1 = Polynomial.variable(QQ, 2, 1)
+    x0 = Polynomial.variable(2, 0)
+    x1 = Polynomial.variable(2, 1)
     with pytest.raises(ValueError):
         RationalMap([x0])                       # wrong component count
     with pytest.raises(ValueError):
         RationalMap([x0, x1 ** 2])              # mixed degrees
     with pytest.raises(ValueError):
-        RationalMap([Polynomial.zero(QQ, 2), Polynomial.zero(QQ, 2)])
-    m = RationalMap([Polynomial.zero(QQ, 2), x0])  # zero component allowed
+        RationalMap([Polynomial.zero(2), Polynomial.zero(2)])
+    m = RationalMap([Polynomial.zero(2), x0])  # zero component allowed
     assert m.degree == 1
 
 
@@ -128,7 +128,7 @@ def test_moving_part_reconstructs_partials():
 
 def _reference_decomposition(F):
     """moving_part's three fields by expanding and dividing over Q."""
-    base = Polynomial.constant(QQ, F.nvars, 1)
+    base = Polynomial.constant(F.nvars, 1)
     for i, m in enumerate(F.multiplicities):
         base = base * F.form_polynomial(i) ** (m - 1)
     f = F.expand()
@@ -235,8 +235,8 @@ def _random_unimodular_images(rng, nvars):
         i, j = rng.sample(range(nvars), 2)
         c = rng.randint(-2, 2)
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return [Polynomial(QQ, nvars, {tuple(1 if t == j else 0 for t in range(nvars)): rows[i][j]
-                                   for j in range(nvars) if rows[i][j] != 0})
+    return [Polynomial(nvars, {tuple(1 if t == j else 0 for t in range(nvars)): rows[i][j]
+                               for j in range(nvars) if rows[i][j] != 0})
             for i in range(nvars)]
 
 
@@ -273,7 +273,7 @@ def test_restrict_arrangement_matches_polynomial_restriction():
         A = random_arrangement(rng, 3, 3, max_mult=2)
         i = rng.randrange(3)
         R = restrict_arrangement(A, i)
-        other = Polynomial.constant(QQ, 3, 1)
+        other = Polynomial.constant(3, 1)
         for j in range(3):
             if j != i:
                 other = other * A.form_polynomial(j) ** A.multiplicities[j]

@@ -7,7 +7,6 @@ import pytest
 
 from polarmap.arrangement import LinearFormProduct
 from polarmap.errors import InconsistencyError
-from polarmap.fields import QQ
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, moving_part, restrict_arrangement
 from polarmap.poly import Polynomial
@@ -140,7 +139,7 @@ def linear_map(rows):
     """x -> A x over Q, for the matrix A with the given rows."""
     nvars = len(rows)
     unit = [tuple(int(j == k) for j in range(nvars)) for k in range(nvars)]
-    return RationalMap([Polynomial(QQ, nvars, dict(zip(unit, row)))
+    return RationalMap([Polynomial(nvars, dict(zip(unit, row)))
                         for row in rows])
 
 
