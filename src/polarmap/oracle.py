@@ -121,9 +121,11 @@ def projective_size(n, p):
 def _component_tables(rational_map, p):
     """Reduce the components mod p into (exponent rows, coefficient) tables.
 
-    Terms are kept in exponent order, those whose residue is 0 dropped.
-    Every kernel user builds its tables here, so this is where composite
-    moduli and primes too large for the int32 kernel are refused.
+    The residues come from the map's integer terms and the inverse of
+    their common denominator.  Terms are kept in exponent order, those
+    whose residue is 0 dropped.  Every kernel user builds its tables here,
+    so this is where composite moduli and primes too large for the int32
+    kernel are refused.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -131,10 +133,17 @@ def _component_tables(rational_map, p):
         # kernel arithmetic runs in int32; products of two residues and
         # Horner steps, (p-1)^2 + (p-1), must stay below 2^31
         raise ResourceBoundError(f"prime {p} too large for the 32-bit scan")
+    denominator, numerators = rational_map.integer_terms()
+    if denominator % p == 0:
+        # p divides some coefficient's own denominator; residue names it
+        for comp in rational_map.components:
+            for _, c in sorted(comp.terms.items()):
+                residue(c, p)
+    scale = pow(denominator, -1, p)
     tables = []
-    for comp in rational_map.components:
-        terms = {e: r for e, c in sorted(comp.terms.items())
-                 if (r := residue(c, p))}
+    for terms in numerators:
+        terms = {e: r for e, c in sorted(terms.items())
+                 if (r := c * scale % p)}
         tables.append((list(terms), list(terms.values())))
     if not any(coeffs for _, coeffs in tables):
         raise ReductionError(f"every component vanishes mod {p}; pick another prime")

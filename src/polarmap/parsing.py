@@ -265,11 +265,48 @@ def _linear_row(poly, nvars, pos):
     return row
 
 
+def _affine(node, nvars):
+    """The coefficients of x0..x(nvars-1), then the constant, of an AST
+    read as an affine-linear form over the ints: integers, variables,
+    unary minus, groups, + and -, and products with a constant side.  Any
+    other AST gives None."""
+    kind = node[0]
+    if kind == "int":
+        return [0] * nvars + [node[1]]
+    if kind == "var":
+        vector = [0] * (nvars + 1)
+        vector[node[1]] = 1
+        return vector
+    if kind == "group":
+        return _affine(node[1], nvars)
+    if kind == "neg":
+        vector = _affine(node[1], nvars)
+        return vector and [-c for c in vector]
+    if kind not in ("add", "sub", "mul"):
+        return None
+    left = _affine(node[1], nvars)
+    right = left and _affine(node[2], nvars)
+    if right is None:
+        return None
+    if kind == "add":
+        return [a + b for a, b in zip(left, right)]
+    if kind == "sub":
+        return [a - b for a, b in zip(left, right)]
+    if not any(left[:-1]):
+        return [left[-1] * b for b in right]
+    if not any(right[:-1]):
+        return [a * right[-1] for a in left]
+    return None
+
+
 def parse_arrangement(text, nvars=None):
     """Parse a *-separated product of (linear form)^multiplicity factors.
 
     The factored shape is preserved: nothing is expanded, and factors that
-    are projectively equal merge by summing multiplicities.
+    are projectively equal merge by summing multiplicities.  A factor that
+    reads as a nonzero linear form over the ints (_affine) goes straight
+    to its integer row; any other is evaluated as a polynomial, which
+    either is a linear form or raises the positioned error.
     """
     node = parse_expression(text)
     nvars = _resolve_nvars(node, nvars)
@@ -282,6 +319,10 @@ def parse_arrangement(text, nvars=None):
         node, mult = factor[1:3] if factor[0] == "pow" else (factor, 1)
         if mult < 1:
             raise ParseError("multiplicity must be at least 1", pos[0], pos[1])
-        rows.append(_linear_row(_eval_ast(node, nvars), nvars, pos))
+        vector = _affine(node, nvars)
+        if vector is not None and not vector[-1] and any(vector):
+            rows.append(vector[:-1])
+        else:
+            rows.append(_linear_row(_eval_ast(node, nvars), nvars, pos))
         mults.append(mult)
     return LinearFormProduct(rows, mults, nvars)

@@ -16,7 +16,7 @@ of base * reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 from .arrangement import LinearFormProduct
@@ -51,6 +51,28 @@ class RationalMap:
         self.nvars = nvars
         self.degree = degrees.pop()
         self._base_free = None
+        self._integer_terms = None
+
+    @classmethod
+    def _of_integer_terms(cls, nvars, tables):
+        """The map whose k-th component has the terms of tables[k], a dict
+        from exponent tuples to nonzero ints, kept as its integer terms."""
+        rational_map = cls([Polynomial._trusted(nvars, t) for t in tables])
+        rational_map._integer_terms = (1, tables)
+        return rational_map
+
+    def integer_terms(self):
+        """(d, tables): component k is tables[k] / d, where tables[k] maps
+        exponent tuples to ints and d is the least common denominator of
+        all coefficients (cached).  The scans read the map from here."""
+        if self._integer_terms is None:
+            d = math.lcm(*(c.denominator for comp in self.components
+                           for c in comp.terms.values()))
+            self._integer_terms = (d, [
+                {e: c.numerator * (d // c.denominator)
+                 for e, c in comp.terms.items()}
+                for comp in self.components])
+        return self._integer_terms
 
     @property
     def n(self):
@@ -131,12 +153,30 @@ def polar_system(f):
     return RationalMap(partials)
 
 
-@dataclass
 class PolarDecomposition:
-    """base_divisor * moving[i] = the i-th partial; reduced = F / base_divisor."""
-    base_divisor: Polynomial
-    moving: RationalMap
-    reduced: Polynomial
+    """base_divisor * moving[i] = the i-th partial; reduced = F / base_divisor.
+
+    base_divisor and reduced may each be given as a function of no
+    arguments instead, called on first access: the factored path builds
+    those two polynomials only for a caller that reads them.
+    """
+
+    def __init__(self, base_divisor, moving, reduced):
+        self._base_divisor = base_divisor
+        self.moving = moving
+        self._reduced = reduced
+
+    @property
+    def base_divisor(self):
+        if callable(self._base_divisor):
+            self._base_divisor = self._base_divisor()
+        return self._base_divisor
+
+    @property
+    def reduced(self):
+        if callable(self._reduced):
+            self._reduced = self._reduced()
+        return self._reduced
 
 
 # Factored input is computed over Python ints, in term dicts keyed by packed
@@ -183,8 +223,8 @@ def _int_base(forms, multiplicities):
     return base
 
 
-def _polynomial(terms, nvars, radix):
-    """A packed term dict as a Polynomial."""
+def _unpacked(terms, nvars, radix):
+    """A packed term dict keyed by exponent tuples instead."""
     unpacked = {}
     for k, c in terms.items():
         exps = []
@@ -192,7 +232,12 @@ def _polynomial(terms, nvars, radix):
             k, e = divmod(k, radix)
             exps.append(e)
         unpacked[tuple(exps)] = c
-    return Polynomial(nvars, unpacked)
+    return unpacked
+
+
+def _polynomial(terms, nvars, radix):
+    """A packed term dict as a Polynomial."""
+    return Polynomial._trusted(nvars, _unpacked(terms, nvars, radix))
 
 
 def base_divisor_factored(F):
@@ -238,9 +283,10 @@ def _factored_moving_part(F):
         moving.append(component)
     nvars = F.nvars
     return PolarDecomposition(
-        _polynomial(base, nvars, radix),
-        RationalMap([_polynomial(c, nvars, radix) for c in moving]),
-        _polynomial(reduced, nvars, radix))
+        lambda: _polynomial(base, nvars, radix),
+        RationalMap._of_integer_terms(
+            nvars, [_unpacked(c, nvars, radix) for c in moving]),
+        lambda: _polynomial(reduced, nvars, radix))
 
 
 def moving_part(source):

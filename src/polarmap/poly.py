@@ -58,6 +58,20 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, nvars, terms):
+        """A polynomial of terms the package built itself, unchecked.
+
+        The keys must be exponent tuples of length nvars and the values
+        ints or Fractions; ints are stored as Fractions, zeros dropped.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", {
+            e: c if type(c) is Fraction else Fraction(c)
+            for e, c in terms.items() if c})
+        return poly
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
 
@@ -127,10 +141,10 @@ class Polynomial:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, 0) + coeff
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -139,7 +153,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._trusted(
+                self.nvars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same(other)
@@ -148,7 +163,7 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -178,7 +193,7 @@ class Polynomial:
                 continue
             key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
             out[key] = out.get(key, 0) + coeff * exps[i]
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def evaluate(self, point):
         """Exact value, a Fraction, at a point of ints and Fractions."""
@@ -225,7 +240,7 @@ class Polynomial:
                     remainder[key] = acc
                 else:
                     remainder.pop(key, None)
-        return Polynomial(self.nvars, quotient)
+        return Polynomial._trusted(self.nvars, quotient)
 
     def substitute(self, images):
         """Replace variable i by images[i]; images live in a common target ring."""
@@ -334,7 +349,7 @@ def restrict_to_hyperplane(poly, form):
                 slot = s if s < pivot else s - 1
                 exps = tuple(1 if j == slot else 0 for j in range(target))
                 terms[exps] = -(coeffs[s] / coeffs[pivot])
-            images.append(Polynomial(target, terms))
+            images.append(Polynomial._trusted(target, terms))
         else:
             slot = t if t < pivot else t - 1
             images.append(Polynomial.variable(target, slot))
@@ -409,7 +424,7 @@ def monic(poly):
     _, lc = poly.leading_term()
     if lc == 1:
         return poly
-    return Polynomial(poly.nvars, {e: c / lc for e, c in poly.terms.items()})
+    return Polynomial._trusted(poly.nvars, {e: c / lc for e, c in poly.terms.items()})
 
 
 def _one(poly):
@@ -447,7 +462,7 @@ def _coeffs_in(poly, v):
         k = exps[v]
         stripped = exps[:v] + (0,) + exps[v + 1:]
         buckets.setdefault(k, {})[stripped] = coeff
-    return {k: Polynomial(poly.nvars, t) for k, t in buckets.items()}
+    return {k: Polynomial._trusted(poly.nvars, t) for k, t in buckets.items()}
 
 
 def _lc_in(poly, v):
@@ -477,7 +492,7 @@ def _shift_var(poly, v, k):
     if k == 0:
         return poly
     terms = {e[:v] + (e[v] + k,) + e[v + 1:]: c for e, c in poly.terms.items()}
-    return Polynomial(poly.nvars, terms)
+    return Polynomial._trusted(poly.nvars, terms)
 
 
 def _prem(f, g, v):

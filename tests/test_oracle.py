@@ -20,6 +20,7 @@ from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, polar_system, moving_part
 from polarmap.poly import Polynomial
 
+from gens import random_arrangement
 from processes import without_a_process
 from projective import ProjectivePoint
 
@@ -373,6 +374,59 @@ def test_denominator_divisible_by_p_raises():
     with pytest.raises(ReductionError, match="vanishes mod 7"):
         scan_exhaustive(m, 7)
     assert scan_exhaustive(m, 11).homaloidal
+
+
+def _residue_tables(rational_map, p):
+    """Tables straight from the residues of the components' coefficients."""
+    tables = []
+    for comp in rational_map.components:
+        terms = {e: residue(c, p) for e, c in sorted(comp.terms.items())}
+        terms = {e: r for e, r in terms.items() if r}
+        tables.append((list(terms), list(terms.values())))
+    return tables
+
+
+def test_integer_tables_match_the_polynomial_components():
+    rng = random.Random(2024)
+    scales = [Fraction(1), Fraction(-3, 2), Fraction(5, 4), Fraction(1, 9)]
+    for _ in range(300):
+        nvars = rng.randint(2, 4)
+        A = random_arrangement(rng, nvars, rng.randint(1, 4), coeff_bound=3,
+                               max_mult=3)
+        moving = moving_part(A).moving
+        # the same map read from its Polynomials, and a rescaled copy whose
+        # integer terms need a common denominator
+        rebuilt = RationalMap(list(moving.components))
+        rescaled = RationalMap([c * rng.choice(scales)
+                                for c in moving.components])
+        for p in (7, 101, 46337):
+            expected = _residue_tables(moving, p)
+            assert oracle._component_tables(moving, p) == expected, A
+            assert oracle._component_tables(rebuilt, p) == expected, A
+            assert oracle._component_tables(rescaled, p) == \
+                _residue_tables(rescaled, p), A
+
+
+def test_integer_tables_refuse_a_map_that_vanishes_mod_p():
+    # 2*x0, -2*x1: the moving part of certify "(x0+x1)*(x0-x1)" -p 2
+    moving = moving_part(parse_arrangement("(x0+x1)*(x0-x1)")).moving
+    with pytest.raises(ReductionError, match="every component vanishes mod 2"):
+        oracle._component_tables(moving, 2)
+    with pytest.raises(ReductionError, match="every component vanishes mod 2"):
+        scan_primes(moving, (2,))
+
+
+def test_integer_tables_name_the_first_coefficient_without_a_residue():
+    # the common denominator 6 vanishes mod 3; the error names the first
+    # coefficient in table order whose own denominator does
+    m = RationalMap([Polynomial(2, {(1, 0): 1}),
+                     Polynomial(2, {(1, 0): Fraction(1, 6),
+                                    (0, 1): Fraction(2, 3)})])
+    assert m.integer_terms() == (6, [{(1, 0): 6}, {(1, 0): 1, (0, 1): 4}])
+    with pytest.raises(ReductionError,
+                       match="^denominator of 2/3 vanishes mod 3$"):
+        oracle._component_tables(m, 3)
+    assert oracle._component_tables(m, 5) == _residue_tables(m, 5)
 
 
 def test_composite_modulus_is_refused():

@@ -1,9 +1,10 @@
+import itertools
 import random
 import string
 
 import pytest
 
-from polarmap import ParseError, Polynomial, parsing
+from polarmap import LinearFormProduct, ParseError, Polynomial, parsing
 from polarmap.parsing import (
     parse_arrangement,
     parse_expression,
@@ -157,6 +158,90 @@ def test_parse_arrangement_rejects_nonlinear_factors():
 def test_parse_arrangement_negated_factor():
     A = parse_arrangement("-x0*x1")
     assert A.forms == ((1, 0), (0, 1))
+
+
+def _evaluated_arrangement(text, nvars=None):
+    """parse_arrangement with every factor evaluated as a polynomial and
+    read back by _linear_row, the route that predates the integer reader."""
+    node = parse_expression(text)
+    nvars = parsing._resolve_nvars(node, nvars)
+    factors = []
+    parsing._flatten_product(node, factors)
+    rows, mults = [], []
+    for factor in factors:
+        node, mult = factor[1:3] if factor[0] == "pow" else (factor, 1)
+        poly = parsing._eval_ast(node, nvars)
+        rows.append(parsing._linear_row(poly, nvars, factor[-1]))
+        mults.append(mult)
+    return LinearFormProduct(rows, mults, nvars)
+
+
+def _census_text(forms, mults):
+    """The census workload's spelling: (x0 + x1)*(x1 - x2)*(x2)*(...)^3."""
+    factors = []
+    for row, m in zip(forms, mults):
+        text = " ".join(f"{'-' if c < 0 else '+'} x{i}"
+                        for i, c in enumerate(row) if c)
+        text = text[2:] if text[0] == "+" else "-" + text[2:]
+        factors.append(f"({text})" + (f"^{m}" if m > 1 else ""))
+    return "*".join(factors)
+
+
+def test_integer_factor_reader_matches_polynomial_evaluation():
+    rows = [v for v in itertools.product((-1, 0, 1), repeat=3)
+            if any(v) and next(c for c in v if c) > 0]
+    assert len(rows) == 13
+    rng = random.Random(24)
+    checked = 0
+    for r in range(1, 5):
+        for forms in itertools.combinations(rows, r):
+            cubed = [1] * r
+            cubed[rng.randrange(r)] = 3
+            for mults in ([1] * r, cubed):
+                text = _census_text(forms, mults)
+                fast = parse_arrangement(text, nvars=3)
+                slow = _evaluated_arrangement(text, nvars=3)
+                assert (fast.nvars, fast.forms, fast.multiplicities) == \
+                    (slow.nvars, slow.forms, slow.multiplicities), text
+                assert fast.forms == forms, text
+                checked += 1
+    assert checked == 2 * (13 + 78 + 286 + 715)
+
+
+@pytest.mark.parametrize("text, nvars, forms, mults", [
+    ("x0*(2*x0)", 1, ((1,),), (2,)),
+    ("(x0^1)*x1", 2, ((1, 0), (0, 1)), (1, 1)),
+    ("(x0*x1 - x1*x0 + x2)*x0*x1", 3,
+     ((0, 0, 1), (1, 0, 0), (0, 1, 0)), (1, 1, 1)),
+    ("-(x0 - 2*x1)*x2", 3, ((1, -2, 0), (0, 0, 1)), (1, 1)),
+    ("(3*x0 + -x1)^2", 2, ((3, -1),), (2,)),
+    ("x0*(x1 + 2^1*x0)", 2, ((1, 0), (2, 1)), (1, 1)),
+    ("(x0 + x1 - x1 + 3 - 3)^2*x1", 2, ((1, 0), (0, 1)), (2, 1)),
+    ("((x0 - x1)*-2)*(0*x0 + x1)", 2, ((1, -1), (0, 1)), (1, 1)),
+])
+def test_integer_factor_reader_corner_texts(text, nvars, forms, mults):
+    A = parse_arrangement(text)
+    assert (A.nvars, A.forms, A.multiplicities) == (nvars, forms, mults)
+    assert A == _evaluated_arrangement(text)
+
+
+# messages, lines and columns as the polynomial route alone gave them
+@pytest.mark.parametrize("text, message, line, column", [
+    ("x0*(x1*x2)", "factor is not a linear form", 1, 4),
+    ("(x0^2+x1^2)*x2", "factor is not a linear form", 1, 1),
+    ("2*x0", "factor is not a linear form", 1, 1),
+    ("(x0-x0)*x1", "factor is the zero form", 1, 1),
+    ("x0^0*x1", "multiplicity must be at least 1", 1, 3),
+    ("(x0 + 1)*x1", "factor is not a linear form", 1, 1),
+    ("(2*(x0 - x0))*x1", "factor is the zero form", 1, 1),
+    ("x1*(x0*(x1 - x1))", "factor is the zero form", 1, 4),
+    ("x0*\n  (1)", "factor is not a linear form", 2, 3),
+])
+def test_integer_factor_reader_refuses_as_before(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_arrangement(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_report_roundtrip_and_stability():

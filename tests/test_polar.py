@@ -6,6 +6,7 @@ import pytest
 from polarmap import (DegenerateRestrictionError, InexactDivisionError,
                       LinearFormProduct, Polynomial)
 from polarmap import polar
+from polarmap.oracle import scan_exhaustive
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import (
     RationalMap,
@@ -170,6 +171,22 @@ def test_factored_moving_part_neither_expands_nor_divides(monkeypatch):
     monkeypatch.setattr(polar, "polar_system", refuse)
     dec = moving_part(parse_arrangement("(x0+x1)^2*(x1-2*x2)*x2^3"))
     assert dec.base_divisor == parse_polynomial("(x0+x1)*x2^2")
+
+
+@pytest.mark.parametrize("text, homaloidal", [
+    ("(x0 + x1)*(x1 - x2)*(x2)*(x0 + x1 + x2)^3", False),
+    ("(x0)*(x1)*(x2)", True),
+])
+def test_census_path_skips_the_validating_constructor(monkeypatch, text,
+                                                      homaloidal):
+    def refuse(*args):
+        raise AssertionError("the census path validated a Polynomial")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    F = parse_arrangement(text, nvars=3)
+    for G in (F, F.reduced()):
+        report = scan_exhaustive(moving_part(G).moving, 101)
+        assert report.homaloidal == homaloidal
 
 
 def test_moving_part_raises_on_a_corrupted_product(monkeypatch):
