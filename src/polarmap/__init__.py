@@ -32,7 +32,6 @@ from .parsing import (
 from .polar import (
     PolarDecomposition,
     RationalMap,
-    base_divisor_factored,
     is_cone,
     moving_part,
     polar_system,
@@ -75,7 +74,6 @@ __all__ = [
     "parse_polynomial",
     "PolarDecomposition",
     "RationalMap",
-    "base_divisor_factored",
     "is_cone",
     "moving_part",
     "polar_system",

@@ -7,9 +7,13 @@ int32 tables and the rank mod p take the image of a rational number in
 
 from __future__ import annotations
 
+import functools
+
 from .errors import ReductionError
 
 
+# every scan of a run asks again for the same few primes
+@functools.cache
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, exact for every 64-bit integer."""
     if p < 2:

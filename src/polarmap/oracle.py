@@ -11,8 +11,9 @@ prefixes, which may cross pivot blocks, times the p values of x_n: each
 component f_j = sum_k g_{j,k}(x_0..x_{n-1}) x_n^k is evaluated once per
 prefix as the coefficients g_{j,k}, then expanded over x_n by Horner's
 rule.  The task that ends the range takes e_n on its own, its image read
-off the g_{j,k}'s constant terms.  Random sample points have no such grid
-and are evaluated row by row.
+off the g_{j,k}'s constant terms.  Random sample points have no grid:
+their g_{j,k} are evaluated on their own x_0..x_{n-1} and expanded at
+their own x_n, as a sampled task's gathered rows are (_row_images).
 _normalized_keys turns each image row into its index in P^n(F_p) (pivot
 block, then the free digits with x_n lowest, from 0 to
 projective_size(n, p) - 1, and -1 for a base row); that index is the only
@@ -46,9 +47,10 @@ rows whose index has the low 16 bits of some target's (a 2^16-entry
 bitmap built once per scan; 0.3% of the kept rows of the determinantal
 cubic at p=31 pass it).
 
-Remainders mod p skip numpy's per-element hardware division wherever the
-arrays are large: digits and remainders are taken as v - (v // p) * p,
-which numpy computes with a multiply and shift (_reduce), and the
+Every remainder mod p of the kernel goes through _reduce, in place.  It
+skips numpy's per-element hardware division wherever the arrays are
+large: remainders are taken as v - (v // p) * p, which numpy computes
+with a multiply and shift, and digits the same way (_chunk_points).  The
 evaluator adds each coefficient times monomial unreduced, reducing a
 component's sum only every ~2^31 / p^2 terms (_evaluate_images).
 
@@ -119,13 +121,17 @@ def projective_size(n, p):
 
 
 def _component_tables(rational_map, p):
-    """Reduce the components mod p into (exponent rows, coefficient) tables.
+    """Reduce the components mod p, split by the power of x_n.
 
-    The residues come from the map's integer terms and the inverse of
-    their common denominator.  Terms are kept in exponent order, those
-    whose residue is 0 dropped.  Every kernel user builds its tables here,
-    so this is where composite moduli and primes too large for the int32
-    kernel are refused.
+    Returns (prefix tables, powers): a prefix table is (exponent rows over
+    x_0..x_{n-1}, coefficients), one per (component j, power k of x_n)
+    that occurs, holding g_{j,k} where f_j = sum_k g_{j,k} x_n^k;
+    powers[j] maps each such k to its prefix table, and a component that
+    vanishes mod p has none.  The residues come from the map's integer
+    terms and the inverse of their common denominator.  Terms are kept in
+    exponent order, those whose residue is 0 dropped.  Every kernel user
+    builds its tables here, so this is where composite moduli and primes
+    too large for the int32 kernel are refused.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -140,14 +146,22 @@ def _component_tables(rational_map, p):
             for _, c in sorted(comp.terms.items()):
                 residue(c, p)
     scale = pow(denominator, -1, p)
-    tables = []
+    n = rational_map.n
+    prefix_tables, powers = [], []
     for terms in numerators:
-        terms = {e: r for e, c in sorted(terms.items())
-                 if (r := c * scale % p)}
-        tables.append((list(terms), list(terms.values())))
-    if not any(coeffs for _, coeffs in tables):
+        by_power = {}
+        for e, c in sorted(terms.items()):
+            if r := c * scale % p:
+                rows = by_power.setdefault(e[n], ([], []))
+                rows[0].append(e[:n])
+                rows[1].append(r)
+        powers.append({})
+        for k in sorted(by_power):
+            powers[-1][k] = len(prefix_tables)
+            prefix_tables.append(by_power[k])
+    if not prefix_tables:
         raise ReductionError(f"every component vanishes mod {p}; pick another prime")
-    return tables
+    return prefix_tables, powers
 
 
 def _chunk_points(n, p, lo, hi):
@@ -158,10 +172,10 @@ def _chunk_points(n, p, lo, hi):
     lowest, as _normalized_keys numbers images, after the blocks of
     smaller pivot.  Each block the range crosses fills its rows of the one
     array in place.  The scans call it with n-1 to build the prefixes of
-    a task (_block_grid); the random-point evaluators build their own
-    rows.  int32 is safe throughout the scan: _component_tables keeps
-    p < 46341, so a product of two residues, and a Horner step
-    (p-1)^2 + (p-1), stay below 2^31.  Positions are int32 too, as
+    a task; the random-point evaluators build their own rows.  int32 is
+    safe throughout the scan: _component_tables keeps p < 46341, so a
+    product of two residues, and a Horner step (p-1)^2 + (p-1), stay
+    below 2^31.  Positions are int32 too, as
     _check_domain keeps P^n(F_p), and so every block, under 2^31 points;
     each digit is idx - (idx // p) * p, a floor-divide by a scalar that
     numpy runs as a multiply and shift, where idx % p would take one
@@ -187,31 +201,33 @@ def _chunk_points(n, p, lo, hi):
 def _evaluate_images(tables, coords, p):
     """Images of the rows of coords under the tables, (rows, components).
 
-    Each monomial is a product of powers reduced mod p; its coefficient
-    multiplies it unreduced, a term of at most (p-1)^2, and goes straight
-    into the component's int32 sum.  The sum is reduced every `period`
-    terms: from a reduced sum of at most p-1, that many terms stay below
-    2^31 (at least 1, as _component_tables keeps p(p-1) < 2^31).
+    The scans pass prefix tables (_component_tables) and prefixes.  Each
+    monomial is a product of powers reduced mod p, x_v^e built from
+    x_v^(e-1) with one product and one _reduce, as Polynomial.substitute
+    builds its powers; its coefficient multiplies it unreduced, a term of
+    at most (p-1)^2, and goes straight into the component's int32 sum.
+    The sum is reduced every `period` terms: from a reduced sum of at most
+    p-1, that many terms stay below 2^31 (at least 1, as _component_tables
+    keeps p(p-1) < 2^31).
     """
-    count = len(coords)
-    reduce = _reducer(count)
     period = (2 ** 31 - p) // (p - 1) ** 2
     # numpy converts a Python int operand anew on every call, which a 0-d
     # array skips: it tells on small rows, where each call costs the most
     modulus = np.array(p, dtype=np.int32)
     # component-major, so each sum is contiguous (as _reduce needs); the
     # transpose returned is the usual (rows, components) view
-    images = np.zeros((len(tables), count), dtype=np.int32)
-    power_cache = {}
+    images = np.zeros((len(tables), len(coords)), dtype=np.int32)
+    # powers[v][e - 1] is x_v^e.  power_column must not call itself: a
+    # closure that does is a reference cycle, and it kept each call's
+    # powers alive until the cyclic collector ran (peak RSS 34 -> 56 MiB on
+    # a sampled scan of the determinantal cubic at p=31)
+    powers = [[coords[:, v]] for v in range(coords.shape[1])]
 
     def power_column(v, e):
-        key = (v, e)
-        if key not in power_cache:
-            if e == 1:
-                power_cache[key] = coords[:, v]
-            else:
-                power_cache[key] = pow_mod_array(coords[:, v], e, modulus)
-        return power_cache[key]
+        column = powers[v]
+        while len(column) < e:
+            column.append(_reduce(column[-1] * column[0], modulus))
+        return column[e - 1]
 
     for acc, (exps, coeffs) in zip(images, tables):
         if not coeffs:
@@ -221,7 +237,7 @@ def _evaluate_images(tables, coords, p):
             for v, k in enumerate(e):
                 if k:
                     col = power_column(v, k)
-                    term = col if term is None else reduce(term * col, modulus)
+                    term = col if term is None else _reduce(term * col, modulus)
             if term is None:
                 acc += c
             elif c == 1:
@@ -231,35 +247,9 @@ def _evaluate_images(tables, coords, p):
             if t % period == 0:
                 # about 2^31 / p^2 terms: reached only at large p, where
                 # the rows are few
-                np.remainder(acc, modulus, out=acc)
-        acc[:] = reduce(acc, modulus)
+                _reduce(acc, modulus)
+        _reduce(acc, modulus)
     return images.T
-
-
-# rows from which a product is reduced by _reduce: on fewer, its fixed cost
-# per call exceeds the divisions of np.remainder (they break even near 2048
-# int32 rows, numpy 2.4)
-_REDUCE_ROWS = 1 << 12
-
-
-def _reducer(rows):
-    """The reduction for fresh arrays of this many rows: _reduce, in
-    place, on large ones, np.remainder, a new array, on small ones.
-    Either way use the array it returns."""
-    return _reduce if rows >= _REDUCE_ROWS else np.remainder
-
-
-def pow_mod_array(column, e, p):
-    reduce = _reducer(len(column))
-    result = np.ones_like(column)
-    base = column
-    while e:
-        if e & 1:
-            result = reduce(result * base, p)
-        e >>= 1
-        if e:
-            base = reduce(base * base, p)
-    return result
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,19 +262,28 @@ def _inverse_table(p):
 # exhaustive tile (_exhaustive_chunk): 256 KiB of int32, cache-resident
 _REDUCE_BLOCK = 1 << 16
 
+# elements from which _reduce takes the quotient route: on fewer, the fixed
+# cost of its block loop exceeds the divisions of np.remainder (in place,
+# int32, numpy 2.4, they break even between 1,050 and 1,280 elements)
+_REDUCE_ROWS = 1200
+
 
 def _reduce(values, p):
     """values % p in place for a contiguous integer array; returns it.
 
-    numpy divides an integer array by a scalar with a multiply and shift
-    but takes a remainder with one hardware division per element, so
-    values - (values // p) * p, a block at a time through one small
-    quotient buffer, runs in about a quarter of the time of np.remainder
-    (int32, 2^20 elements, numpy 2.4).
+    The one reduction mod p of the kernel, at any size.  numpy divides an
+    integer array by a scalar with a multiply and shift but takes a
+    remainder with one hardware division per element, so from
+    _REDUCE_ROWS elements values - (values // p) * p, a block at a time
+    through one small quotient buffer, runs in about a quarter of the
+    time of np.remainder (int32, 2^20 elements, numpy 2.4); below that
+    np.remainder costs less.
     """
     if not values.flags.c_contiguous:
         # reshape would reduce a copy and leave values as they were
         raise ValueError("_reduce needs a contiguous array")
+    if values.size < _REDUCE_ROWS:
+        return np.remainder(values, p, out=values)
     flat = values.reshape(-1)
     quotient = np.empty(min(flat.size, _REDUCE_BLOCK), dtype=flat.dtype)
     for lo in range(0, flat.size, _REDUCE_BLOCK):
@@ -325,14 +324,11 @@ def _pivot_index(images, p):
     n = images.shape[1] - 1
     scale = np.take(_inverse_table(p), images[:, 0])
     index = np.zeros(len(images), dtype=np.int32)
-    # e_n's one row, and the ~1/p rows of a deeper pivot in a small scan,
-    # are too few to pay for _reduce's block loop
-    reduce = _reducer(len(images))
     # one reused product buffer: this loop runs on whole exhaustive chunks
     term = np.empty(len(images), dtype=np.int32)
     for j in range(1, n + 1):
         index *= p
-        index += reduce(np.multiply(images[:, j], scale, out=term), p)
+        index += _reduce(np.multiply(images[:, j], scale, out=term), p)
     rest = np.flatnonzero(scale == 0)
     if not rest.size:
         return index, 0
@@ -351,9 +347,9 @@ def _block_tasks(n, p):
     P^(n-1)(F_p), times a value t of x_n, and its index is the prefix's
     index times p plus t; e_n has the last index, projective_size(n, p) - 1.
     A task is the x_n grid of at most max(1, _CHUNK // p) consecutive
-    prefixes (_block_grid), whole rows, its range running straight across
-    the pivot blocks of P^(n-1); the task that ends the range also holds
-    e_n (_last_image).  P^0 has no prefixes: its one task is (0, 0), e_0
+    prefixes, whole rows, its range running straight across the pivot
+    blocks of P^(n-1); the task that ends the range also holds e_n
+    (_last_image).  P^0 has no prefixes: its one task is (0, 0), e_0
     alone.
     """
     prefixes = projective_size(n - 1, p)
@@ -362,40 +358,9 @@ def _block_tasks(n, p):
             for lo in range(0, prefixes, step)] or [(0, 0)]
 
 
-def _split_tables(tables, n):
-    """Split each component by the power of x_n, for _expand_images.
-
-    Returns (prefix tables, powers): prefix tables are _component_tables
-    rows over x_0..x_{n-1}, one per (component j, power k) that occurs,
-    holding g_{j,k}; powers[j] maps each such k to its prefix table.
-    """
-    prefix_tables, powers = [], []
-    for exps, coeffs in tables:
-        by_power = {}
-        for e, c in zip(exps, coeffs):
-            rows = by_power.setdefault(e[n], ([], []))
-            rows[0].append(e[:n])
-            rows[1].append(c)
-        powers.append({})
-        for k in sorted(by_power):
-            powers[-1][k] = len(prefix_tables)
-            prefix_tables.append(by_power[k])
-    return prefix_tables, powers
-
-
-def _block_grid(n, p, lo, hi):
-    """(prefixes x_0..x_{n-1}, the values t of x_n) of a task's grid.
-
-    The prefixes are points lo..hi of P^(n-1)(F_p) in enumeration order,
-    across the pivot blocks of P^(n-1); t is the p values of x_n.  Row r
-    of the grid is prefix r // p at t = r % p, the point of index
-    (lo + r // p) * p + r % p.  e_n is on no grid (_last_image).
-    """
-    return _chunk_points(n - 1, p, lo, hi), np.arange(p, dtype=np.int32)
-
-
 def _last_image(split, p):
-    """The image of e_n = (0,..,0,1), one row, read off the split.
+    """The image of e_n = (0,..,0,1), one row, read off the split
+    (_component_tables).
 
     f_j(e_n) = sum_k g_{j,k}(0,..,0): the constant terms of the component's
     prefix tables, summed mod p; nothing is evaluated.
@@ -414,9 +379,9 @@ def _expand_images(values, powers, t, p):
     (_evaluate_images), broadcast against t: the values of x_n for a
     grid, or (rows, 1), each row's own t, for gathered rows.  One image
     row per point, (points, components), x_n fastest: component j is
-    sum_k g_{j,k} t^k mod p for the powers[j] of the split.  Horner's rule
-    with one reduction per step: acc < p, so
-    acc * t + g <= (p-1)^2 + (p-1) < 2^31.
+    sum_k g_{j,k} t^k mod p for the powers[j] of the split
+    (_component_tables).  Horner's rule with one reduction per step:
+    acc < p, so acc * t + g <= (p-1)^2 + (p-1) < 2^31.
     """
     coeffs = values[:, None, :]
     # component-major, so each expansion runs on contiguous memory; the
@@ -440,18 +405,31 @@ def _expand_images(values, powers, t, p):
     return images.reshape(len(powers), -1).T
 
 
+def _row_images(split, coords, p):
+    """Images of whole points, one row each, as a sampled task's gathered
+    rows: the g_{j,k} of each row's x_0..x_{n-1} (_evaluate_images),
+    expanded at its own x_n (_expand_images)."""
+    prefix_tables, powers = split
+    n = coords.shape[1] - 1
+    return _expand_images(_evaluate_images(prefix_tables, coords[:, :n], p),
+                          powers, coords[:, n:], p)
+
+
 def _exhaustive_chunk(args):
     """Key one task's points and count them into the scan's fibers.
 
     The g_{j,k} are evaluated once for all the task's prefixes; expansion,
     keys and counting then run on tiles of max(1, _REDUCE_BLOCK // p)
     prefixes, so every int32 column of a tile, at most _REDUCE_BLOCK
-    points, stays in cache.  The task that ends the prefix range keys and
-    counts e_n on its own.  fibers is the scan's int32 array of the
+    points, stays in cache.  Row r of the task's grid is prefix lo + r // p,
+    a point of P^(n-1)(F_p), at x_n = r % p: the point of index
+    (lo + r // p) * p + r % p.  The task that ends the prefix range keys
+    and counts e_n on its own.  fibers is the scan's int32 array of the
     domain.  Returns the task's base count, an int64.
     """
     split, n, p, lo, hi, fibers = args
-    prefixes, last = _block_grid(n, p, lo, hi)
+    prefixes = _chunk_points(n - 1, p, lo, hi)
+    t = np.arange(p, dtype=np.int32)
     prefix_tables, powers = split
     values = _evaluate_images(prefix_tables, prefixes, p)
     step = max(1, _REDUCE_BLOCK // p)
@@ -475,7 +453,7 @@ def _exhaustive_chunk(args):
         # a tile's images stay alive until the next tile's are made: freed
         # first, malloc unmaps them and every tile faults in fresh pages
         # (about 7,700 minor faults a task against 600, Cremona at p=211)
-        images = _expand_images(values[start:start + step], powers, last, p)
+        images = _expand_images(values[start:start + step], powers, t, p)
         base += count(images)
     if hi == projective_size(n - 1, p):
         base += count(_last_image(split, p))
@@ -495,9 +473,9 @@ def _head_columns(powers, p):
     """The components that make the head of a sampled scan, in head order.
 
     The first _head_width(n, p) components by the top power of x_n they
-    hold (powers from _split_tables), then by index, zero components last:
-    a head free of x_n is looked up once per prefix, and a zero column
-    filters nothing.  scan_sampled builds the head table and _sampled_chunk
+    hold (powers from _component_tables), then by index, zero components
+    last: a head free of x_n is looked up once per prefix, and a zero
+    column filters nothing.  scan_sampled builds the head table and _sampled_chunk
     reads the heads on the columns this gives.
     """
     order = sorted(range(len(powers)),
@@ -563,10 +541,12 @@ def _sampled_chunk(args):
     """(hits per target, base count) of one task's points.
 
     The scan fixes, once, the sorted target indices, the bitmap of their
-    low 16 bits (marked), the head columns and the head table.
+    low 16 bits (marked), the head columns and the head table.  The task's
+    grid is that of _exhaustive_chunk.
     """
     split, n, p, lo, hi, target_index, marked, columns, table = args
-    prefixes, last = _block_grid(n, p, lo, hi)
+    prefixes = _chunk_points(n - 1, p, lo, hi)
+    t = np.arange(p, dtype=np.int32)
     prefix_tables, powers = split
     heads = [powers[j] for j in columns]
     # the prefilter drops only heads no target has; only the kept rows get
@@ -581,16 +561,16 @@ def _sampled_chunk(args):
                                  for h in heads], prefixes, p)
         kept = np.flatnonzero(table[_head_index(head.T, p)])
         images = _expand_images(
-            _evaluate_images(prefix_tables, prefixes[kept], p), powers, last, p)
+            _evaluate_images(prefix_tables, prefixes[kept], p), powers, t, p)
     else:
         # else every g_{j,k} is evaluated once on every prefix, the head is
         # expanded over the grid and looked up per point, and a kept point
         # is one row, at its own value of x_n
         values = _evaluate_images(prefix_tables, prefixes, p)
-        head = _expand_images(values, heads, last, p)
+        head = _expand_images(values, heads, t, p)
         kept = np.flatnonzero(table[_head_index(head.T, p)])
         images = _expand_images(values[kept // p], powers,
-                                last[kept % p][:, None], p)
+                                t[kept % p][:, None], p)
     index, base = _normalized_keys(images, p)
     # only rows whose low 16 bits are those of a target go on to the binary
     # search
@@ -607,8 +587,8 @@ def _sampled_chunk(args):
 def _run_tasks(fn, split, n, p, *extra):
     """fn((split, n, p, lo, hi, *extra)) for every task, in order.
 
-    split is the caller's _split_tables of its component tables.  Every
-    task runs in the calling process, one after the other.  A fork pool
+    split is the caller's _component_tables of its map.  Every task runs
+    in the calling process, one after the other.  A fork pool
     was faster only on sampled scans of a few tasks, 47% slower near
     SAMPLED_MAX_DOMAIN (each task's arguments pickled the head table), and
     added about 25 MiB of peak RSS at every size.
@@ -668,11 +648,10 @@ def scan_exhaustive(rational_map, p, workers=1):
     """
     n = rational_map.n
     # building the tables refuses a composite or too large p first
-    tables = _component_tables(rational_map, p)
+    split = _component_tables(rational_map, p)
     domain = _check_domain(n, p, DEFAULT_MAX_DOMAIN)
     fibers = np.zeros(domain, dtype=np.int32)
-    base_points = int(sum(_run_tasks(_exhaustive_chunk,
-                                     _split_tables(tables, n), n, p, fibers)))
+    base_points = int(sum(_run_tasks(_exhaustive_chunk, split, n, p, fibers)))
     tally = collections.Counter()
     for lo in range(0, domain, _CHUNK):
         # slice by slice: a whole-array unique or bincount would copy it
@@ -712,12 +691,12 @@ def _candidates(seed, p, width, rows):
                        dtype=np.int64).reshape(rows, width)
 
 
-def _sample_targets(tables, nvars, p, targets, seed):
+def _sample_targets(split, nvars, p, targets, seed):
     """Image indices and image rows of seeded random non-base domain points."""
     indices, rows = [], []
     found = 0
     for coords in _candidates(seed, p, nvars, targets):
-        images = _evaluate_images(tables, coords.astype(np.int32), p)
+        images = _row_images(split, coords.astype(np.int32), p)
         batch, _ = _normalized_keys(images, p)
         usable = coords.any(axis=1) & (batch >= 0)
         indices.append(batch[usable])
@@ -764,18 +743,17 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     (ROADMAP item 7).
     """
     n = rational_map.n
-    tables = _component_tables(rational_map, p)
+    split = _component_tables(rational_map, p)
     domain = _check_domain(n, p, SAMPLED_MAX_DOMAIN)
     if targets < n + 2:
         raise ValueError(f"need at least n+2 = {n + 2} targets for the span test")
     if targets > SAMPLED_MAX_TARGETS:
         raise ResourceBoundError(f"more than {SAMPLED_MAX_TARGETS} targets")
     per_target, image_rows = _sample_targets(
-        tables, rational_map.nvars, p, targets, seed)
+        split, rational_map.nvars, p, targets, seed)
     target_index, target_of = np.unique(per_target, return_inverse=True)
     marked = np.zeros(_MARK_BITS, dtype=bool)
     marked[target_index & (_MARK_BITS - 1)] = True
-    split = _split_tables(tables, n)
     columns = _head_columns(split[1], p)
     parts = list(_run_tasks(_sampled_chunk, split, n, p, target_index, marked,
                             columns, _ratio_table(image_rows, columns, p)))
@@ -865,7 +843,7 @@ def check_contraction(F, i, p, samples=100, seed=0):
     if samples < 1:
         # no point checked is no evidence of a contraction
         raise ValueError(f"need at least one sample, got {samples}")
-    tables = _component_tables(moving_part(F).moving, p)
+    split = _component_tables(moving_part(F).moving, p)
     forms = np.array([[int(c) % p for c in form] for form in F.forms],
                      dtype=np.int64)
     row = forms[i]
@@ -881,7 +859,7 @@ def check_contraction(F, i, p, samples=100, seed=0):
         coords[:, free_slots] = free
         coords[:, pivot] = coords @ row % p * minus_inv_pivot % p
         usable = free.any(axis=1) & (coords @ others.T % p != 0).all(axis=1)
-        images = _evaluate_images(tables, coords.astype(np.int32), p)
+        images = _row_images(split, coords.astype(np.int32), p)
         images = images[usable & images.any(axis=1)][:samples - found]
         if (images * row[pivot] % p != row * images[:, [pivot]] % p).any():
             return False

@@ -240,12 +240,6 @@ def _polynomial(terms, nvars, radix):
     return Polynomial._trusted(nvars, _unpacked(terms, nvars, radix))
 
 
-def base_divisor_factored(F):
-    """prod L_i^{m_i - 1}, built directly from the factored shape."""
-    radix, _, forms = _packed_forms(F)
-    return _polynomial(_int_base(forms, F.multiplicities), F.nvars, radix)
-
-
 def _factored_moving_part(F):
     """moving_part of a LinearFormProduct, in integer arithmetic.
 

@@ -1,6 +1,6 @@
 """Block-structured scan evaluation: the prefix-then-Horner evaluator
-against the per-row evaluator it replaced in the scans, and chunk
-tiling."""
+against the per-row evaluator it replaced in the scans, random rows
+against the same reference, and chunk tiling."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from polarmap.oracle import projective_size, scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, moving_part, polar_system
 from polarmap.poly import Polynomial
+
+from tables import residue_tables
 
 
 def polar_of(text, nvars=None):
@@ -68,7 +70,7 @@ CASES = {
 
 def per_row_images(tables, n, p, lo, hi):
     """The reference: build the points of indices lo..hi, evaluate row by
-    row."""
+    row on whole-component tables (residue_tables)."""
     return oracle._evaluate_images(tables, oracle._chunk_points(n, p, lo, hi), p)
 
 
@@ -81,8 +83,8 @@ def test_block_images_match_the_per_row_evaluator(name):
     build, p, *pick = CASES[name]
     rational_map = build()
     n = rational_map.n
-    tables = oracle._component_tables(rational_map, p)
-    split = oracle._split_tables(tables, n)
+    tables = residue_tables(rational_map, p)
+    split = oracle._component_tables(rational_map, p)
     tasks = oracle._block_tasks(n, p)
     if pick:
         tasks = pick[0](tasks)
@@ -90,7 +92,8 @@ def test_block_images_match_the_per_row_evaluator(name):
     rng = np.random.default_rng(0)
     for lo, hi in tasks:
         expected = per_row_images(tables, n, p, lo * p, hi * p)
-        prefixes, last = oracle._block_grid(n, p, lo, hi)
+        prefixes = oracle._chunk_points(n - 1, p, lo, hi)
+        last = np.arange(p, dtype=np.int32)
         values = oracle._evaluate_images(split[0], prefixes, p)
         images = oracle._expand_images(values, split[1], last, p)
         assert images.dtype == np.int32
@@ -108,13 +111,47 @@ def test_block_images_match_the_per_row_evaluator(name):
                           per_row_images(tables, n, p, last_point, last_point + 1))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_random_rows_match_the_whole_table_evaluator(monkeypatch, name):
+    """The rows of _sample_targets and check_contraction, each point's
+    g_{j,k} expanded at its own x_n, against the whole-component tables
+    evaluated on the same points."""
+    build, p, *_ = CASES[name]
+    rational_map = build()
+    tables = residue_tables(rational_map, p)
+    calls = []
+    row_images = oracle._row_images
+
+    def recording(split, coords, p):
+        images = row_images(split, coords, p)
+        calls.append((coords.copy(), images))
+        return images
+
+    monkeypatch.setattr(oracle, "_row_images", recording)
+    oracle._sample_targets(oracle._component_tables(rational_map, p),
+                           rational_map.nvars, p, 16, 0)
+    sampled = len(calls)
+    # the hyperplane x0 = 0 of the coordinate arrangement, with the case's
+    # map standing in for its moving part
+    F = parse_arrangement("*".join(f"x{v}" for v in range(rational_map.nvars)))
+    decomposition = moving_part(F)
+    decomposition.moving = rational_map
+    monkeypatch.setattr(oracle, "moving_part", lambda G: decomposition)
+    oracle.check_contraction(F, 0, p, samples=16)
+    assert 0 < sampled < len(calls)
+    for coords, images in calls:
+        assert images.dtype == np.int32
+        assert np.array_equal(images,
+                              oracle._evaluate_images(tables, coords, p))
+
+
 def test_the_edge_case_runs_horner_at_the_largest_prime():
     # the largest prime the tables accept, a coefficient of value p-1 at
     # every power of x_n: 60 Horner steps, each up to (p-1)^2 + (p-1)
     p = 46337
     assert (p - 1) ** 2 + (p - 1) < 2 ** 31
-    tables = oracle._component_tables(CASES["int32_edge"][0](), p)
-    prefix_tables, powers = oracle._split_tables(tables, 1)
+    prefix_tables, powers = oracle._component_tables(
+        CASES["int32_edge"][0](), p)
     assert sorted(powers[0]) == list(range(61))
     assert all(coeffs == [p - 1] for _, coeffs in prefix_tables)
 

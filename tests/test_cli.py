@@ -191,6 +191,20 @@ def test_classify_exits_3_when_the_rank_over_q_disagrees(capsys, monkeypatch):
     assert "rank over Q False" in err and "arrangements:" not in out
 
 
+def test_classify_exits_3_when_the_oracle_disagrees(capsys, monkeypatch):
+    # the oracle's flag is a route of its own to the structural verdict
+    import dataclasses
+    from polarmap import cli
+    real = cli.scan_primes
+    monkeypatch.setattr(
+        cli, "scan_primes",
+        lambda m, **scan: [dataclasses.replace(r, homaloidal=not r.homaloidal)
+                           for r in real(m, **scan)])
+    code, out, err = run(capsys, "classify", "--n", "1", "--r", "1")
+    assert code == 3
+    assert "census disagreement at p=101" in err and "arrangements:" not in out
+
+
 def test_classify_deduplicates_coefficients(capsys, tmp_path):
     path = tmp_path / "census.json"
     code, out, _ = run(capsys, "classify", "--n", "1", "--r", "1",

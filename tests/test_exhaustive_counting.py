@@ -17,6 +17,7 @@ from polarmap.polar import RationalMap, moving_part, polar_system
 
 from processes import without_a_process
 from projective import ProjectivePoint
+from tables import residue_tables
 
 
 def polar_of(text):
@@ -37,9 +38,10 @@ def block_points(n, p, pivot):
 def reference_counts(rational_map, p):
     """(fiber histogram, base points, image size) by the former counter:
     np.unique per pivot block, then one global unique(return_inverse)
-    merge.  It walks the blocks itself, not the scan's tasks."""
+    merge.  It walks the blocks itself, not the scan's tasks, and
+    evaluates whole-component tables (residue_tables)."""
     n = rational_map.n
-    tables = oracle._component_tables(rational_map, p)
+    tables = residue_tables(rational_map, p)
     uniqs, counts, base_points = [], [], 0
     for pivot in range(n + 1):
         coords = block_points(n, p, pivot)
@@ -208,8 +210,7 @@ def test_tasks_count_every_point_once_and_only_the_last_holds_e_n(
     ends = np.cumsum([p ** (n - 1 - k) for k in range(n)])
     crossing = [(lo, hi) for lo, hi in tasks if ((lo < ends) & (ends < hi)).any()]
     assert crossing or n < 2
-    tables = oracle._component_tables(identity_map(n), p)
-    split = oracle._split_tables(tables, n)
+    split = oracle._component_tables(identity_map(n), p)
     target_index = np.arange(domain, dtype=np.int32)
     # every low-bit pattern of a target index is marked
     marked = np.zeros(oracle._MARK_BITS, dtype=bool)
@@ -241,8 +242,8 @@ def test_grid_points_key_to_prefix_index_times_p_plus_t(monkeypatch, n, p):
     monkeypatch.setattr(oracle, "_CHUNK", 2 * p)
     rng = np.random.default_rng(n * p)
     for lo, hi in oracle._block_tasks(n, p):
-        prefixes, t = oracle._block_grid(n, p, lo, hi)
-        assert t.tolist() == list(range(p))
+        prefixes = oracle._chunk_points(n - 1, p, lo, hi)
+        t = np.arange(p, dtype=np.int32)
         if n:
             assert oracle._normalized_keys(prefixes, p)[0].tolist() == \
                 list(range(lo, hi))
@@ -252,8 +253,7 @@ def test_grid_points_key_to_prefix_index_times_p_plus_t(monkeypatch, n, p):
         index, base = oracle._normalized_keys(points * factors[:, None] % p, p)
         assert base == 0
         assert index.tolist() == list(range(lo * p, hi * p))
-    split = oracle._split_tables(
-        oracle._component_tables(identity_map(n), p), n)
+    split = oracle._component_tables(identity_map(n), p)
     index, base = oracle._normalized_keys(oracle._last_image(split, p), p)
     assert index.tolist() == [projective_size(n, p) - 1] and base == 0
 
@@ -315,26 +315,45 @@ def test_index_matches_the_reference_point(n, p):
     assert index.dtype == np.int32
 
 
-# below _REDUCE_ROWS rows the index reduces with np.remainder, from it
-# with _reduce
-@pytest.mark.parametrize("count", [1, 4095, 4096])
+class RouteSpy:
+    """Stands in for numpy in oracle: records the size of each array that
+    _reduce hands to np.remainder or to its quotient route."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def remainder(self, values, p, out=None):
+        self.calls.append(("remainder", values.size))
+        return np.remainder(values, p, out=out)
+
+    def floor_divide(self, values, p, out=None):
+        self.calls.append(("quotient", values.size))
+        return np.floor_divide(values, p, out=out)
+
+
+# below _REDUCE_ROWS elements _reduce takes np.remainder, from it the
+# quotient route
+@pytest.mark.parametrize("count", [1, 1199, 1200, 4095, 4096])
 def test_index_of_few_and_many_rows(count, monkeypatch):
-    assert oracle._REDUCE_ROWS == 4096
-    real, blocks = oracle._reduce, []
-
-    def counting(values, p):
-        blocks.append(len(values))
-        return real(values, p)
-
-    monkeypatch.setattr(oracle, "_reduce", counting)
+    assert oracle._REDUCE_ROWS == 1200
+    spy = RouteSpy()
+    monkeypatch.setattr(oracle, "np", spy)
     n, p = 3, 101
     rows = random_rows(random.Random(count), n, p, count)
     index, base = oracle._normalized_keys(np.array(rows, dtype=np.int32), p)
+    monkeypatch.undo()
     expected = [ProjectivePoint(r, p).index() if any(r) else -1 for r in rows]
     assert index.tolist() == expected
     assert base == expected.count(-1)
-    # only the top level of 4096 rows is that large
-    assert blocks == ([count] * n if count >= 4096 else [])
+    # the n products of the top level have a row each; deeper levels, on
+    # the rows of a later pivot, fewer
+    assert [size for _, size in spy.calls].count(count) == n
+    assert spy.calls == [
+        ("quotient" if size >= 1200 else "remainder", size)
+        for _, size in spy.calls]
 
 
 @pytest.mark.parametrize("pivot", [0, 1])

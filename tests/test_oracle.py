@@ -23,6 +23,7 @@ from polarmap.poly import Polynomial
 from gens import random_arrangement
 from processes import without_a_process
 from projective import ProjectivePoint
+from tables import residue_tables, split_tables
 
 
 def polar_of(text):
@@ -376,14 +377,10 @@ def test_denominator_divisible_by_p_raises():
     assert scan_exhaustive(m, 11).homaloidal
 
 
-def _residue_tables(rational_map, p):
-    """Tables straight from the residues of the components' coefficients."""
-    tables = []
-    for comp in rational_map.components:
-        terms = {e: residue(c, p) for e, c in sorted(comp.terms.items())}
-        terms = {e: r for e, r in terms.items() if r}
-        tables.append((list(terms), list(terms.values())))
-    return tables
+def _residue_split(rational_map, p):
+    """The split of the tables straight from the residues of the
+    components' coefficients."""
+    return split_tables(residue_tables(rational_map, p), rational_map.n)
 
 
 def test_integer_tables_match_the_polynomial_components():
@@ -400,11 +397,11 @@ def test_integer_tables_match_the_polynomial_components():
         rescaled = RationalMap([c * rng.choice(scales)
                                 for c in moving.components])
         for p in (7, 101, 46337):
-            expected = _residue_tables(moving, p)
+            expected = _residue_split(moving, p)
             assert oracle._component_tables(moving, p) == expected, A
             assert oracle._component_tables(rebuilt, p) == expected, A
             assert oracle._component_tables(rescaled, p) == \
-                _residue_tables(rescaled, p), A
+                _residue_split(rescaled, p), A
 
 
 def test_integer_tables_refuse_a_map_that_vanishes_mod_p():
@@ -426,7 +423,7 @@ def test_integer_tables_name_the_first_coefficient_without_a_residue():
     with pytest.raises(ReductionError,
                        match="^denominator of 2/3 vanishes mod 3$"):
         oracle._component_tables(m, 3)
-    assert oracle._component_tables(m, 5) == _residue_tables(m, 5)
+    assert oracle._component_tables(m, 5) == _residue_split(m, 5)
 
 
 def test_composite_modulus_is_refused():
@@ -528,7 +525,7 @@ def test_int32_accumulation_is_exact():
     form = Polynomial(3, {(a, b, 310 - a - b): -1
                           for a in range(311) for b in range(311 - a)})
     assert len(form.terms) == 48516
-    tables = oracle._component_tables(RationalMap([form] * 3), p)
+    tables = residue_tables(RationalMap([form] * 3), p)
     images = oracle._evaluate_images(tables, np.ones((1, 3), dtype=np.int32), p)
     assert images.tolist() == [[44158] * 3]
     assert (-48516) % p == 44158
@@ -647,3 +644,34 @@ def test_reduce_matches_the_remainder():
     # a strided column would be reduced in a copy: refused
     with pytest.raises(ValueError, match="contiguous"):
         oracle._reduce(grid[:, 0], 7)
+
+
+@pytest.mark.parametrize("size", [1199, 1200])
+def test_reduce_in_place_on_both_sides_of_the_threshold(size):
+    """np.remainder below _REDUCE_ROWS elements, the quotient route from
+    it: either way in place, equal to %, and a strided array refused."""
+    assert oracle._REDUCE_ROWS == 1200
+    rng = np.random.default_rng(size)
+    for p in (101, np.array(101, dtype=np.int32), 46337):
+        values = rng.integers(0, 2 ** 31, size=size, dtype=np.int32)
+        expected = values % p
+        assert oracle._reduce(values, p) is values
+        assert np.array_equal(values, expected)
+        strided = rng.integers(0, 2 ** 31, size=2 * size, dtype=np.int32)[::2]
+        before = strided.copy()
+        with pytest.raises(ValueError, match="contiguous"):
+            oracle._reduce(strided, p)
+        assert np.array_equal(strided, before)
+
+
+def test_a_map_that_vanishes_on_every_point_raises():
+    # x0^2*x1 + x0*x1^2 = x0*x1*(x0 + x1) vanishes on all of P^1(F_2): no
+    # fiber to count, no target to draw
+    f = parse_polynomial("x0^2*x1 + x0*x1^2")
+    m = RationalMap([f, f])
+    with pytest.raises(ReductionError,
+                       match="no points survive outside the base locus mod 2"):
+        scan_exhaustive(m, 2)
+    with pytest.raises(ReductionError,
+                       match="could not find 3 non-base sample points mod 2"):
+        scan_sampled(m, 2, targets=3)

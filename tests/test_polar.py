@@ -10,7 +10,6 @@ from polarmap.oracle import scan_exhaustive
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import (
     RationalMap,
-    base_divisor_factored,
     is_cone,
     moving_part,
     polar_system,
@@ -68,10 +67,12 @@ def test_rational_map_validation():
 
 
 def test_base_divisor_factored():
-    assert str(base_divisor_factored(parse_arrangement("x0*x1*x2*x3"))) == "1"
-    A = parse_arrangement("x0^3*x1^2*x2")
-    assert base_divisor_factored(A) == parse_polynomial("x0^2*x1", nvars=3)
-    assert str(base_divisor_factored(parse_arrangement("x0^2*x1*x2"))) == "x0"
+    def base_divisor(text):
+        return moving_part(parse_arrangement(text)).base_divisor
+
+    assert str(base_divisor("x0*x1*x2*x3")) == "1"
+    assert base_divisor("x0^3*x1^2*x2") == parse_polynomial("x0^2*x1", nvars=3)
+    assert str(base_divisor("x0^2*x1*x2")) == "x0"
 
 
 def test_moving_part_monomial_closed_form():
@@ -159,7 +160,6 @@ def test_moving_part_matches_the_expanded_division():
         assert dec.base_divisor == base, A
         assert dec.moving == moving, A
         assert dec.reduced == reduced, A
-        assert base_divisor_factored(A) == base, A
 
 
 def test_factored_moving_part_neither_expands_nor_divides(monkeypatch):

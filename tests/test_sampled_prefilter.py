@@ -41,7 +41,8 @@ def images_at(split, prefixes, t, p):
 
 def chunk_images(split, n, p, lo, hi):
     """The image of every point of the task's grid, in scan order."""
-    return images_at(split, *oracle._block_grid(n, p, lo, hi), p)
+    return images_at(split, oracle._chunk_points(n - 1, p, lo, hi),
+                     np.arange(p, dtype=np.int32), p)
 
 
 def task_args(split, n, p, lo, hi, target_index, table):
@@ -86,9 +87,8 @@ def pivot_targets(split, n, p, count):
 def targets_with_pivot_targets(rational_map, p, extra):
     """Sampled target indices and rows, plus `extra` t_0 = 0 targets."""
     n = rational_map.n
-    tables = oracle._component_tables(rational_map, p)
-    split = oracle._split_tables(tables, n)
-    sampled, rows = oracle._sample_targets(tables, rational_map.nvars, p, 64, 0)
+    split = oracle._component_tables(rational_map, p)
+    sampled, rows = oracle._sample_targets(split, rational_map.nvars, p, 64, 0)
     target_keys = np.unique(sampled)
     pivot_keys = np.zeros(0, dtype=target_keys.dtype)
     if extra:
@@ -268,8 +268,7 @@ HEADS = {
 def test_head_columns_take_the_lowest_powers_of_the_last_variable(name):
     build, p, columns = HEADS[name]
     rational_map = build()
-    tables = oracle._component_tables(rational_map, p)
-    powers = oracle._split_tables(tables, rational_map.n)[1]
+    powers = oracle._component_tables(rational_map, p)[1]
     assert oracle._head_columns(powers, p) == columns
 
 
@@ -288,8 +287,7 @@ def test_zero_components_of_a_cone_come_last(name):
     text, nvars, p, columns = CONES[name]
     rational_map = polar_system(parse_polynomial(text, nvars=nvars))
     assert rational_map.components[0].is_zero
-    tables = oracle._component_tables(rational_map, p)
-    powers = oracle._split_tables(tables, rational_map.n)[1]
+    powers = oracle._component_tables(rational_map, p)[1]
     assert oracle._head_columns(powers, p) == columns
 
 
@@ -478,7 +476,7 @@ def test_prefilter_keys_few_rows(monkeypatch):
     assert len(expected) < (hi - lo) * p // 5
     # the head split's tables on all hi - lo prefixes, then every prefix
     # table on the kept prefixes only, and no other call
-    prefixes, _ = oracle._block_grid(n, p, lo, hi)
+    prefixes = oracle._chunk_points(n - 1, p, lo, hi)
     assert len(prefixes) == hi - lo
     head_tables = [prefix_tables[powers[j][0]] for j in columns]
     assert [tables for tables, _ in calls] == [head_tables, prefix_tables]

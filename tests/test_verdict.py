@@ -1,10 +1,12 @@
 """Rank criterion, descent certificates, the monomial family, and the
 four-way agreement of full_verdict."""
 
+import dataclasses
 import random
 
 import pytest
 
+from polarmap import verdict
 from polarmap.arrangement import LinearFormProduct
 from polarmap.errors import InconsistencyError
 from polarmap.parsing import parse_arrangement, parse_polynomial
@@ -235,6 +237,55 @@ def test_full_verdict_bad_prime_is_loud():
     # knob, so the oracle contradicts the structure: must raise, not lie
     with pytest.raises(InconsistencyError):
         full_verdict(parse_arrangement("x0*x1*x2"), primes=(11,))
+
+
+def test_full_verdict_raises_when_the_certificate_contradicts_the_rank(
+        monkeypatch):
+    real = verdict.inductive_certificate
+    monkeypatch.setattr(
+        verdict, "inductive_certificate",
+        lambda F: dataclasses.replace(real(F), verdict=not real(F).verdict))
+    with pytest.raises(InconsistencyError,
+                       match="certificate says False, rank criterion says True"):
+        full_verdict(parse_arrangement("x0*x1*x2"), primes=(101,))
+
+
+def test_full_verdict_raises_when_f_and_f_red_disagree(monkeypatch):
+    # the second scan is that of F_red: its flag flipped, the two oracle
+    # routes disagree
+    real, scans = verdict.scan_primes, []
+
+    def flipped_second(rational_map, **scan):
+        reports = real(rational_map, **scan)
+        scans.append(rational_map)
+        if len(scans) == 2:
+            reports = [dataclasses.replace(r, homaloidal=not r.homaloidal)
+                       for r in reports]
+        return reports
+
+    monkeypatch.setattr(verdict, "scan_primes", flipped_second)
+    with pytest.raises(InconsistencyError,
+                       match="oracle flags differ between F and F_red at "
+                             "p=101: True vs False"):
+        full_verdict(parse_arrangement("x0^2*x1*x2"), primes=(101,))
+    assert len(scans) == 2
+
+
+def test_full_verdict_raises_when_the_restriction_is_not_homaloidal(
+        monkeypatch):
+    # structural_verdict answers for F, then calls its restriction a cone
+    real, verdicts = verdict.structural_verdict, []
+
+    def false_after_the_first(F):
+        verdicts.append(F)
+        return real(F) if len(verdicts) == 1 else False
+
+    monkeypatch.setattr(verdict, "structural_verdict", false_after_the_first)
+    with pytest.raises(InconsistencyError,
+                       match="restriction along form 0 of homaloidal .* is "
+                             "not homaloidal"):
+        full_verdict(parse_arrangement("x0*x1*x2"), primes=(101,))
+    assert len(verdicts) == 2
 
 
 def test_full_verdict_validation():
