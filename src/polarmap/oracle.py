@@ -56,9 +56,10 @@ component's sum only every ~2^31 / p^2 terms (_evaluate_images).
 
 Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
-at two independent primes is strong evidence of degree 1.  Thresholds are
-explicit knobs documented on the functions; bad primes surface as errors,
-never as silently different answers.
+at two independent primes is strong evidence of degree 1.  The scans
+measure; _judge alone decides degree, dominant and homaloidal, by the rules
+stated there.  Bad primes surface as errors, never as silently different
+answers.
 """
 
 from __future__ import annotations
@@ -87,16 +88,8 @@ SAMPLED_MAX_TARGETS = 1 << 16
 DEFAULT_PRIMES = (101,)
 _CHUNK = 1 << 20
 
-# An image point counts toward the degree estimate only if its fiber size
-# is shared by at least this fraction of the image: special loci (e.g. a
-# contracted hyperplane) occupy ~1/p of the image and fall well below it,
-# while every Frobenius class of a finite map sits well above it.
+# the share bars of _judge: the degree's image share, each mode's size-1 share
 _DEGREE_IMAGE_NUM, _DEGREE_IMAGE_DEN = 5, 1000
-
-# Exhaustive homaloidal knob: at least 90% of non-base domain points must
-# sit in fibers of size 1.  Sampled knob: at least 75% of targets (random
-# targets land on contracted loci with probability ~(n+1)/p, so the
-# exhaustive knob would misfire at p=31).
 _EXHAUSTIVE_SIZE1_NUM, _EXHAUSTIVE_SIZE1_DEN = 9, 10
 _SAMPLED_SIZE1_NUM, _SAMPLED_SIZE1_DEN = 3, 4
 
@@ -610,19 +603,28 @@ def _check_domain(n, p, bound=None):
     return domain
 
 
-def _degree_estimate(histogram, image_size, p):
-    """Largest fiber size carried by a non-negligible share of the image.
+def _histogram(counts):
+    """Fiber size -> image points, sizes ascending and 0 left out, of an
+    array of fiber counts, a _CHUNK slice at a time (a whole-array unique
+    or bincount would copy an exhaustive scan's array of the domain)."""
+    tally = collections.Counter()
+    for lo in range(0, len(counts), _CHUNK):
+        sizes, points = np.unique(counts[lo:lo + _CHUNK], return_counts=True)
+        tally.update(dict(zip(sizes.tolist(), points.tolist())))
+    del tally[0]
+    return dict(sorted(tally.items()))
 
-    A finite map of degree d splits its generic fibers into Frobenius
-    classes, so every size 1..d shows up on a constant fraction of the
-    image; contracted subvarieties instead hit few image points with
-    fibers of size at least p-1.  Sizes of p-1 or more are therefore
-    never counted as generic, which assumes p-1 exceeds the true degree
-    (pick a larger prime otherwise).
-    """
+
+def _generic_size(size, p):
+    """Whether a fiber size mod p can be generic: below p-1 (_judge)."""
+    return size < p - 1
+
+
+def _degree_estimate(histogram, image_size, p):
+    """The degree rule of _judge on a histogram of image_size points."""
     threshold = max(2, -(-image_size * _DEGREE_IMAGE_NUM // _DEGREE_IMAGE_DEN))
     eligible = [size for size, count in histogram.items()
-                if size < p - 1 and count >= threshold]
+                if _generic_size(size, p) and count >= threshold]
     if eligible:
         return max(eligible)
     # degenerate histograms: fall back to the mode, smaller size on ties
@@ -630,21 +632,47 @@ def _degree_estimate(histogram, image_size, p):
     return best[0]
 
 
-def scan_exhaustive(rational_map, p, workers=1):
-    """Fiber histogram of the map over every point of P^n(F_p).
+def _judge(p, n, mode, seed, targets, domain, base_points, histogram,
+           size1, drawn, rows=None):
+    """The one DegreeReport of a scan: degree, dominant and homaloidal,
+    decided from what the scan measured at p over P^n.
 
-    dominant: image covers at least p^n - 5*p^(n-1) points (all integers,
-    no rounding).  That bar is calibrated for degree-1 maps, whose image
-    misses only base and contracted loci; a finite map of degree d > 1
-    hits a constant fraction of rational points and reads as not dominant
-    here (use dominance_by_span on its images for the geometric answer).
-    homaloidal: dominant, degree estimate 1, and at least 90% of non-base
-    domain points sit in size-1 fibers.  Domain bound: DEFAULT_MAX_DOMAIN.
+    Measured: domain, base points, the fiber histogram (image_size is its
+    total) and a size-1 share size1 / drawn: histogram[1] over the non-base
+    domain in mode "exhaustive", size-1 targets over targets in mode
+    "sample", which also passes the target image rows.
+    degree: the largest size below p-1 held by at least max(2, 0.5%) of the
+    image, else the commonest size, the smaller on ties: a map of degree d
+    shows every size 1..d on a constant share of the image, a contracted
+    locus ~1/p of it with fibers of p-1 or more (so p-1 must exceed d).
+    dominant: an image of at least p^n - 5*p^(n-1) points (exhaustive;
+    calibrated for degree 1: a finite map of degree d > 1 covers a constant
+    share of the points and reads false), or dominance_by_span on the rows
+    (sampled).
+    homaloidal: dominant, degree 1, and a size-1 share of at least 9/10
+    (exhaustive) or 3/4 (sampled: random targets hit contracted loci with
+    probability ~(n+1)/p, so 9/10 would misfire at p=31).
+    """
+    image_size = sum(histogram.values())
+    degree = _degree_estimate(histogram, image_size, p)
+    if mode == "exhaustive":
+        dominant = image_size >= p ** n - 5 * p ** (n - 1)
+        num, den = _EXHAUSTIVE_SIZE1_NUM, _EXHAUSTIVE_SIZE1_DEN
+    else:
+        dominant = dominance_by_span(rows.tolist(), p)
+        num, den = _SAMPLED_SIZE1_NUM, _SAMPLED_SIZE1_DEN
+    homaloidal = dominant and degree == 1 and den * size1 >= num * drawn
+    return DegreeReport(p, mode, seed, targets, domain, base_points,
+                        image_size, histogram, degree, dominant, homaloidal)
+
+
+def scan_exhaustive(rational_map, p, workers=1):
+    """Fiber histogram of the map over every point of P^n(F_p), judged by
+    _judge.  Domain bound: DEFAULT_MAX_DOMAIN.
 
     Every task counts, in this process, into one int32 array of the domain
-    (_exhaustive_chunk, a cache-sized tile at a time), and the histogram
-    is taken a _CHUNK slice at a time.  workers is accepted and ignored,
-    until the benchmark stops passing it (ROADMAP item 7).
+    (_exhaustive_chunk, a cache-sized tile at a time).  workers is accepted
+    and ignored, until the benchmark stops passing it (ROADMAP item 7).
     """
     n = rational_map.n
     # building the tables refuses a composite or too large p first
@@ -652,31 +680,15 @@ def scan_exhaustive(rational_map, p, workers=1):
     domain = _check_domain(n, p, DEFAULT_MAX_DOMAIN)
     fibers = np.zeros(domain, dtype=np.int32)
     base_points = int(sum(_run_tasks(_exhaustive_chunk, split, n, p, fibers)))
-    tally = collections.Counter()
-    for lo in range(0, domain, _CHUNK):
-        # slice by slice: a whole-array unique or bincount would copy it
-        sizes, points = np.unique(fibers[lo:lo + _CHUNK], return_counts=True)
-        tally.update(dict(zip(sizes.tolist(), points.tolist())))
-    del tally[0]
-    histogram = dict(sorted(tally.items()))
-    image_size = sum(histogram.values())
-    if image_size == 0:
+    histogram = _histogram(fibers)
+    if not histogram:
         raise ReductionError(f"no points survive outside the base locus mod {p}")
     mapped = sum(s * c for s, c in histogram.items())
     if base_points + mapped != domain:
         raise InconsistencyError(
             f"accounting failed: {base_points} base + {mapped} mapped != {domain}")
-    degree = _degree_estimate(histogram, image_size, p)
-    dominant = image_size >= p ** n - 5 * p ** (n - 1)
-    size1 = histogram.get(1, 0)
-    homaloidal = (dominant and degree == 1 and
-                  _EXHAUSTIVE_SIZE1_DEN * size1 >=
-                  _EXHAUSTIVE_SIZE1_NUM * (domain - base_points))
-    return DegreeReport(
-        p=p, mode="exhaustive", seed=None, targets=None,
-        domain_size=domain, base_points=base_points, image_size=image_size,
-        fiber_histogram=histogram, degree=degree, dominant=dominant,
-        homaloidal=homaloidal)
+    return _judge(p, n, "exhaustive", None, None, domain, base_points,
+                  histogram, histogram.get(1, 0), domain - base_points)
 
 
 def _candidates(seed, p, width, rows):
@@ -710,14 +722,12 @@ def _sample_targets(split, nvars, p, targets, seed):
 
 
 def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
-    """Fiber sizes of seeded random targets, counted in one domain pass.
+    """Fiber sizes of seeded random targets, counted in one domain pass,
+    judged by _judge.
 
-    The histogram counts distinct sampled image points by fiber size, and
-    the degree estimate reads it with _degree_estimate, the rule of
-    exhaustive mode; dominance is the full-rank span test on the sampled
-    images; homaloidal additionally requires degree 1 and 75% of targets
-    in size-1 fibers.  Every target is the image of a sampled point, so a
-    target counted with an empty fiber raises InconsistencyError.
+    The histogram counts distinct sampled image points by fiber size.
+    Every target is the image of a sampled point, so a target counted with
+    an empty fiber raises InconsistencyError.
 
     Only rows that pass the head prefilter (_ratio_table, built once per
     scan on the head columns) get images (_expand_images), keys and a match.
@@ -763,19 +773,9 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
         raise InconsistencyError(
             f"{int((fiber_counts == 0).sum())} sampled image points have no "
             f"preimage in the scan mod {p}: enumeration or indexing is broken")
-    sizes, size_counts = np.unique(fiber_counts, return_counts=True)
-    histogram = {int(s): int(c) for s, c in zip(sizes, size_counts)}
-    degree = _degree_estimate(histogram, len(target_index), p)
-    dominant = dominance_by_span(image_rows.tolist(), p)
-    size1_targets = int((fiber_counts[target_of] == 1).sum())
-    homaloidal = (dominant and degree == 1 and
-                  _SAMPLED_SIZE1_DEN * size1_targets >=
-                  _SAMPLED_SIZE1_NUM * targets)
-    return DegreeReport(
-        p=p, mode="sample", seed=seed, targets=targets,
-        domain_size=domain, base_points=base_points,
-        image_size=int(len(target_index)), fiber_histogram=histogram,
-        degree=degree, dominant=dominant, homaloidal=homaloidal)
+    return _judge(p, n, "sample", seed, targets, domain, base_points,
+                  _histogram(fiber_counts),
+                  int((fiber_counts[target_of] == 1).sum()), targets, image_rows)
 
 
 def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
@@ -785,10 +785,10 @@ def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
     mode "exhaustive" runs scan_exhaustive, "sample" scan_sampled with
     targets and seed; the DegreeReports come back in the order of primes,
     a repeated prime scanned and reported once.
-    dominant and homaloidal must match at every prime.  degree is compared
-    only when it is below p-1 at every prime, i.e. a generic fiber size:
-    larger values are _degree_estimate's fallback, which for a non-dominant
-    cone grows with p.  A disagreement raises InconsistencyError.
+    dominant and homaloidal must match at every prime; degree only when it
+    is a generic size (_generic_size) at every prime, since any other value
+    is _degree_estimate's fallback, which for a non-dominant cone grows
+    with p.  A disagreement raises InconsistencyError.
     """
     if not primes:
         raise ValueError("need at least one prime")
@@ -800,7 +800,7 @@ def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
         raise ValueError(f"unknown mode {mode!r}")
     reports = [scan(rational_map, p) for p in dict.fromkeys(primes)]
     first = reports[0]
-    compare_degree = all(r.degree < r.p - 1 for r in reports)
+    compare_degree = all(_generic_size(r.degree, r.p) for r in reports)
     for r in reports[1:]:
         if (r.dominant, r.homaloidal) != (first.dominant, first.homaloidal) or \
                 (compare_degree and r.degree != first.degree):

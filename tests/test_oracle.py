@@ -1,7 +1,10 @@
 """Fiber-counting oracle: exact histograms at pinned primes, invariances,
 resource guards, and the sampled mode's seeded determinism."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +329,44 @@ def test_domain_bound(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_MAX_DOMAIN", 10000)
     with pytest.raises(ResourceBoundError):
         scan_exhaustive(polar_of("x0*x1*x2"), 101)
+
+
+# Peak RSS of a fresh interpreter, in KiB, from its own address space:
+# Linux carries the parent's high-water mark into a child's ru_maxrss
+# across exec, so under a large test runner ru_maxrss would hide the scan,
+# while VmHWM starts afresh with the exec.
+PEAK_RSS_SCRIPT = """
+import gc
+from polarmap import oracle, parsing, polar
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+det = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
+moving = polar.moving_part(parsing.parse_polynomial(det)).moving
+# memory a reference cycle holds then stays held, wherever the collector
+# would have run
+gc.disable()
+before = peak()
+oracle.scan_sampled(moving, 31, targets=64, seed=0)
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_sampled_scan_peak_rss_stays_flat():
+    # the det cubic's sampled scan raises the peak by 5-6 MiB; temporaries
+    # kept past their task, as by a closure that calls itself (a reference
+    # cycle), add about 20 MiB
+    package_root = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert int(proc.stdout) <= 12 * 1024
 
 
 @pytest.mark.parametrize("exhaustive_bound, sampled_bound", [
