@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from itertools import combinations, product
 
 from .arrangement import LinearFormProduct, canonical_row
@@ -22,7 +21,7 @@ from .oracle import DEFAULT_PRIMES, SAMPLED_MAX_TARGETS, scan_primes
 from .parsing import parse_arrangement, parse_polynomial
 from .polar import moving_part, polar_system
 from .poly import exact_rank
-from .verdict import build_report, full_verdict, structural_verdict
+from .verdict import full_verdict, structural_verdict
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -70,13 +69,13 @@ def _build_parser():
                        help="decide homaloidality (any homogeneous input)")
     add_input(p)
     add_scan(p)
-    p.set_defaults(run=cmd_homaloidal)
+    p.set_defaults(run=cmd_verdict)
     p = sub.add_parser("certify",
                        help="full verdict with descent certificate "
                             "(product-of-linear-forms input)")
     add_input(p)
     add_scan(p)
-    p.set_defaults(run=cmd_certify)
+    p.set_defaults(run=cmd_verdict)
     p = sub.add_parser("classify",
                        help="census of square-free arrangements over a "
                             "small coefficient set")
@@ -156,31 +155,23 @@ def cmd_moving(args):
     return EXIT_OK
 
 
-def cmd_homaloidal(args):
+def cmd_verdict(args):
+    """homaloidal and certify: parse, check, print full_verdict's report.
+
+    certify takes products of linear forms only; homaloidal falls back to
+    any homogeneous polynomial.
+    """
     text = _input_text(args)
     try:
-        arrangement = parse_arrangement(text, nvars=_nvars(args))
+        source = parse_arrangement(text, nvars=_nvars(args))
     except (ParseError, ValueError):
-        arrangement = None
-    started = time.monotonic()
-    if arrangement is not None:
-        _check_verdict_input(arrangement.degree(), arrangement.nvars)
-        report = full_verdict(arrangement, input_text=text, **_scan_args(args))
-    else:
-        f = parse_polynomial(text, nvars=_nvars(args), require_homogeneous=True)
-        _check_verdict_input(f.degree(), f.nvars)
-        scan = scan_primes(moving_part(f).moving, **_scan_args(args))[0]
-        report = build_report(text, f.nvars - 1, scan, [], started)
-    _emit_report(report, args)
-    return EXIT_OK
-
-
-def cmd_certify(args):
-    text = _input_text(args)
-    arrangement = parse_arrangement(text, nvars=_nvars(args))
-    _check_verdict_input(arrangement.degree(), arrangement.nvars)
-    report = full_verdict(arrangement, input_text=text, **_scan_args(args))
-    _emit_report(report, args)
+        if args.subcommand == "certify":
+            raise
+        source = parse_polynomial(text, nvars=_nvars(args),
+                                  require_homogeneous=True)
+    _check_verdict_input(source.degree(), source.nvars)
+    _emit_report(full_verdict(source, input_text=text, **_scan_args(args)),
+                 args)
     return EXIT_OK
 
 

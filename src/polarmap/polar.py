@@ -96,9 +96,6 @@ class RationalMap:
             self._base_free = self.component_gcd().degree() == 0
         return self._base_free
 
-    def evaluate(self, point):
-        return [c.evaluate(point) for c in self.components]
-
     def compose(self, other):
         """self after other, as raw polynomials (no base stripping)."""
         if other.nvars != self.nvars:

@@ -1,4 +1,4 @@
-"""Structural homaloidality and its inductive certificate.
+"""Structural homaloidality, its inductive certificate, the verdict report.
 
 A product of linear forms has a birational moving polar map exactly when
 the distinct forms number n+1 and are linearly independent, regardless of
@@ -6,21 +6,22 @@ multiplicities.  structural_verdict answers by rank alone;
 inductive_certificate rederives the same answer by restricting to a
 factor hyperplane one dimension at a time, down to the two-points-in-P^1
 base case, recording every step so the descent can be replayed.
-full_verdict runs both plus the fiber-counting oracle on the moving parts
-of F and (when F has a repeated form) of its square-free reduction, and
-treats any disagreement between the four routes as a hard error.
+full_verdict makes every verdict report.  For an arrangement it runs both
+plus the fiber-counting oracle on the moving parts of F and (when F has a
+repeated form) of its square-free reduction, and treats any disagreement
+between the four routes as a hard error; any other homogeneous
+polynomial gets the oracle alone and an empty certificate.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrangement import LinearFormProduct
 from .errors import InconsistencyError
 from .oracle import scan_primes
-from .polar import RationalMap, moving_part, restrict_arrangement
+from .polar import moving_part, restrict_arrangement
 from .poly import Polynomial
 from .report import ReportDocument
 
@@ -101,19 +102,13 @@ def _checked_exponents(exponents):
 
 
 def monomial_moving_part(exponents):
-    """The moving polar map of X_0^{m_0}...X_n^{m_n} in closed form.
-
-    Component i is m_i * prod_{j != i} X_j; dividing the partials by
-    their gcd prod X_j^{m_j - 1} gives exactly this, so it must agree
-    with moving_part of the expanded monomial.
-    """
+    """The moving polar map of X_0^{m_0}...X_n^{m_n}: component i is
+    m_i * prod_{j != i} X_j, the factored closed form on the coordinate
+    frame."""
     exponents = _checked_exponents(exponents)
     nvars = len(exponents)
-    components = []
-    for i, m in enumerate(exponents):
-        exps = tuple(0 if j == i else 1 for j in range(nvars))
-        components.append(Polynomial(nvars, {exps: Fraction(m)}))
-    return RationalMap(components)
+    frame = [[int(j == i) for j in range(nvars)] for i in range(nvars)]
+    return moving_part(LinearFormProduct(frame, exponents)).moving
 
 
 def standard_cremona(n):
@@ -177,30 +172,39 @@ def replay_certificate(F, certificate):
     return True
 
 
-def build_report(text, n, scan, certificate, started):
-    """The JSON report of a verdict: the fields of the scan at the first
-    prime, the certificate entries, and the time since `started`."""
+def full_verdict(F, input_text=None, **scan):
+    """The report of an arrangement or a homogeneous Polynomial: the fields
+    of the first prime's scan (scan_primes takes the keywords primes,
+    mode, targets and seed), the certificate entries and the time since
+    the call began.  An arrangement is checked every way
+    (_arrangement_routes); a polynomial gets the oracle alone, an empty
+    certificate and no prime_stability entry.
+    """
+    started = time.monotonic()
+    if isinstance(F, Polynomial):
+        first, entries = scan_primes(moving_part(F).moving, **scan)[0], []
+    else:
+        first, entries = _arrangement_routes(F, scan)
     return ReportDocument(
-        input=text, n=n, field="Fp", p=scan.p, seed=scan.seed, mode=scan.mode,
-        fiber_histogram=dict(scan.fiber_histogram),
-        image_size=scan.image_size, dominant=scan.dominant,
-        degree=scan.degree, homaloidal=scan.homaloidal,
-        certificate=certificate,
+        input=input_text if input_text is not None else str(F),
+        n=F.nvars - 1, field="Fp", p=first.p, seed=first.seed,
+        mode=first.mode, fiber_histogram=dict(first.fiber_histogram),
+        image_size=first.image_size, dominant=first.dominant,
+        degree=first.degree, homaloidal=first.homaloidal,
+        certificate=entries,
         millis=int((time.monotonic() - started) * 1000))
 
 
-def full_verdict(F, input_text=None, **scan):
-    """Check homaloidality four ways and insist the answers coincide.
-
-    Routes: structural_verdict, inductive_certificate, and the oracle's
+def _arrangement_routes(F, scan):
+    """The first prime's scan and the certificate entries of F, checked
+    four ways: structural_verdict, inductive_certificate, and the oracle's
     homaloidal flag on the moving part of F and, when F has a repeated
-    form, of its reduction (scan_primes, given the keywords primes, mode,
-    targets and seed, requires the primes to agree).  A homaloidal
-    F also gets the restriction cross-check (its first descent restriction
-    must itself be structurally homaloidal).  Any mismatch raises
-    InconsistencyError: a bug or a bad prime may not pass silently.
+    form, of its reduction (scan_primes requires the primes to agree).
+    A homaloidal F also gets the restriction cross-check (its first
+    descent restriction must itself be structurally homaloidal).  Any
+    mismatch raises InconsistencyError: a bug or a bad prime may not pass
+    silently.
     """
-    started = time.monotonic()
     structural = structural_verdict(F)
     certificate = inductive_certificate(F)
     if certificate.verdict != structural:
@@ -235,5 +239,4 @@ def full_verdict(F, input_text=None, **scan):
     if len(reports) > 1:
         entries.append({"prime_stability": {
             "primes": [r.p for r in reports], "agree": True}})
-    return build_report(input_text if input_text is not None else str(F),
-                        F.n, first, entries, started)
+    return first, entries

@@ -1,6 +1,7 @@
 """CLI surface: subcommand output, exit codes, JSON reports, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -339,3 +340,45 @@ def test_classify_at_two_primes(capsys):
     assert "arrangements: 286" in out
     assert "homaloidal: 246" in out
     assert "primes {101,211}" in out
+
+
+DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
+
+
+@pytest.mark.parametrize("argv, parse, nvars, scan", [
+    # the polynomial homaloidal commands of the golden set, README and
+    # this file, each with the scan keywords its flags stand for
+    (("homaloidal", "x1^2 - x0*x2", "-p", "101", "-p", "211"),
+     "parse_polynomial", None, {"primes": (101, 211)}),
+    (("homaloidal", "x0^2 + x1^2 + x2^2 + x3^2"),
+     "parse_polynomial", None, {}),
+    (("homaloidal", DET_CUBIC, "--mode", "sample", "-p", "31", "--seed", "0"),
+     "parse_polynomial", None, {"primes": (31,), "mode": "sample", "seed": 0}),
+    (("homaloidal", "x0^2 + x1^2", "--ambient", "2", "-p", "101", "-p", "211"),
+     "parse_polynomial", 3, {"primes": (101, 211)}),
+    # x0*x1 parses as an arrangement, so its library twin is one too
+    (("homaloidal", "x0*x1", "--ambient", "2", "-p", "101", "-p", "211"),
+     "parse_arrangement", 3, {"primes": (101, 211)}),
+])
+def test_library_report_is_the_cli_report(capsys, argv, parse, nvars, scan):
+    from polarmap import parsing
+    from polarmap.verdict import full_verdict
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    text = argv[1]
+    source = getattr(parsing, parse)(text, nvars=nvars)
+    report = full_verdict(source, input_text=text, **scan)
+    zero = lambda s: re.sub(r'"millis": \d+', '"millis": 0', s)
+    assert zero(report.to_json() + "\n") == zero(out)
+
+
+def test_one_command_makes_every_verdict_report():
+    # homaloidal and certify share one function, which leaves the report
+    # to full_verdict rather than assembling a scan of its own
+    from polarmap import cli
+    parser = cli._build_parser()
+    run_homaloidal = parser.parse_args(["homaloidal", "x0*x1"]).run
+    assert parser.parse_args(["certify", "x0*x1"]).run is run_homaloidal
+    names = run_homaloidal.__code__.co_names
+    assert "full_verdict" in names
+    assert not {"scan_primes", "build_report", "moving_part"} & set(names)
