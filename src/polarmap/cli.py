@@ -126,16 +126,6 @@ _LINEAR_INPUT = ("moving part needs a homogeneous input of degree at least 2 "
                  "(the polar map of a linear form is constant)")
 
 
-def _check_verdict_input(degree, nvars):
-    """Refuse, for homaloidal and certify on either input path, degree
-    below 2, as moving does, and an ambient space below P^1, which the
-    certificate's descent needs."""
-    if degree < 2:
-        raise ValueError(_LINEAR_INPUT)
-    if nvars < 2:
-        raise ValueError("ambient space must be at least P^1")
-
-
 def cmd_polar(args):
     f = parse_polynomial(_input_text(args), nvars=_nvars(args))
     system = polar_system(f)
@@ -169,7 +159,10 @@ def cmd_verdict(args):
             raise
         source = parse_polynomial(text, nvars=_nvars(args),
                                   require_homogeneous=True)
-    _check_verdict_input(source.degree(), source.nvars)
+    # degree below 2 is refused on either input path, as moving refuses it
+    # (full_verdict reports it, for the census); full_verdict refuses P^0
+    if source.degree() < 2:
+        raise ValueError(_LINEAR_INPUT)
     _emit_report(full_verdict(source, input_text=text, **_scan_args(args)),
                  args)
     return EXIT_OK

@@ -104,7 +104,7 @@ class DegreeReport:
     base_points: int
     image_size: int
     fiber_histogram: dict        # fiber size -> count of image points
-    degree: int
+    degree: int                  # generic fiber size; 0: none seen (_judge)
     dominant: bool
     homaloidal: bool
 
@@ -615,21 +615,13 @@ def _histogram(counts):
     return dict(sorted(tally.items()))
 
 
-def _generic_size(size, p):
-    """Whether a fiber size mod p can be generic: below p-1 (_judge)."""
-    return size < p - 1
-
-
 def _degree_estimate(histogram, image_size, p):
-    """The degree rule of _judge on a histogram of image_size points."""
+    """The degree rule of _judge on a histogram of image_size points: the
+    largest size below p-1 held by at least max(2, 0.5%) of the image, or 0
+    when no size is."""
     threshold = max(2, -(-image_size * _DEGREE_IMAGE_NUM // _DEGREE_IMAGE_DEN))
-    eligible = [size for size, count in histogram.items()
-                if _generic_size(size, p) and count >= threshold]
-    if eligible:
-        return max(eligible)
-    # degenerate histograms: fall back to the mode, smaller size on ties
-    best = max(histogram.items(), key=lambda item: (item[1], -item[0]))
-    return best[0]
+    return max((size for size, count in histogram.items()
+                if size < p - 1 and count >= threshold), default=0)
 
 
 def _judge(p, n, mode, seed, targets, domain, base_points, histogram,
@@ -642,13 +634,16 @@ def _judge(p, n, mode, seed, targets, domain, base_points, histogram,
     domain in mode "exhaustive", size-1 targets over targets in mode
     "sample", which also passes the target image rows.
     degree: the largest size below p-1 held by at least max(2, 0.5%) of the
-    image, else the commonest size, the smaller on ties: a map of degree d
-    shows every size 1..d on a constant share of the image, a contracted
-    locus ~1/p of it with fibers of p-1 or more (so p-1 must exceed d).
-    dominant: an image of at least p^n - 5*p^(n-1) points (exhaustive;
-    calibrated for degree 1: a finite map of degree d > 1 covers a constant
-    share of the points and reads false), or dominance_by_span on the rows
-    (sampled).
+    image, or 0 when no size is: no generic fiber size was seen.  A map of
+    degree d shows every size 1..d on a constant share of the image, a
+    contracted locus ~1/p of it with fibers of p-1 or more (so p-1 must
+    exceed d); a map that is not dominant, a cone's say, has fibers of
+    about p points or more.
+    dominant: degree > 0 (a dominant map of degree d < p-1 shows a generic
+    size), and an image of at least p^n - 5*p^(n-1) points (exhaustive;
+    calibrated for degree 1: a finite map of degree d > 1 covers a
+    constant share of the points and reads false), or dominance_by_span on
+    the rows (sampled).
     homaloidal: dominant, degree 1, and a size-1 share of at least 9/10
     (exhaustive) or 3/4 (sampled: random targets hit contracted loci with
     probability ~(n+1)/p, so 9/10 would misfire at p=31).
@@ -661,6 +656,7 @@ def _judge(p, n, mode, seed, targets, domain, base_points, histogram,
     else:
         dominant = dominance_by_span(rows.tolist(), p)
         num, den = _SAMPLED_SIZE1_NUM, _SAMPLED_SIZE1_DEN
+    dominant = degree > 0 and dominant
     homaloidal = dominant and degree == 1 and den * size1 >= num * drawn
     return DegreeReport(p, mode, seed, targets, domain, base_points,
                         image_size, histogram, degree, dominant, homaloidal)
@@ -785,10 +781,10 @@ def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
     mode "exhaustive" runs scan_exhaustive, "sample" scan_sampled with
     targets and seed; the DegreeReports come back in the order of primes,
     a repeated prime scanned and reported once.
-    dominant and homaloidal must match at every prime; degree only when it
-    is a generic size (_generic_size) at every prime, since any other value
-    is _degree_estimate's fallback, which for a non-dominant cone grows
-    with p.  A disagreement raises InconsistencyError.
+    degree, dominant and homaloidal must match at every prime: degree is a
+    generic fiber size below p-1, or 0 when none was seen (_judge), so it
+    means the same at every prime.  A disagreement raises
+    InconsistencyError.
     """
     if not primes:
         raise ValueError("need at least one prime")
@@ -800,10 +796,9 @@ def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
         raise ValueError(f"unknown mode {mode!r}")
     reports = [scan(rational_map, p) for p in dict.fromkeys(primes)]
     first = reports[0]
-    compare_degree = all(_generic_size(r.degree, r.p) for r in reports)
     for r in reports[1:]:
-        if (r.dominant, r.homaloidal) != (first.dominant, first.homaloidal) or \
-                (compare_degree and r.degree != first.degree):
+        if (r.degree, r.dominant, r.homaloidal) != \
+                (first.degree, first.dominant, first.homaloidal):
             raise InconsistencyError(
                 f"verdicts disagree between p={first.p} and p={r.p}")
     return reports

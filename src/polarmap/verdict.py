@@ -178,9 +178,12 @@ def full_verdict(F, input_text=None, **scan):
     mode, targets and seed), the certificate entries and the time since
     the call began.  An arrangement is checked every way
     (_arrangement_routes); a polynomial gets the oracle alone, an empty
-    certificate and no prime_stability entry.
+    certificate and no prime_stability entry.  Either kind is refused on
+    P^0, before any scan.
     """
     started = time.monotonic()
+    if F.nvars < 2:
+        raise ValueError("ambient space must be at least P^1")
     if isinstance(F, Polynomial):
         first, entries = scan_primes(moving_part(F).moving, **scan)[0], []
     else:

@@ -305,8 +305,9 @@ def test_degree_estimate_rules():
     # contracted images (size >= p-1) never count as generic
     assert _degree_estimate({1: 4953, 2: 384, 3: 1392, 100: 4}, 6733, 101) == 3
     assert _degree_estimate({1: 100, 10: 3}, 103, 11) == 1
-    # nothing eligible: plain mode, smaller size on ties
-    assert _degree_estimate({100: 1, 3: 1}, 2, 101) == 3
+    # nothing eligible: no generic size was seen, and the degree reads 0
+    assert _degree_estimate({100: 1, 3: 1}, 2, 101) == 0
+    assert _degree_estimate({102: 1}, 1, 101) == 0
 
 
 def test_degree_estimate_reads_the_image_fraction_knob(monkeypatch):
@@ -660,13 +661,32 @@ def test_scan_primes_twisted_cube():
         scan_primes(cube, (101, 109))
 
 
-def test_scan_primes_cone_degree_is_not_compared():
-    # a cone's fibers have size about p; the fallback degree grows with p,
-    # while dominant and homaloidal agree
+def test_scan_primes_compares_a_cone_degree():
+    # a cone's fibers have size about p or more, so no size is generic: it
+    # reads degree 0 at every prime, and the degrees agree
     reps = scan_primes(moving_of("x0*x1*(x0-x1)", nvars=3), (101, 211))
-    assert [r.degree >= r.p - 1 for r in reps] == [True, True]
-    assert reps[0].degree != reps[1].degree
-    assert not any(r.dominant or r.homaloidal for r in reps)
+    assert [(r.degree, r.dominant, r.homaloidal) for r in reps] == [
+        (0, False, False), (0, False, False)]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+@pytest.mark.parametrize("degrees", [(2, 3), (0, 3), (102, 212)])
+def test_scan_primes_raises_on_degrees_alone(monkeypatch, mode, degrees):
+    # scans that differ in degree alone disagree, whatever the degrees: no
+    # value is exempt from the comparison, not even one the judge never gives
+    by_prime = dict(zip((101, 211), degrees))
+
+    def scan(rational_map, p, **sampled):
+        return DegreeReport(p, mode, 0, 64, 1, 0, 1, {1: 1}, by_prime[p],
+                            False, False)
+
+    monkeypatch.setattr(oracle, "scan_exhaustive", scan)
+    monkeypatch.setattr(oracle, "scan_sampled", scan)
+    m = moving_of("x0*x1*x2")
+    with pytest.raises(InconsistencyError, match="p=101 and p=211"):
+        scan_primes(m, (101, 211), mode=mode)
+    assert [r.degree for r in scan_primes(m, (211, 211), mode=mode)] == [
+        degrees[1]]
 
 
 def test_reduce_matches_the_remainder():

@@ -296,6 +296,19 @@ def test_full_verdict_validation():
                      mode="montecarlo")
 
 
+@pytest.mark.parametrize("parse", [parse_polynomial, parse_arrangement])
+@pytest.mark.parametrize("text", ["x0^2", "x0^3"])
+def test_full_verdict_refuses_p0_before_any_scan(monkeypatch, parse, text):
+    # one refusal for both input kinds, as the CLI gives it
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned an input on P^0")
+
+    monkeypatch.setattr(verdict, "scan_primes", no_scan)
+    with pytest.raises(ValueError,
+                       match=r"^ambient space must be at least P\^1$"):
+        full_verdict(parse(text))
+
+
 def test_full_verdict_input_text_passthrough():
     rep = full_verdict(parse_arrangement("x0*x1*x2"), primes=(101,),
                        input_text="x0*x1*x2")
