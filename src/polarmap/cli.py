@@ -16,8 +16,8 @@ from itertools import combinations, product
 from .arrangement import LinearFormProduct, canonical_row
 from .errors import (InconsistencyError, ParseError, ReductionError,
                      ResourceBoundError)
-from .fields import is_prime
-from .oracle import DEFAULT_PRIMES, SAMPLED_MAX_TARGETS, scan_primes
+from .oracle import (DEFAULT_PRIMES, SAMPLED_MAX_TARGETS, scan_primes,
+                     verdict_primes)
 from .parsing import parse_arrangement, parse_polynomial
 from .polar import moving_part, polar_system
 from .poly import exact_rank
@@ -191,12 +191,8 @@ def cmd_classify(args):
     rows = _census_rows(nvars, coefficients)
     count = homaloidal_count = full_rank_count = 0
     scan_args = _scan_args(args)
-    # each prime once, as scan_primes scans them, and refused even when
-    # the census is empty and no scan runs
-    primes = list(dict.fromkeys(scan_args["primes"]))
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+    # each prime once, and refused even when the census is empty
+    primes = verdict_primes(scan_args["primes"])
     for chosen in combinations(rows, args.census_r + 1):
         F = LinearFormProduct(chosen, nvars=nvars)
         structural = structural_verdict(F)

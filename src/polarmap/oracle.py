@@ -616,50 +616,39 @@ def _histogram(counts):
 
 
 def _degree_estimate(histogram, image_size, p):
-    """The degree rule of _judge on a histogram of image_size points: the
-    largest size below p-1 held by at least max(2, 0.5%) of the image, or 0
-    when no size is."""
+    """_judge's degree rule on a histogram of image_size points."""
     threshold = max(2, -(-image_size * _DEGREE_IMAGE_NUM // _DEGREE_IMAGE_DEN))
     return max((size for size, count in histogram.items()
                 if size < p - 1 and count >= threshold), default=0)
 
 
-def _judge(p, n, mode, seed, targets, domain, base_points, histogram,
-           size1, drawn, rows=None):
+def _judge(p, mode, seed, targets, domain, base_points, histogram, size1,
+           drawn):
     """The one DegreeReport of a scan: degree, dominant and homaloidal,
-    decided from what the scan measured at p over P^n.
+    decided from what the scan measured at p.
 
     Measured: domain, base points, the fiber histogram (image_size is its
     total) and a size-1 share size1 / drawn: histogram[1] over the non-base
-    domain in mode "exhaustive", size-1 targets over targets in mode
-    "sample", which also passes the target image rows.
+    domain (mode "exhaustive"), size-1 targets over targets ("sample").
     degree: the largest size below p-1 held by at least max(2, 0.5%) of the
     image, or 0 when no size is: no generic fiber size was seen.  A map of
     degree d shows every size 1..d on a constant share of the image, a
     contracted locus ~1/p of it with fibers of p-1 or more (so p-1 must
     exceed d); a map that is not dominant, a cone's say, has fibers of
     about p points or more.
-    dominant: degree > 0 (a dominant map of degree d < p-1 shows a generic
-    size), and an image of at least p^n - 5*p^(n-1) points (exhaustive;
-    calibrated for degree 1: a finite map of degree d > 1 covers a
-    constant share of the points and reads false), or dominance_by_span on
-    the rows (sampled).
-    homaloidal: dominant, degree 1, and a size-1 share of at least 9/10
-    (exhaustive) or 3/4 (sampled: random targets hit contracted loci with
-    probability ~(n+1)/p, so 9/10 would misfire at p=31).
+    dominant: degree > 0 in either mode: a generic size below p-1 was seen.
+    homaloidal: degree 1, which is dominant, and a size-1 share of at
+    least 9/10 (exhaustive) or 3/4 (sampled: random targets hit contracted
+    loci with probability ~(n+1)/p, so 9/10 would misfire at p=31).
     """
     image_size = sum(histogram.values())
     degree = _degree_estimate(histogram, image_size, p)
-    if mode == "exhaustive":
-        dominant = image_size >= p ** n - 5 * p ** (n - 1)
-        num, den = _EXHAUSTIVE_SIZE1_NUM, _EXHAUSTIVE_SIZE1_DEN
-    else:
-        dominant = dominance_by_span(rows.tolist(), p)
-        num, den = _SAMPLED_SIZE1_NUM, _SAMPLED_SIZE1_DEN
-    dominant = degree > 0 and dominant
-    homaloidal = dominant and degree == 1 and den * size1 >= num * drawn
+    num, den = ((_EXHAUSTIVE_SIZE1_NUM, _EXHAUSTIVE_SIZE1_DEN)
+                if mode == "exhaustive" else
+                (_SAMPLED_SIZE1_NUM, _SAMPLED_SIZE1_DEN))
+    homaloidal = degree == 1 and den * size1 >= num * drawn
     return DegreeReport(p, mode, seed, targets, domain, base_points,
-                        image_size, histogram, degree, dominant, homaloidal)
+                        image_size, histogram, degree, degree > 0, homaloidal)
 
 
 def scan_exhaustive(rational_map, p, workers=1):
@@ -683,7 +672,7 @@ def scan_exhaustive(rational_map, p, workers=1):
     if base_points + mapped != domain:
         raise InconsistencyError(
             f"accounting failed: {base_points} base + {mapped} mapped != {domain}")
-    return _judge(p, n, "exhaustive", None, None, domain, base_points,
+    return _judge(p, "exhaustive", None, None, domain, base_points,
                   histogram, histogram.get(1, 0), domain - base_points)
 
 
@@ -721,9 +710,10 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     """Fiber sizes of seeded random targets, counted in one domain pass,
     judged by _judge.
 
-    The histogram counts distinct sampled image points by fiber size.
-    Every target is the image of a sampled point, so a target counted with
-    an empty fiber raises InconsistencyError.
+    The histogram counts distinct sampled image points by fiber size; the
+    targets' image rows serve only the prefilter.  Every target is the
+    image of a sampled point, so a target counted with an empty fiber
+    raises InconsistencyError.
 
     Only rows that pass the head prefilter (_ratio_table, built once per
     scan on the head columns) get images (_expand_images), keys and a match.
@@ -752,7 +742,7 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     split = _component_tables(rational_map, p)
     domain = _check_domain(n, p, SAMPLED_MAX_DOMAIN)
     if targets < n + 2:
-        raise ValueError(f"need at least n+2 = {n + 2} targets for the span test")
+        raise ValueError(f"need at least n+2 = {n + 2} targets")
     if targets > SAMPLED_MAX_TARGETS:
         raise ResourceBoundError(f"more than {SAMPLED_MAX_TARGETS} targets")
     per_target, image_rows = _sample_targets(
@@ -769,9 +759,24 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
         raise InconsistencyError(
             f"{int((fiber_counts == 0).sum())} sampled image points have no "
             f"preimage in the scan mod {p}: enumeration or indexing is broken")
-    return _judge(p, n, "sample", seed, targets, domain, base_points,
+    return _judge(p, "sample", seed, targets, domain, base_points,
                   _histogram(fiber_counts),
-                  int((fiber_counts[target_of] == 1).sum()), targets, image_rows)
+                  int((fiber_counts[target_of] == 1).sum()), targets)
+
+
+def verdict_primes(primes):
+    """The distinct primes of a verdict, in order.  None, a composite or
+    one below 5 is refused: _judge reads only sizes below p-1 as a degree,
+    and degree 2 must be readable.  The scans themselves take any prime."""
+    primes = list(dict.fromkeys(primes))
+    if not primes:
+        raise ValueError("need at least one prime")
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p < 5:
+            raise ValueError(f"prime {p} is below 5: degree 2 needs p-1 > 2")
+    return primes
 
 
 def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
@@ -779,22 +784,20 @@ def scan_primes(rational_map, primes=DEFAULT_PRIMES, mode="exhaustive",
     """One scan per distinct prime in the given mode; the verdicts must agree.
 
     mode "exhaustive" runs scan_exhaustive, "sample" scan_sampled with
-    targets and seed; the DegreeReports come back in the order of primes,
-    a repeated prime scanned and reported once.
-    degree, dominant and homaloidal must match at every prime: degree is a
-    generic fiber size below p-1, or 0 when none was seen (_judge), so it
-    means the same at every prime.  A disagreement raises
-    InconsistencyError.
+    targets and seed; verdict_primes checks every prime before any scan,
+    and the DegreeReports come back in order, a repeated prime once.
+    degree, dominant and homaloidal must match at every prime, else
+    InconsistencyError: degree is a generic fiber size below p-1, or 0 when
+    none was seen (_judge), so it means the same at every prime.
     """
-    if not primes:
-        raise ValueError("need at least one prime")
+    primes = verdict_primes(primes)
     if mode == "exhaustive":
         scan = scan_exhaustive
     elif mode == "sample":
         scan = functools.partial(scan_sampled, targets=targets, seed=seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    reports = [scan(rational_map, p) for p in dict.fromkeys(primes)]
+    reports = [scan(rational_map, p) for p in primes]
     first = reports[0]
     for r in reports[1:]:
         if (r.degree, r.dominant, r.homaloidal) != \
@@ -809,7 +812,7 @@ def dominance_by_span(points, p):
 
     The contrapositive of the cone criterion: an image inside a hyperplane
     has coordinate vectors of deficient rank.  Needs at least n+2 points
-    to be meaningful evidence of dominance.
+    to be meaningful evidence of dominance.  No verdict calls it.
     """
     coord_rows = [list(pt) for pt in points]
     if not coord_rows:

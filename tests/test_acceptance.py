@@ -95,7 +95,10 @@ def test_criterion_3_count_criterion_census():
             structural = structural_verdict(F)
             dec = moving_part(F)
             for p in (101, 211):
-                assert scan_exhaustive(dec.moving, p).homaloidal == structural
+                rep = scan_exhaustive(dec.moving, p)
+                assert rep.homaloidal == structural
+                # dominant exactly when the forms have full rank
+                assert rep.dominant == (F.rank() == 3)
             totals[r] += 1
             homaloidal[r] += structural
             full_rank[r] += F.r == F.n and F.rank() == 3
@@ -112,7 +115,9 @@ def test_criterion_3_count_criterion_census():
         chosen = rng.sample(rows4, 5)
         F = LinearFormProduct(chosen, nvars=4)
         assert not structural_verdict(F)
-        assert not scan_exhaustive(moving_part(F).moving, 101).homaloidal
+        rep = scan_exhaustive(moving_part(F).moving, 101)
+        assert not rep.homaloidal
+        assert rep.dominant == (F.rank() == 4)
     found = 0
     while found < 30:
         chosen = rng.sample(rows4, 4)
@@ -120,7 +125,8 @@ def test_criterion_3_count_criterion_census():
         if F.rank() < 4:
             continue
         assert structural_verdict(F)
-        assert scan_exhaustive(moving_part(F).moving, 101).homaloidal
+        rep = scan_exhaustive(moving_part(F).moving, 101)
+        assert rep.homaloidal and rep.dominant
         found += 1
 
 

@@ -325,6 +325,25 @@ def test_classify_refuses_a_composite_before_any_scan(capsys):
     assert "100 is not prime" in err and out == ""
 
 
+def test_verdicts_refuse_a_prime_below_5_before_any_scan(capsys,
+                                                        monkeypatch):
+    from polarmap import cli, oracle
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned at a prime below 5")
+
+    monkeypatch.setattr(oracle, "scan_exhaustive", no_scan)
+    monkeypatch.setattr(cli, "scan_primes", no_scan)
+    code, out, err = run(capsys, "homaloidal", "x0*x1", "-p", "2")
+    assert code == 2 and out == ""
+    assert "prime 2 is below 5" in err
+    # an empty census refuses it too
+    code, out, err = run(capsys, "classify", "--n", "1", "--r", "5",
+                         "-p", "3")
+    assert code == 2 and out == ""
+    assert "prime 3 is below 5" in err
+
+
 def test_classify_lists_each_prime_once_in_an_empty_census(capsys):
     code, out, err = run(capsys, "classify", "--n", "1", "--r", "5",
                          "-p", "101", "-p", "101")

@@ -211,8 +211,8 @@ def test_sampled_seed_determinism():
 
 
 def test_sampled_non_homaloidal_map():
-    # span test sees dominance even though the degree-3 map covers only
-    # a Frobenius fraction of rational points
+    # dominant, as a generic fiber size (3) was seen, though the degree-3
+    # map covers only a Frobenius fraction of rational points
     rep = scan_sampled(moving_of("x0*x1*x2*(x0+x1+x2)"), 101, targets=64, seed=0)
     assert rep.dominant
     assert not rep.homaloidal
@@ -452,7 +452,7 @@ def test_integer_tables_refuse_a_map_that_vanishes_mod_p():
     with pytest.raises(ReductionError, match="every component vanishes mod 2"):
         oracle._component_tables(moving, 2)
     with pytest.raises(ReductionError, match="every component vanishes mod 2"):
-        scan_primes(moving, (2,))
+        scan_exhaustive(moving, 2)
 
 
 def test_integer_tables_name_the_first_coefficient_without_a_residue():
@@ -650,6 +650,25 @@ def test_scan_primes_scans_a_repeated_prime_once(monkeypatch):
     monkeypatch.setattr(oracle, "scan_exhaustive", counted)
     assert scan_primes(m, (101, 211, 101, 211)) == expected
     assert scanned == [101, 211]
+
+
+def no_scan(*args, **kwargs):
+    raise AssertionError("scanned before the primes were checked")
+
+
+@pytest.mark.parametrize("primes, message", [
+    ((101, 2), "prime 2 is below 5"), ((3, 101), "prime 3 is below 5"),
+    ((101, 100), "100 is not prime"), ((), "need at least one prime")])
+def test_scan_primes_refuses_unfit_primes_before_any_scan(monkeypatch, primes,
+                                                          message):
+    # p=2 reads no degree and p=3 degree 1 alone; a verdict needs degree
+    # 2 readable.  The scans themselves still take p=2 and 3
+    monkeypatch.setattr(oracle, "scan_exhaustive", no_scan)
+    monkeypatch.setattr(oracle, "scan_sampled", no_scan)
+    m = moving_of("x0*x1*x2")
+    for mode in ("exhaustive", "sample"):
+        with pytest.raises(ValueError, match=message):
+            scan_primes(m, primes, mode=mode)
 
 
 def test_scan_primes_twisted_cube():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from polarmap import verdict
+from polarmap import oracle, verdict
 from polarmap.arrangement import LinearFormProduct
 from polarmap.errors import InconsistencyError
 from polarmap.parsing import parse_arrangement, parse_polynomial
@@ -307,6 +307,16 @@ def test_full_verdict_refuses_p0_before_any_scan(monkeypatch, parse, text):
     with pytest.raises(ValueError,
                        match=r"^ambient space must be at least P\^1$"):
         full_verdict(parse(text))
+
+
+@pytest.mark.parametrize("parse", [parse_polynomial, parse_arrangement])
+def test_full_verdict_refuses_p3_before_any_scan(monkeypatch, parse):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned at a prime below 5")
+
+    monkeypatch.setattr(oracle, "scan_exhaustive", no_scan)
+    with pytest.raises(ValueError, match="^prime 3 is below 5"):
+        full_verdict(parse("x0*x1*x2"), primes=(3,))
 
 
 def test_full_verdict_input_text_passthrough():
