@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import mmap
 import random
 from dataclasses import dataclass
 
@@ -157,51 +158,50 @@ def _component_tables(rational_map, p):
     return prefix_tables, powers
 
 
-def _chunk_points(n, p, lo, hi):
+def _chunk_points(n, p, lo, hi, work=None):
     """Points lo..hi of P^n(F_p) in enumeration order, one row each.
 
     The block for pivot position k holds p^(n-k) points (0,..,0,1,free
     digits), indexed by the base-p digits of the free coordinates, x_n
     lowest, as _normalized_keys numbers images, after the blocks of
     smaller pivot.  Each block the range crosses fills its rows of the one
-    array in place.  The scans call it with n-1 to build the prefixes of
-    a task; the random-point evaluators build their own rows.  int32 is
-    safe throughout the scan: _component_tables keeps p < 46341, so a
-    product of two residues, and a Horner step (p-1)^2 + (p-1), stay
-    below 2^31.  Positions are int32 too, as
-    _check_domain keeps P^n(F_p), and so every block, under 2^31 points;
-    each digit is idx - (idx // p) * p, a floor-divide by a scalar that
-    numpy runs as a multiply and shift, where idx % p would take one
-    hardware division per element.
+    column-major array in place.  The scans call it with n-1 to build the
+    prefixes of a task.  int32 is safe throughout the scan: p < 46341
+    (_component_tables), so a Horner step (p-1)^2 + (p-1) stays below
+    2^31, and _check_domain keeps every position under 2^31.  A position
+    put in column n splits into digits in place: idx // p (a multiply and
+    shift in numpy, where idx % p divides per element) into the column
+    above, and its multiple of p, to subtract, into the next one up.
     """
-    coords = np.zeros((hi - lo, n + 1), dtype=np.int32)
+    coords = _work(work, "prefixes", n + 1, hi - lo).T
     start = 0
     for pivot in range(n + 1):
         end = start + p ** (n - pivot)
         if lo < end and start < hi:
             rows = coords[max(lo, start) - lo:min(hi, end) - lo]
+            rows[:, :pivot] = 0
+            rows[:, n] = np.arange(max(lo, start) - start,
+                                   min(hi, end) - start, dtype=np.int32)
+            for slot in range(n, pivot + 1, -1):
+                np.floor_divide(rows[:, slot], p, out=rows[:, slot - 1])
+                np.multiply(rows[:, slot - 1], p, out=rows[:, slot - 2])
+                rows[:, slot] -= rows[:, slot - 2]
             rows[:, pivot] = 1
-            idx = np.arange(max(lo, start) - start, min(hi, end) - start,
-                            dtype=np.int32)
-            for slot in range(n, pivot, -1):
-                quotient = idx // p
-                rows[:, slot] = idx - quotient * p
-                idx = quotient
         start = end
     return coords
 
 
-def _evaluate_images(tables, coords, p):
+def _evaluate_images(tables, coords, p, work=None):
     """Images of the rows of coords under the tables, (rows, components).
 
     The scans pass prefix tables (_component_tables) and prefixes.  Each
     monomial is a product of powers reduced mod p, x_v^e built from
     x_v^(e-1) with one product and one _reduce, as Polynomial.substitute
     builds its powers; its coefficient multiplies it unreduced, a term of
-    at most (p-1)^2, and goes straight into the component's int32 sum.
-    The sum is reduced every `period` terms: from a reduced sum of at most
-    p-1, that many terms stay below 2^31 (at least 1, as _component_tables
-    keeps p(p-1) < 2^31).
+    at most (p-1)^2, and goes straight into the component's int32 sum,
+    which its first term assigns.  The sum is reduced every `period`
+    terms: from a reduced sum of at most p-1, that many terms stay below
+    2^31 (at least 1, as _component_tables keeps p(p-1) < 2^31).
     """
     period = (2 ** 31 - p) // (p - 1) ** 2
     # numpy converts a Python int operand anew on every call, which a 0-d
@@ -209,7 +209,9 @@ def _evaluate_images(tables, coords, p):
     modulus = np.array(p, dtype=np.int32)
     # component-major, so each sum is contiguous (as _reduce needs); the
     # transpose returned is the usual (rows, components) view
-    images = np.zeros((len(tables), len(coords)), dtype=np.int32)
+    images = _work(work, "values", len(tables), len(coords))
+    product = _work(work, "keys", len(coords))
+    quotient = getattr(work, "quotient", None)
     # powers[v][e - 1] is x_v^e.  power_column must not call itself: a
     # closure that does is a reference cycle, and it kept each call's
     # powers alive until the cyclic collector ran (peak RSS 34 -> 56 MiB on
@@ -219,29 +221,30 @@ def _evaluate_images(tables, coords, p):
     def power_column(v, e):
         column = powers[v]
         while len(column) < e:
-            column.append(_reduce(column[-1] * column[0], modulus))
+            column.append(_reduce(column[-1] * column[0], modulus, quotient))
         return column[e - 1]
 
     for acc, (exps, coeffs) in zip(images, tables):
         if not coeffs:
-            continue
+            acc[:] = 0
         for t, (e, c) in enumerate(zip(exps, coeffs), 1):
             term = None
             for v, k in enumerate(e):
                 if k:
                     col = power_column(v, k)
-                    term = col if term is None else _reduce(term * col, modulus)
-            if term is None:
-                acc += c
-            elif c == 1:
-                acc += term
+                    term = col if term is None else _reduce(
+                        np.multiply(term, col, out=product), modulus, quotient)
+            value = (c if term is None else term if c == 1
+                     else np.multiply(term, c, out=product))
+            if t == 1:
+                acc[:] = value  # the first term assigns: nothing is cleared
             else:
-                acc += term * c
+                acc += value
             if t % period == 0:
                 # about 2^31 / p^2 terms: reached only at large p, where
                 # the rows are few
-                _reduce(acc, modulus)
-        _reduce(acc, modulus)
+                _reduce(acc, modulus, quotient)
+        _reduce(acc, modulus, quotient)
     return images.T
 
 
@@ -261,7 +264,7 @@ _REDUCE_BLOCK = 1 << 16
 _REDUCE_ROWS = 1200
 
 
-def _reduce(values, p):
+def _reduce(values, p, quotient=None):
     """values % p in place for a contiguous integer array; returns it.
 
     The one reduction mod p of the kernel, at any size.  numpy divides an
@@ -270,7 +273,7 @@ def _reduce(values, p):
     _REDUCE_ROWS elements values - (values // p) * p, a block at a time
     through one small quotient buffer, runs in about a quarter of the
     time of np.remainder (int32, 2^20 elements, numpy 2.4); below that
-    np.remainder costs less.
+    np.remainder costs less.  A scan passes its workspace's quotient.
     """
     if not values.flags.c_contiguous:
         # reshape would reduce a copy and leave values as they were
@@ -278,7 +281,8 @@ def _reduce(values, p):
     if values.size < _REDUCE_ROWS:
         return np.remainder(values, p, out=values)
     flat = values.reshape(-1)
-    quotient = np.empty(min(flat.size, _REDUCE_BLOCK), dtype=flat.dtype)
+    quotient = (np.empty(min(flat.size, _REDUCE_BLOCK), dtype=flat.dtype)
+                if quotient is None else quotient)
     for lo in range(0, flat.size, _REDUCE_BLOCK):
         block = flat[lo:lo + _REDUCE_BLOCK]
         q = quotient[:block.size]
@@ -288,7 +292,7 @@ def _reduce(values, p):
     return values
 
 
-def _normalized_keys(images, p):
+def _normalized_keys(images, p, work=None):
     """(int32 index of each image row in P^n(F_p), base count) for a block.
 
     A row with pivot k (its first nonzero coordinate) is scaled so that
@@ -300,12 +304,13 @@ def _normalized_keys(images, p):
     zero) get -1, so callers drop or ignore them with index >= 0.
     _pivot_index computes it by recursion on the pivot.  A P^n(F_p) of
     2^31 points or more has no int32 index and is refused (_check_domain).
+    In a workspace the index is valid until the task keys its next block.
     """
     _check_domain(images.shape[1] - 1, p)
-    return _pivot_index(images, p)
+    return _pivot_index(images, p, work)
 
 
-def _pivot_index(images, p):
+def _pivot_index(images, p, work=None):
     """_normalized_keys by recursion on the pivot: (index, base count).
 
     A row with y_0 != 0 has pivot 0 and index sum_{j>=1} (y_j / y_0) p^(n-j),
@@ -315,13 +320,27 @@ def _pivot_index(images, p):
     caller keeps P^n(F_p) under 2^31 points, so every step fits in int32.
     """
     n = images.shape[1] - 1
-    scale = np.take(_inverse_table(p), images[:, 0])
-    index = np.zeros(len(images), dtype=np.int32)
-    # one reused product buffer: this loop runs on whole exhaustive chunks
-    term = np.empty(len(images), dtype=np.int32)
-    for j in range(1, n + 1):
+    rows = len(images)
+    quotient = getattr(work, "quotient", None)
+    if work is None:
+        scale = np.take(_inverse_table(p), images[:, 0])
+        index, term = np.empty_like(scale), np.empty_like(scale)
+    else:
+        # np.take would copy int32 pivots to intp: they go as intp where the
+        # index and product columns go next (clipping spares a copy of out)
+        scale, pair = work.scale[:rows], work.keys[:2 * rows]
+        pivots = pair.view(np.intp)[:rows]
+        pivots[:] = images[:, 0]
+        np.take(_inverse_table(p), pivots, out=scale, mode="clip")
+        index, term = pair.reshape(2, rows)
+    if n:
+        _reduce(np.multiply(images[:, 1], scale, out=index), p, quotient)
+    else:
+        index[:] = 0
+    for j in range(2, n + 1):
         index *= p
-        index += _reduce(np.multiply(images[:, j], scale, out=term), p)
+        index += _reduce(np.multiply(images[:, j], scale, out=term), p,
+                         quotient)
     rest = np.flatnonzero(scale == 0)
     if not rest.size:
         return index, 0
@@ -365,7 +384,7 @@ def _last_image(split, p):
     return np.array([row], dtype=np.int32)
 
 
-def _expand_images(values, powers, t, p):
+def _expand_images(values, powers, t, p, work=None):
     """Images from the g_{j,k} of each prefix (rows of values) over t.
 
     values[:, i] is the column of prefix table i at each prefix
@@ -377,9 +396,10 @@ def _expand_images(values, powers, t, p):
     acc < p, so acc * t + g <= (p-1)^2 + (p-1) < 2^31.
     """
     coeffs = values[:, None, :]
+    quotient = getattr(work, "quotient", None)
     # component-major, so each expansion runs on contiguous memory; the
     # transpose returned is the usual (points, components) view
-    images = np.empty((len(powers), len(values), t.shape[-1]), dtype=np.int32)
+    images = _work(work, "images", len(powers), len(values), t.shape[-1])
     for acc, component in zip(images, powers):
         if not component:
             acc[:] = 0
@@ -392,7 +412,7 @@ def _expand_images(values, powers, t, p):
         for k in range(top - 1, -1, -1):
             if k in component:
                 acc += coeffs[..., component[k]]
-            _reduce(acc, p)
+            _reduce(acc, p, quotient)
             if k:
                 acc *= t
     return images.reshape(len(powers), -1).T
@@ -418,20 +438,19 @@ def _exhaustive_chunk(args):
     a point of P^(n-1)(F_p), at x_n = r % p: the point of index
     (lo + r // p) * p + r % p.  The task that ends the prefix range keys
     and counts e_n on its own.  fibers is the scan's int32 array of the
-    domain.  Returns the task's base count, an int64.
+    domain, work its workspace.  Returns the task's base count, an int64.
     """
-    split, n, p, lo, hi, fibers = args
-    prefixes = _chunk_points(n - 1, p, lo, hi)
+    split, n, p, lo, hi, fibers, work = args
+    prefixes = _chunk_points(n - 1, p, lo, hi, work)
     t = np.arange(p, dtype=np.int32)
     prefix_tables, powers = split
-    values = _evaluate_images(prefix_tables, prefixes, p)
+    values = _evaluate_images(prefix_tables, prefixes, p, work)
     step = max(1, _REDUCE_BLOCK // p)
     # numpy >= 1.25 runs ufunc.at on matching int32 arrays in a fast path;
     # a scalar 1 takes the slow generic loop
     ones = np.ones(max(1, min(step, len(values)) * p), dtype=np.int32)
 
-    def count(images):
-        index, base = _normalized_keys(images, p)
+    def count(index, base):
         if base:
             index = index[index >= 0]
         # np.add.at would wrap a negative index silently
@@ -443,13 +462,10 @@ def _exhaustive_chunk(args):
 
     base = np.int64(0)
     for start in range(0, len(values), step):
-        # a tile's images stay alive until the next tile's are made: freed
-        # first, malloc unmaps them and every tile faults in fresh pages
-        # (about 7,700 minor faults a task against 600, Cremona at p=211)
-        images = _expand_images(values[start:start + step], powers, t, p)
-        base += count(images)
+        images = _expand_images(values[start:start + step], powers, t, p, work)
+        base += count(*_normalized_keys(images, p, work))
     if hi == projective_size(n - 1, p):
-        base += count(_last_image(split, p))
+        base += count(*_normalized_keys(_last_image(split, p), p))
     return base
 
 
@@ -480,12 +496,13 @@ def _head_index(head, p):
     """Head table index of each head, given as columns (w, rows) of int32.
 
     Raw layout while p^w fits the table: the digits (y_0 p + y_1) p + y_2,
-    which needs no division.  Past that, the projective layout: the
+    which needs no division, built in head[0] (callers are done with a
+    head once it is looked up).  Past that, the projective layout: the
     head's index in P^(w-1)(F_p) (_pivot_index), and -1, the table's
     trailing entry, for the zero head.
     """
     if p ** len(head) <= _HEAD_TABLE_ENTRIES:
-        index = head[0].copy()
+        index = head[0]
         for column in head[1:]:
             index *= p
             index += column
@@ -534,11 +551,11 @@ def _sampled_chunk(args):
     """(hits per target, base count) of one task's points.
 
     The scan fixes, once, the sorted target indices, the bitmap of their
-    low 16 bits (marked), the head columns and the head table.  The task's
-    grid is that of _exhaustive_chunk.
+    low 16 bits (marked), the head columns, the head table and the
+    workspace.  The task's grid is that of _exhaustive_chunk.
     """
-    split, n, p, lo, hi, target_index, marked, columns, table = args
-    prefixes = _chunk_points(n - 1, p, lo, hi)
+    split, n, p, lo, hi, target_index, marked, columns, table, work = args
+    prefixes = _chunk_points(n - 1, p, lo, hi, work)
     t = np.arange(p, dtype=np.int32)
     prefix_tables, powers = split
     heads = [powers[j] for j in columns]
@@ -551,24 +568,26 @@ def _sampled_chunk(args):
         # up once per prefix, and a kept prefix keeps its whole row (a zero
         # component has no table; an empty one evaluates to 0)
         head = _evaluate_images([prefix_tables[h[0]] if h else ([], [])
-                                 for h in heads], prefixes, p)
+                                 for h in heads], prefixes, p, work)
         kept = np.flatnonzero(table[_head_index(head.T, p)])
         images = _expand_images(
-            _evaluate_images(prefix_tables, prefixes[kept], p), powers, t, p)
+            _evaluate_images(prefix_tables, prefixes[kept], p, work), powers,
+            t, p, work)
     else:
         # else every g_{j,k} is evaluated once on every prefix, the head is
         # expanded over the grid and looked up per point, and a kept point
         # is one row, at its own value of x_n
-        values = _evaluate_images(prefix_tables, prefixes, p)
-        head = _expand_images(values, heads, t, p)
+        values = _evaluate_images(prefix_tables, prefixes, p, work)
+        head = _expand_images(values, heads, t, p, work)
         kept = np.flatnonzero(table[_head_index(head.T, p)])
         images = _expand_images(values[kept // p], powers,
-                                t[kept % p][:, None], p)
-    index, base = _normalized_keys(images, p)
+                                t[kept % p][:, None], p, work)
+    index, base = _normalized_keys(images, p, work)
     # only rows whose low 16 bits are those of a target go on to the binary
-    # search
-    counts = _target_counts(index[marked[index & (_MARK_BITS - 1)]],
-                            target_index)
+    # search; the low bits go into the idle scale column
+    low = np.bitwise_and(index, _MARK_BITS - 1,
+                         out=_work(work, "scale", len(index)))
+    counts = _target_counts(index[marked[low]], target_index)
     if hi == projective_size(n - 1, p):
         # e_n, keyed and matched on its own
         last_index, last_base = _normalized_keys(_last_image(split, p), p)
@@ -578,16 +597,57 @@ def _sampled_chunk(args):
 
 
 def _run_tasks(fn, split, n, p, *extra):
-    """fn((split, n, p, lo, hi, *extra)) for every task, in order.
+    """fn((split, n, p, lo, hi, *extra, work)) for every task, in order.
 
-    split is the caller's _component_tables of its map.  Every task runs
-    in the calling process, one after the other.  A fork pool
+    split is the caller's _component_tables of its map, work one
+    _Workspace for all its tasks, or None for one task, with nothing to
+    reuse (freed whole, a workspace cost each census scan 50-100 faults).
+    Every task runs in the calling process, one after the other.  A fork pool
     was faster only on sampled scans of a few tasks, 47% slower near
     SAMPLED_MAX_DOMAIN (each task's arguments pickled the head table), and
     added about 25 MiB of peak RSS at every size.
     """
-    for lo, hi in _block_tasks(n, p):
-        yield fn((split, n, p, lo, hi, *extra))
+    tasks = _block_tasks(n, p)
+    work = _Workspace(split, n, p) if len(tasks) > 1 else None
+    for lo, hi in tasks:
+        yield fn((split, n, p, lo, hi, *extra, work))
+
+
+class _Workspace:
+    """One scan's work arrays, sized once for a task of max(1, _CHUNK // p)
+    prefixes and handed to every task: made per task, they were unmapped
+    and faulted in again (20,000 minor faults on the determinantal cubic's
+    sampled scan at p=31).  Each user writes every cell it reads (_work),
+    returns no view, and may borrow a column idle at the time."""
+
+    def __init__(self, split, n, p):
+        prefixes = max(1, _CHUNK // p)
+        points = prefixes * p
+        tables, components = map(len, split)
+        self.prefixes = _work_array(n * prefixes)
+        self.values = _work_array(max(tables, components) * prefixes)
+        self.images = _work_array(components * points)
+        self.scale = _work_array(points)
+        # the index and product columns, which take intp pivots first
+        self.keys = _work_array(2 * points)
+        self.quotient = _work_array(min(_REDUCE_BLOCK, points))
+
+
+def _work_array(entries):
+    """An int32 array that takes no page before it is written: from 4 MiB
+    numpy advises huge pages, 2 MiB at a time (peak RSS +3 MiB on the
+    determinantal cubic's sampled scan), so those are private maps."""
+    if entries < 1 << 20:
+        return np.empty(entries, dtype=np.int32)
+    return np.frombuffer(mmap.mmap(-1, 4 * entries, flags=mmap.MAP_PRIVATE),
+                         dtype=np.int32)
+
+
+def _work(work, name, *shape):
+    """The workspace buffer `name` shaped, or a fresh array without one."""
+    if work is None:
+        return np.empty(shape, dtype=np.int32)
+    return getattr(work, name)[:np.prod(shape)].reshape(shape)
 
 
 def _check_domain(n, p, bound=None):

@@ -128,13 +128,13 @@ def test_prefix_coefficients_are_evaluated_once_per_task(monkeypatch):
     evaluated, keyed = [], []
     real_evaluate, real_keys = oracle._evaluate_images, oracle._normalized_keys
 
-    def evaluate(tables, coords, p):
+    def evaluate(tables, coords, p, work=None):
         evaluated.append(len(coords))
-        return real_evaluate(tables, coords, p)
+        return real_evaluate(tables, coords, p, work)
 
-    def keys(images, p):
+    def keys(images, p, work=None):
         keyed.append(len(images))
-        return real_keys(images, p)
+        return real_keys(images, p, work)
 
     monkeypatch.setattr(oracle, "_evaluate_images", evaluate)
     monkeypatch.setattr(oracle, "_normalized_keys", keys)
@@ -218,15 +218,17 @@ def test_tasks_count_every_point_once_and_only_the_last_holds_e_n(
     columns = oracle._head_columns(split[1], p)
     table = oracle._ratio_table(all_points(n, p), columns, p)
     counted = np.zeros(domain, dtype=np.int64)
+    # one workspace for every task of both modes, as a scan hands it over
+    work = oracle._Workspace(split, n, p)
     for lo, hi in tasks:
         expected = np.zeros(domain, dtype=np.int64)
         expected[lo * p:hi * p] = 1
         expected[-1] = hi == prefixes
         fibers = np.zeros(domain, dtype=np.int32)
-        assert oracle._exhaustive_chunk((split, n, p, lo, hi, fibers)) == 0
+        assert oracle._exhaustive_chunk((split, n, p, lo, hi, fibers, work)) == 0
         assert np.array_equal(fibers, expected), (lo, hi)
         counts, base = oracle._sampled_chunk(
-            (split, n, p, lo, hi, target_index, marked, columns, table))
+            (split, n, p, lo, hi, target_index, marked, columns, table, work))
         assert np.array_equal(counts, expected) and base == 0, (lo, hi)
         counted += fibers
     assert (counted == 1).all()
@@ -273,8 +275,8 @@ def test_identity_tiles_key_to_contiguous_runs(monkeypatch):
     runs = []
     real = oracle._normalized_keys
 
-    def keys(images, p):
-        index, base = real(images, p)
+    def keys(images, p, work=None):
+        index, base = real(images, p, work)
         run = np.arange(index[0], index[0] + len(index))
         assert np.array_equal(index, run)
         runs.append((int(index[0]), len(index)))
@@ -419,8 +421,8 @@ def test_index_of_mixed_pivots_matches_the_reference_point(n, p):
 def test_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
     real = oracle._normalized_keys
 
-    def corrupted(images, p):
-        index, base = real(images, p)
+    def corrupted(images, p, work=None):
+        index, base = real(images, p, work)
         index[0] = bad_index
         return index, base
 
@@ -434,8 +436,8 @@ def test_multi_task_scan_raises_on_a_key_without_index(monkeypatch, bad_index):
     # the range check runs in every task, with the message of a one-task scan
     real = oracle._normalized_keys
 
-    def corrupted(images, p):
-        index, base = real(images, p)
+    def corrupted(images, p, work=None):
+        index, base = real(images, p, work)
         index[0] = bad_index
         return index, base
 

@@ -1,6 +1,7 @@
 """Fiber-counting oracle: exact histograms at pinned primes, invariances,
 resource guards, and the sampled mode's seeded determinism."""
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -370,6 +371,112 @@ def test_sampled_scan_peak_rss_stays_flat():
     assert int(proc.stdout) <= 12 * 1024
 
 
+# Minor page faults of one sampled scan in a fresh interpreter.  Work arrays
+# made afresh in every task went back to the system at its end and were
+# faulted in again by the next: 20,000-24,000 faults at seeds 0 and 1, where
+# one workspace per scan takes about 1,100-1,300.
+FAULT_SCRIPT = """
+import resource, sys
+from polarmap import oracle, parsing, polar
+
+det = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
+moving = polar.moving_part(parsing.parse_polynomial(det)).moving
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+oracle.scan_sampled(moving, 31, targets=64, seed=int(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                    reason="counts faults with resource.getrusage")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampled_scan_faults_in_few_pages(seed):
+    package_root = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(seed)],
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert int(proc.stdout) <= 5000
+
+
+DET_CUBIC = "x0*x3*x5 - x0*x4^2 - x1^2*x5 + 2*x1*x2*x4 - x2^2*x3"
+HESSE_CUBIC = "x0^3 + x1^3 + x2^3 + x0*x1*x2"
+
+
+def moving_of_polynomial(text):
+    return moving_part(parse_polynomial(text)).moving
+
+
+def test_no_state_crosses_scans(monkeypatch):
+    # each scan makes its own workspace: a scan of another map, of other
+    # sizes and in 21 tasks of the per-point head route, in between
+    # changes nothing
+    det, hesse = (moving_of_polynomial(DET_CUBIC),
+                  moving_of_polynomial(HESSE_CUBIC))
+    first_hesse = scan_sampled(hesse, 103, seed=1)
+    first_det = scan_sampled(det, 31, seed=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_CHUNK", 103 * 5)
+        assert scan_sampled(hesse, 103, seed=1) == first_hesse
+    assert scan_sampled(det, 31, seed=1) == first_det
+
+
+@pytest.mark.parametrize("text, p, mode, chunk", [
+    (DET_CUBIC, 31, "sample", 31 * 3001),     # flat head: whole rows kept
+    (HESSE_CUBIC, 103, "sample", 103 * 5),    # per-point head
+    ("x0*x1*x2*x3", 31, "exhaustive", 31 * 7),
+])
+def test_no_state_crosses_tasks(monkeypatch, text, p, mode, chunk):
+    # many small tasks, each keying a different number of rows, reuse one
+    # workspace and give the reports of the default tasks
+    rational_map = moving_of_polynomial(text)
+    scan = (scan_exhaustive if mode == "exhaustive"
+            else lambda m, p: scan_sampled(m, p, seed=1))
+    tasks = len(oracle._block_tasks(rational_map.n, p))
+    expected = scan(rational_map, p)
+    keyed = []
+    real_keys = oracle._normalized_keys
+
+    def recording(images, p, work=None):
+        keyed.append(len(images))
+        return real_keys(images, p, work)
+
+    without_a_process(monkeypatch, chunk)
+    monkeypatch.setattr(oracle, "_normalized_keys", recording)
+    assert len(oracle._block_tasks(rational_map.n, p)) > 10 * tasks
+    assert scan(rational_map, p) == expected
+    assert len(set(keyed)) > 2
+
+
+@pytest.mark.parametrize("text, p", [(DET_CUBIC, 7), (HESSE_CUBIC, 13)])
+def test_task_results_are_not_views_of_the_workspace(monkeypatch, text, p):
+    # scan_sampled collects every task's result before it sums them, and
+    # an exhaustive scan's tasks count into the scan's own array
+    monkeypatch.setattr(oracle, "_CHUNK", 5 * p)
+    rational_map = moving_of_polynomial(text)
+    made, results = [], []
+    real_workspace, real_run = oracle._Workspace, oracle._run_tasks
+
+    def workspace(*args):
+        made.append(real_workspace(*args))
+        return made[-1]
+
+    def run(*args):
+        for result in real_run(*args):
+            results.append(result)
+            yield result
+
+    monkeypatch.setattr(oracle, "_Workspace", workspace)
+    monkeypatch.setattr(oracle, "_run_tasks", run)
+    scan_sampled(rational_map, p, targets=16)
+    scan_exhaustive(rational_map, p)
+    assert len(made) == 2 and len(results) > 2
+    buffers = [b for work in made for b in vars(work).values()]
+    for result in results:
+        for array in result if isinstance(result, tuple) else (result,):
+            assert not any(np.shares_memory(array, b) for b in buffers)
+
+
 @pytest.mark.parametrize("exhaustive_bound, sampled_bound", [
     (132, 133),   # |P^2(F_11)| = 133: only exhaustive mode refuses
     (133, 132),   # only sampled mode refuses
@@ -532,8 +639,8 @@ def test_sampled_scan_raises_on_an_empty_target_fiber(monkeypatch):
     # miss it, enumeration or keying is broken and must not pass silently
     real = oracle._chunk_points
 
-    def stuck_points(n, p, lo, hi):
-        coords = real(n, p, lo, hi)
+    def stuck_points(n, p, lo, hi, work=None):
+        coords = real(n, p, lo, hi, work)
         coords[:] = 1
         return coords
 

@@ -47,11 +47,13 @@ def chunk_images(split, n, p, lo, hi):
 
 def task_args(split, n, p, lo, hi, target_index, table):
     """_sampled_chunk's arguments for one task, as scan_sampled builds
-    them: the targets' low-bit bitmap and the head columns added."""
+    them: the targets' low-bit bitmap, the head columns and a workspace
+    added."""
     marked = np.zeros(oracle._MARK_BITS, dtype=bool)
     marked[target_index & (oracle._MARK_BITS - 1)] = True
     return (split, n, p, lo, hi, target_index, marked,
-            oracle._head_columns(split[1], p), table)
+            oracle._head_columns(split[1], p), table,
+            oracle._Workspace(split, n, p))
 
 
 def keyed_chunk(args):
@@ -371,9 +373,9 @@ def recording_keys(monkeypatch):
     keyed = []
     normalized_keys = oracle._normalized_keys
 
-    def recording(images, p):
+    def recording(images, p, work=None):
         keyed.append(images.copy())
-        return normalized_keys(images, p)
+        return normalized_keys(images, p, work)
 
     monkeypatch.setattr(oracle, "_normalized_keys", recording)
     return keyed
@@ -433,9 +435,9 @@ def recording_evaluations(monkeypatch):
     calls = []
     evaluate_images = oracle._evaluate_images
 
-    def recording(tables, coords, p):
+    def recording(tables, coords, p, work=None):
         calls.append((tables, coords.copy()))
-        return evaluate_images(tables, coords, p)
+        return evaluate_images(tables, coords, p, work)
 
     monkeypatch.setattr(oracle, "_evaluate_images", recording)
     return calls
