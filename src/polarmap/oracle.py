@@ -58,8 +58,9 @@ Birationality proxy: a map defined over Q that is birational stays
 birational mod all but finitely many primes, so a generic fiber of size 1
 at two independent primes is strong evidence of degree 1.  The scans
 measure; _judge alone decides degree, dominant and homaloidal, by the rules
-stated there.  Bad primes surface as errors, never as silently different
-answers.
+stated there: degree is the largest fiber size held by two image points
+within Bezout's bound D^n on a fiber's isolated points, and below p-1.
+Bad primes surface as errors, never as silently different answers.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ SAMPLED_MAX_TARGETS = 1 << 16
 DEFAULT_PRIMES = (101,)
 _CHUNK = 1 << 20
 
-# the share bars of _judge: the degree's image share, each mode's size-1 share
-_DEGREE_IMAGE_NUM, _DEGREE_IMAGE_DEN = 5, 1000
+# the size-1 share bars of _judge, one per mode
 _EXHAUSTIVE_SIZE1_NUM, _EXHAUSTIVE_SIZE1_DEN = 9, 10
 _SAMPLED_SIZE1_NUM, _SAMPLED_SIZE1_DEN = 3, 4
 
@@ -675,40 +675,42 @@ def _histogram(counts):
     return dict(sorted(tally.items()))
 
 
-def _degree_estimate(histogram, image_size, p):
-    """_judge's degree rule on a histogram of image_size points."""
-    threshold = max(2, -(-image_size * _DEGREE_IMAGE_NUM // _DEGREE_IMAGE_DEN))
-    return max((size for size, count in histogram.items()
-                if size < p - 1 and count >= threshold), default=0)
-
-
 def _judge(p, mode, seed, targets, domain, base_points, histogram, size1,
-           drawn):
+           drawn, bound):
     """The one DegreeReport of a scan: degree, dominant and homaloidal,
     decided from what the scan measured at p.
 
     Measured: domain, base points, the fiber histogram (image_size is its
     total) and a size-1 share size1 / drawn: histogram[1] over the non-base
     domain (mode "exhaustive"), size-1 targets over targets ("sample").
-    degree: the largest size below p-1 held by at least max(2, 0.5%) of the
-    image, or 0 when no size is: no generic fiber size was seen.  A map of
-    degree d shows every size 1..d on a constant share of the image, a
-    contracted locus ~1/p of it with fibers of p-1 or more (so p-1 must
-    exceed d); a map that is not dominant, a cone's say, has fibers of
-    about p points or more.
+    bound is D^n for a map of degree D on P^n: off the base locus a fiber
+    has at most D^n isolated points (refined Bezout), so a larger size is
+    a positive-dimensional fiber, a contracted line's say.
+    degree: the largest size s <= bound, s < p-1, held by at least 2 image
+    points, or 0 when no size is: no generic fiber size was seen.  A map
+    of degree d shows every size 1..d in its image, and a contracted locus
+    has fibers of about p points (so p-1 must exceed d); a map that is not
+    dominant, a cone's say, has fibers of about p points or more.  One
+    image point is not enough: a positive-dimensional fiber not defined
+    over F_p can hold few F_p-points.  Where bound >= p-2 the bound no
+    longer separates a contracted line from a generic fiber, and its size
+    can be read.  A sampled degree is a lower bound: few targets land on a
+    fiber of the largest size.
     dominant: degree > 0 in either mode: a generic size below p-1 was seen.
     homaloidal: degree 1, which is dominant, and a size-1 share of at
     least 9/10 (exhaustive) or 3/4 (sampled: random targets hit contracted
     loci with probability ~(n+1)/p, so 9/10 would misfire at p=31).
     """
-    image_size = sum(histogram.values())
-    degree = _degree_estimate(histogram, image_size, p)
+    degree = max((size for size, count in histogram.items()
+                  if size <= bound and size < p - 1 and count >= 2),
+                 default=0)
     num, den = ((_EXHAUSTIVE_SIZE1_NUM, _EXHAUSTIVE_SIZE1_DEN)
                 if mode == "exhaustive" else
                 (_SAMPLED_SIZE1_NUM, _SAMPLED_SIZE1_DEN))
     homaloidal = degree == 1 and den * size1 >= num * drawn
     return DegreeReport(p, mode, seed, targets, domain, base_points,
-                        image_size, histogram, degree, degree > 0, homaloidal)
+                        sum(histogram.values()), histogram, degree,
+                        degree > 0, homaloidal)
 
 
 def scan_exhaustive(rational_map, p, workers=1):
@@ -733,7 +735,8 @@ def scan_exhaustive(rational_map, p, workers=1):
         raise InconsistencyError(
             f"accounting failed: {base_points} base + {mapped} mapped != {domain}")
     return _judge(p, "exhaustive", None, None, domain, base_points,
-                  histogram, histogram.get(1, 0), domain - base_points)
+                  histogram, histogram.get(1, 0), domain - base_points,
+                  rational_map.degree ** n)
 
 
 def _candidates(seed, p, width, rows):
@@ -821,7 +824,8 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
             f"preimage in the scan mod {p}: enumeration or indexing is broken")
     return _judge(p, "sample", seed, targets, domain, base_points,
                   _histogram(fiber_counts),
-                  int((fiber_counts[target_of] == 1).sum()), targets)
+                  int((fiber_counts[target_of] == 1).sum()), targets,
+                  rational_map.degree ** n)
 
 
 def verdict_primes(primes):

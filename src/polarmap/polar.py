@@ -50,7 +50,6 @@ class RationalMap:
         self.components = components
         self.nvars = nvars
         self.degree = degrees.pop()
-        self._base_free = None
         self._integer_terms = None
 
     @classmethod
@@ -88,13 +87,6 @@ class RationalMap:
             if acc.degree() == 0:
                 break
         return monic(acc)
-
-    @property
-    def is_base_free(self):
-        """True iff the nonzero components have gcd 1 (cached)."""
-        if self._base_free is None:
-            self._base_free = self.component_gcd().degree() == 0
-        return self._base_free
 
     def compose(self, other):
         """self after other, as raw polynomials (no base stripping)."""

@@ -26,6 +26,7 @@ from polarmap.verdict import (CremonaMap, full_verdict, monomial_moving_part,
                               structural_verdict)
 
 from gens import random_poly
+from lattice import lattice_degree
 from projective import ProjectivePoint
 
 
@@ -99,6 +100,7 @@ def test_criterion_3_count_criterion_census():
                 assert rep.homaloidal == structural
                 # dominant exactly when the forms have full rank
                 assert rep.dominant == (F.rank() == 3)
+                assert rep.degree == lattice_degree(chosen)
             totals[r] += 1
             homaloidal[r] += structural
             full_rank[r] += F.r == F.n and F.rank() == 3

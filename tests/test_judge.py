@@ -3,28 +3,35 @@ measurements, each bar hit exactly and missed by one, no scan deciding on
 its own, no report reading a degree of p-1 or more, and dominant read as
 the Jacobian-rank reference reads it."""
 
+import functools
 import inspect
 import time
+from itertools import combinations
 
 import pytest
 
 from polarmap import oracle
 from polarmap.arrangement import LinearFormProduct
 from polarmap.cli import _census_rows
-from polarmap.oracle import _judge
+from polarmap.oracle import _judge, scan_exhaustive, scan_sampled
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import moving_part
 from polarmap.verdict import full_verdict
 
 from jacobian import is_dominant
+from lattice import lattice_degree
 
 # P^2 at p=11: 133 points.  A histogram size of 10 = p-1 or more is never
 # generic, so it holds the rest of the non-base domain without moving the
-# degree.
+# degree.  bound is D^n, here of a quadratic map of P^2.
 EXHAUSTIVE = dict(p=11, mode="exhaustive", seed=None, targets=None,
-                  domain=133)
+                  domain=133, bound=4)
+# P^2 at p=101: 10,303 points, so 2 image points are a tiny share of an
+# image of thousands
+LARGE = dict(p=101, mode="exhaustive", seed=None, targets=None,
+             domain=10303, bound=4)
 # P^2 at p=31, 64 targets
-SAMPLED = dict(p=31, mode="sample", seed=0, targets=64, domain=993)
+SAMPLED = dict(p=31, mode="sample", seed=0, targets=64, domain=993, bound=4)
 
 # name: (measurement, (degree, dominant, homaloidal))
 CASES = {
@@ -63,11 +70,50 @@ CASES = {
     # though every one of the six points of P^1(F_5) maps
     "exhaustive_no_generic_size": (
         dict(p=5, mode="exhaustive", seed=None, targets=None, domain=6,
-             base_points=0, histogram={1: 1, 5: 1}, size1=1, drawn=6),
-        (0, False, False)),
+             bound=2, base_points=0, histogram={1: 1, 5: 1}, size1=1,
+             drawn=6), (0, False, False)),
     "sampled_no_generic_size": (
         dict(SAMPLED, base_points=0, histogram={1: 1, 30: 31}, size1=1,
              drawn=64), (0, False, False)),
+    # the Cremona map at p=11: three contracted lines of p-1 points each
+    "exhaustive_contracted_lines_are_not_generic": (
+        dict(EXHAUSTIVE, base_points=3, histogram={1: 100, 10: 3}, size1=100,
+             drawn=130), (1, True, False)),
+    # the bound D^n: a size equal to it is read, one past it is not, however
+    # many image points hold it
+    "size_at_the_bound_is_read": (
+        dict(LARGE, base_points=295, histogram={1: 9000, 2: 500, 4: 2},
+             size1=9000, drawn=10008), (4, True, False)),
+    "size_above_the_bound_is_not_read": (
+        dict(LARGE, base_points=53, histogram={1: 9000, 2: 500, 5: 50},
+             size1=9000, drawn=10250), (2, True, False)),
+    # a share of the image decides nothing: 2 of 9,502 image points read a
+    # size, 1 does not
+    "size_held_by_two_points_is_read": (
+        dict(LARGE, base_points=291, histogram={1: 9000, 2: 500, 6: 2},
+             size1=9000, drawn=10012, bound=16), (6, True, False)),
+    "size_held_by_one_point_is_not_read": (
+        dict(LARGE, base_points=297, histogram={1: 9000, 2: 500, 6: 1},
+             size1=9000, drawn=10006, bound=16), (2, True, False)),
+    # the contracted size p-1 is never read, whatever the bound
+    "size_p_minus_1_is_never_read": (
+        dict(LARGE, base_points=6, histogram={1: 4953, 2: 384, 3: 1392,
+                                              100: 4},
+             size1=4953, drawn=10297, bound=10 ** 6), (3, True, False)),
+    # where the bound reaches p-2 it cannot tell a contracted line from a
+    # generic fiber: size p-2 is read
+    "size_p_minus_2_within_the_bound_is_read": (
+        dict(EXHAUSTIVE, base_points=35, histogram={1: 50, 9: 2, 10: 3},
+             size1=50, drawn=98, bound=16), (9, True, False)),
+    # one point of size 3 beside a contracted size: no generic size
+    "one_point_and_a_contracted_size_read_0": (
+        dict(LARGE, base_points=10200, histogram={3: 1, 100: 1}, size1=0,
+             drawn=103), (0, False, False)),
+    # P^1 at p=101, all 102 points on one image point: not dominant
+    "one_fiber_of_the_whole_line_reads_0": (
+        dict(p=101, mode="exhaustive", seed=None, targets=None, domain=102,
+             bound=2, base_points=0, histogram={102: 1}, size1=0, drawn=102),
+        (0, False, False)),
 }
 
 
@@ -124,7 +170,7 @@ DOMINANCE_CORPUS = [
     # the twisted cube, degree 3, at primes where cubing is 3-to-1
     ("x0*x1*(x0+x1)*(x0-x1)", parse_arrangement, None, (109, 227),
      (109, 227)),
-    # degree 6, read as 4 at p=61
+    # degree 6 (tests/lattice.py), with a fiber of 6 on 2 image points at p=61
     ("x2*(x1-x2)*(x0-x1-x2)*(x0-x2)*(x0+x1)", parse_arrangement, None,
      (61,), (61,)),
     ("x0^3 + x1^3 + x2^3 + x0*x1*x2", parse_polynomial, None, (31, 101),
@@ -193,3 +239,45 @@ def test_no_report_reads_a_degree_of_p_minus_1_or_more():
         (0, False, False)}
     assert len(reports) == 3 * (6 + 26) + 1
     assert time.monotonic() - started < 0.5
+
+
+DEGREE_6 = "x2*(x1-x2)*(x0-x1-x2)*(x0-x2)*(x0+x1)"
+
+
+@functools.cache
+def five_line_arrangements():
+    """The 1,287 choices of 5 of the 13 census rows of P^2, each with the
+    moving part of its product."""
+    return [(chosen, moving_part(LinearFormProduct(chosen)).moving)
+            for chosen in combinations(_census_rows(3, (-1, 0, 1)), 5)]
+
+
+def test_exhaustive_degree_is_the_lattice_degree_on_five_lines():
+    # p=61 avoids the blind classes mod 3 and mod 12; a rule asking 0.5% of
+    # the image to hold a size reads 132 of these wrong here, degree 6 as 4
+    arrangements = five_line_arrangements()
+    assert len(arrangements) == 1287
+    started = time.monotonic()
+    wrong = [chosen for chosen, moving in arrangements
+             if scan_exhaustive(moving, 61).degree != lattice_degree(chosen)]
+    assert wrong == []
+    assert time.monotonic() - started < 1.0
+
+
+def test_sampled_degree_never_exceeds_the_lattice_degree():
+    # 64 targets rarely land on a fiber of the largest size, so a sampled
+    # degree is a lower bound; a contracted line's p-2 points are no degree
+    arrangements = five_line_arrangements()[::4]
+    started = time.monotonic()
+    for chosen, moving in arrangements:
+        assert scan_sampled(moving, 61, seed=0).degree <= \
+            lattice_degree(chosen), chosen
+    assert time.monotonic() - started < 1.0
+
+
+def test_degree_6_arrangement_reads_6():
+    F = parse_arrangement(DEGREE_6)
+    assert lattice_degree(F.forms) == 6
+    moving = moving_part(F).moving
+    assert [scan_exhaustive(moving, p).degree for p in (61, 101, 181)] == \
+        [6, 6, 6]

@@ -16,10 +16,9 @@ from polarmap.arrangement import LinearFormProduct
 from polarmap.errors import (InconsistencyError, ReductionError,
                              ResourceBoundError)
 from polarmap.fields import is_prime, residue
-from polarmap.oracle import (DegreeReport, _degree_estimate,
-                             check_contraction, dominance_by_span,
-                             projective_size, scan_exhaustive, scan_primes,
-                             scan_sampled)
+from polarmap.oracle import (DegreeReport, check_contraction,
+                             dominance_by_span, projective_size,
+                             scan_exhaustive, scan_primes, scan_sampled)
 from polarmap.parsing import parse_arrangement, parse_polynomial
 from polarmap.polar import RationalMap, polar_system, moving_part
 from polarmap.poly import Polynomial
@@ -300,25 +299,6 @@ def test_check_contraction_needs_a_sample(monkeypatch, samples):
     with pytest.raises(ValueError, match="at least one sample"):
         check_contraction(parse_arrangement("x0*x1*x2"), 0, 101,
                           samples=samples)
-
-
-def test_degree_estimate_rules():
-    # contracted images (size >= p-1) never count as generic
-    assert _degree_estimate({1: 4953, 2: 384, 3: 1392, 100: 4}, 6733, 101) == 3
-    assert _degree_estimate({1: 100, 10: 3}, 103, 11) == 1
-    # nothing eligible: no generic size was seen, and the degree reads 0
-    assert _degree_estimate({100: 1, 3: 1}, 2, 101) == 0
-    assert _degree_estimate({102: 1}, 1, 101) == 0
-
-
-def test_degree_estimate_reads_the_image_fraction_knob(monkeypatch):
-    # default 5/1000 of a 1000-point image: a size needs 5 image points
-    assert _degree_estimate({1: 995, 3: 5}, 1000, 101) == 3
-    assert _degree_estimate({1: 996, 3: 4}, 1000, 101) == 1
-    # rounds up: 5/1000 of 1001 points is 5.005, so 5 points fall short
-    assert _degree_estimate({1: 996, 3: 5}, 1001, 101) == 1
-    monkeypatch.setattr(oracle, "_DEGREE_IMAGE_NUM", 4)
-    assert _degree_estimate({1: 996, 3: 4}, 1000, 101) == 3
 
 
 def test_rejects_composite_modulus():
