@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .poly import Polynomial
+from .poly import Polynomial, exact_rank
 
 
 def canonical_row(coeffs):
@@ -27,35 +27,6 @@ def canonical_row(coeffs):
     if next(x for x in ints if x) < 0:
         content = -content
     return tuple(x // content for x in ints)
-
-
-def integer_rank(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    After each pivot step every entry below it is a minor of the matrix
-    (Sylvester's identity), so dividing by the previous pivot is exact and
-    no entry grows past the size of a minor.
-    """
-    matrix = [list(row) for row in rows]
-    rank = 0
-    previous = 1
-    for col in range(len(matrix[0]) if matrix else 0):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        top = matrix[rank]
-        lead = top[col]
-        for r in range(rank + 1, len(matrix)):
-            row = matrix[r]
-            factor = row[col]
-            matrix[r] = [(lead * x - factor * y) // previous
-                         for x, y in zip(row, top)]
-        previous = lead
-        rank += 1
-        if rank == len(matrix):
-            break
-    return rank
 
 
 class LinearFormProduct:
@@ -109,7 +80,7 @@ class LinearFormProduct:
         return LinearFormProduct(self.forms, [1] * len(self.forms), self.nvars)
 
     def rank(self):
-        return integer_rank(self.forms)
+        return exact_rank(self.forms)
 
     def form_polynomial(self, i):
         terms = {}

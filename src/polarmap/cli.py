@@ -9,9 +9,10 @@ inconsistency or unusable prime, 4 resource bound exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .arrangement import LinearFormProduct, canonical_row
 from .errors import (InconsistencyError, ParseError, ReductionError,
@@ -20,7 +21,6 @@ from .oracle import (DEFAULT_PRIMES, SAMPLED_MAX_TARGETS, scan_primes,
                      verdict_primes)
 from .parsing import parse_arrangement, parse_polynomial
 from .polar import moving_part, polar_system
-from .poly import exact_rank
 from .verdict import full_verdict, structural_verdict
 
 EXIT_OK = 0
@@ -177,6 +177,13 @@ def _census_rows(nvars, coefficients):
     return sorted(rows)
 
 
+def _determinant(rows):
+    """Leibniz's sum over permutations, in ints; census rows number at most 4."""
+    return sum((-1) ** sum(a > b for a, b in combinations(perm, 2))
+               * math.prod(row[j] for row, j in zip(rows, perm))
+               for perm in permutations(range(len(rows))))
+
+
 def cmd_classify(args):
     try:
         coefficients = tuple(sorted(
@@ -201,8 +208,8 @@ def cmd_classify(args):
             raise InconsistencyError(
                 f"census disagreement at p={scan.p} on {F}: structural "
                 f"{structural}, oracle {scan.homaloidal}")
-        # Gauss-Jordan over Q, not the Bareiss rank structural_verdict uses
-        independent = F.r == F.n and exact_rank(F.forms) == nvars
+        # a determinant, not the elimination structural_verdict uses
+        independent = F.r == F.n and _determinant(F.forms) != 0
         if independent != structural:
             raise InconsistencyError(
                 f"census disagreement on {F}: structural {structural}, "

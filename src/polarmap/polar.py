@@ -17,7 +17,6 @@ of base * reduced.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .arrangement import LinearFormProduct
 from .errors import DegenerateRestrictionError, InexactDivisionError
@@ -316,10 +315,13 @@ def restrict_arrangement(F, i):
 
     Uses the same pivot convention as restrict_to_hyperplane (first
     nonzero coefficient of L_i), then reindexes the surviving variables
-    downward.  Restricted forms that become projectively equal merge by
-    summing multiplicities; a form proportional to L_i would restrict to
-    zero and raises DegenerateRestrictionError (impossible for valid
-    inputs, whose rows are pairwise distinct).
+    downward.  Each restricted row is a[pivot]*b - b[pivot]*a without the
+    pivot slot: a nonzero multiple of b on the hyperplane, in integers,
+    which canonical_row makes primitive.  Restricted forms that become
+    projectively equal merge by summing multiplicities; a form
+    proportional to L_i would restrict to zero and raises
+    DegenerateRestrictionError (impossible for valid inputs, whose rows
+    are pairwise distinct).
     """
     if not 0 <= i <= F.r:
         raise IndexError(f"form index {i} out of range")
@@ -330,8 +332,8 @@ def restrict_arrangement(F, i):
     for j, b in enumerate(F.forms):
         if j == i:
             continue
-        scale = Fraction(b[pivot], a[pivot])
-        row = [Fraction(b[t]) - scale * a[t] for t in range(F.nvars) if t != pivot]
+        row = [a[pivot] * b[t] - b[pivot] * a[t]
+               for t in range(F.nvars) if t != pivot]
         if all(c == 0 for c in row):
             raise DegenerateRestrictionError(
                 f"form {j} is proportional to form {i} on the hyperplane")

@@ -11,6 +11,7 @@ normalization of GCDs, and the canonical printing order.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DegenerateRestrictionError, InexactDivisionError
@@ -363,37 +364,50 @@ def restrict_to_hyperplane(poly, form):
 
 def exact_rank(rows, p=None):
     """Rank of a matrix of ints and Fractions, over Q or, given a prime p,
-    over F_p: one Gauss-Jordan elimination either way."""
-    if p is None:
-        matrix = [[_coerce(x) for x in row] for row in rows]
-    elif not is_prime(p):
+    over F_p: one fraction-free (Bareiss) elimination either way.
+
+    Over Q each row is first scaled to integers by the lcm of its
+    denominators.  After each pivot step every entry below it is then a
+    minor of the matrix (Sylvester's identity), so dividing by the previous
+    pivot is exact and no entry grows past the size of a minor.  Over F_p
+    the entries are residues, every nonzero pivot is a unit, and the same
+    step is reduced mod p instead of divided.
+    """
+    if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    else:
-        matrix = [[residue(x, p) for x in row] for row in rows]
-
-    def cut(v):
-        return v if p is None else v % p
-
-    rank = 0
-    col = 0
+    matrix = []
+    for row in map(list, rows):
+        if any(type(x) is not int for x in row):
+            row = [_coerce(x) for x in row]
+            if p is None:
+                scale = math.lcm(*(x.denominator for x in row))
+                row = [x.numerator * (scale // x.denominator) for x in row]
+        matrix.append(row if p is None else [residue(x, p) for x in row])
     ncols = len(matrix[0]) if matrix else 0
-    while rank < len(matrix) and col < ncols:
-        pivot_row = next((r for r in range(rank, len(matrix))
-                          if matrix[r][col]), None)
-        if pivot_row is None:
-            col += 1
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("rows of unequal length")
+    rank = 0
+    previous = 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
             continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        inv = 1 / pivot if p is None else pow(pivot, -1, p)
-        matrix[rank] = [cut(inv * x) for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [cut(x - factor * y)
-                             for x, y in zip(matrix[r], matrix[rank])]
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        lead = top[col]
+        for r in range(rank + 1, len(matrix)):
+            row = matrix[r]
+            factor = row[col]
+            if p is None:
+                matrix[r] = [(lead * x - factor * y) // previous
+                             for x, y in zip(row, top)]
+            else:
+                matrix[r] = [(lead * x - factor * y) % p
+                             for x, y in zip(row, top)]
+        previous = lead
         rank += 1
-        col += 1
+        if rank == len(matrix):
+            break
     return rank
 
 

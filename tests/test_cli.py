@@ -186,7 +186,7 @@ def test_classify_exits_3_when_the_rank_over_q_disagrees(capsys, monkeypatch):
     # the independent count is a second route to the structural verdict:
     # a rank that disagrees with it stops the census
     from polarmap import cli
-    monkeypatch.setattr(cli, "exact_rank", lambda rows, p=None: 0)
+    monkeypatch.setattr(cli, "_determinant", lambda rows: 0)
     code, out, err = run(capsys, "classify", "--n", "1", "--r", "1")
     assert code == 3
     assert "rank over Q False" in err and "arrangements:" not in out

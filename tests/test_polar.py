@@ -284,18 +284,22 @@ def test_restrict_arrangement_multiplicity_total():
 
 
 def test_restrict_arrangement_matches_polynomial_restriction():
+    # pivot coefficients of 2 and 3 make the restricted rows non-primitive
     rng = random.Random(204)
     from polarmap.poly import monic
-    for _ in range(30):
-        A = random_arrangement(rng, 3, 3, max_mult=2)
-        i = rng.randrange(3)
-        R = restrict_arrangement(A, i)
-        other = Polynomial.constant(3, 1)
-        for j in range(3):
-            if j != i:
-                other = other * A.form_polynomial(j) ** A.multiplicities[j]
-        direct = restrict_to_hyperplane(other, A.form_polynomial(i))
-        assert monic(R.expand()) == monic(direct)
+    for nvars in range(2, 6):
+        for _ in range(10):
+            nforms = rng.randint(2, min(nvars + 1, 4))
+            A = random_arrangement(rng, nvars, nforms, coeff_bound=3,
+                                   max_mult=3)
+            i = rng.randrange(nforms)
+            R = restrict_arrangement(A, i)
+            other = Polynomial.constant(nvars, 1)
+            for j in range(nforms):
+                if j != i:
+                    other = other * A.form_polynomial(j) ** A.multiplicities[j]
+            direct = restrict_to_hyperplane(other, A.form_polynomial(i))
+            assert monic(R.expand()) == monic(direct)
 
 
 def test_restrict_arrangement_index_bounds():

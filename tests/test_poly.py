@@ -1,5 +1,8 @@
+import functools
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,7 +18,6 @@ from polarmap import (
     residue,
     restrict_to_hyperplane,
 )
-from polarmap.arrangement import integer_rank
 from gens import random_poly, random_fraction_poly
 
 
@@ -316,6 +318,14 @@ def test_exact_rank():
         exact_rank([[Fraction(1, 7), 1]], 7)
     with pytest.raises(ValueError, match="100 is not prime"):
         exact_rank([[1, 0], [0, 1]], 100)
+    # ragged rows are refused, whichever row is the short one
+    for ragged in ([[1], [2, 5]], [[1, 2], [3]]):
+        for p in (None, 7):
+            with pytest.raises(ValueError, match="unequal length"):
+                exact_rank(ragged, p)
+    for p in (None, 7):
+        with pytest.raises(TypeError):
+            exact_rank([[1, 0.5]], p)
 
 
 def test_canonical_row():
@@ -368,11 +378,49 @@ def _integer_matrices(rng):
     yield []
 
 
-def test_integer_rank_matches_exact_rank():
+@functools.cache
+def _signed_permutations(k):
+    return [(perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+            for perm in permutations(range(k))]
+
+
+def _determinant(rows):
+    """Leibniz's sum over permutations, in ints."""
+    return sum(sign * math.prod(row[j] for row, j in zip(rows, perm))
+               for perm, sign in _signed_permutations(len(rows)))
+
+
+def _minor_rank(matrix, p=None):
+    """The largest k with a nonzero k x k minor, minors taken mod p if given.
+
+    A (k+1)-minor expands into k-minors, so the search stops at the first
+    size whose minors all vanish.
+    """
+    if p is not None:
+        matrix = [[x % p for x in row] for row in matrix]
+    ncols = len(matrix[0]) if matrix else 0
+    rank = 0
+    for k in range(1, min(len(matrix), ncols) + 1):
+        minors = (_determinant([[row[c] for c in cols] for row in chosen])
+                  for chosen in combinations(matrix, k)
+                  for cols in combinations(range(ncols), k))
+        if not any(m if p is None else m % p for m in minors):
+            break
+        rank = k
+    return rank
+
+
+def test_exact_rank_is_the_largest_nonzero_minor():
+    divisors = random.Random(1903)
     ranks = set()
     for matrix in _integer_matrices(random.Random(1902)):
-        rank = integer_rank(matrix)
-        assert rank == exact_rank(matrix), matrix
+        rank = _minor_rank(matrix)
+        # dividing a row by a nonzero int keeps the rank over Q
+        divided = [[Fraction(x, d) for x in row] for row, d in
+                   zip(matrix, (divisors.randint(2, 9) for _ in matrix))]
+        assert exact_rank(matrix) == exact_rank(divided) == rank, matrix
+        for p in (5, 7, 101):
+            assert exact_rank(matrix, p) == _minor_rank(matrix, p), (matrix, p)
         ranks.add(rank)
     assert ranks == set(range(7))
 
