@@ -32,20 +32,20 @@ Sampled mode picks seeded random targets, then counts their preimages in
 one pass over the domain.  Per task it first computes only the head,
 w <= 3 components chosen once per scan with the lowest powers of x_n
 (_head_columns), and looks each head up in a table of the heads a
-target's preimage can have: c * head(t) for every target t and c in F_p,
-indexed by the raw digits of the head while p^w <= 2^20, and by the
-head's point of P^(w-1) past that.  A head free of x_n is the same along
-a grid row, so only its tables are evaluated on every prefix, it is
-looked up once per prefix, and a kept prefix keeps its whole row (the
-determinantal cubic, head (2, 4, 5), keeps 6% of them); any other head
-is expanded over the grid from the g_{j,k} of every component, evaluated
-once, and looked up point by point.  Only what is kept gets its full
-image (_evaluate_images, then _expand_images, as exhaustive tiles do) and
-an index; a dropped row provably hits no target (scan_sampled).  The
-match is a binary search in the sorted target indices, reached only by
-rows whose index has the low 16 bits of some target's (a 2^16-entry
-bitmap built once per scan; 0.3% of the kept rows of the determinantal
-cubic at p=31 pass it).
+target's preimage can have, built in one pass from the heads' multiples:
+c * head(t) for every target t and c in F_p, indexed by the raw digits
+of the head while p^w <= 2^20, and by its point of P^(w-1) past that.  A
+head free of x_n is the same along a grid row, so only its tables are
+evaluated on every prefix, it is looked up once per prefix, and a kept
+prefix keeps its whole row (the determinantal cubic, head (2, 4, 5),
+keeps 6% of them); any other head is expanded over the grid from the
+g_{j,k} of every component, evaluated once, and looked up point by
+point.  Only what is kept gets its full image (_evaluate_images, then
+_expand_images, as exhaustive tiles do) and an index; a dropped row
+provably hits no target (scan_sampled).  The match is a binary search
+in the sorted target indices, reached only by rows whose index has the
+low 16 bits of some target's (a 2^16-entry bitmap built once per scan;
+0.3% of the kept rows of the determinantal cubic at p=31 pass it).
 
 Every remainder mod p of the kernel goes through _reduce, in place.  It
 skips numpy's per-element hardware division wherever the arrays are
@@ -428,7 +428,7 @@ def _row_images(split, coords, p):
                           powers, coords[:, n:], p)
 
 
-def _exhaustive_chunk(args):
+def _exhaustive_chunk(split, n, p, lo, hi, fibers, work):
     """Key one task's points and count them into the scan's fibers.
 
     The g_{j,k} are evaluated once for all the task's prefixes; expansion,
@@ -440,7 +440,6 @@ def _exhaustive_chunk(args):
     and counts e_n on its own.  fibers is the scan's int32 array of the
     domain, work its workspace.  Returns the task's base count, an int64.
     """
-    split, n, p, lo, hi, fibers, work = args
     prefixes = _chunk_points(n - 1, p, lo, hi, work)
     t = np.arange(p, dtype=np.int32)
     prefix_tables, powers = split
@@ -473,23 +472,19 @@ def _exhaustive_chunk(args):
 _HEAD_TABLE_ENTRIES = 1 << 20
 
 
-def _head_width(n, p):
-    # 3 while the projective layout of P^2(F_p) fits the table, else 2
-    return min(n + 1, 3 if projective_size(2, p) < _HEAD_TABLE_ENTRIES else 2)
-
-
 def _head_columns(powers, p):
     """The components that make the head of a sampled scan, in head order.
 
-    The first _head_width(n, p) components by the top power of x_n they
-    hold (powers from _component_tables), then by index, zero components
-    last: a head free of x_n is looked up once per prefix, and a zero
-    column filters nothing.  scan_sampled builds the head table and _sampled_chunk
-    reads the heads on the columns this gives.
+    The first w components, 3 while the projective layout of P^2(F_p)
+    fits the head table and else 2, by the top power of x_n they hold
+    (powers from _component_tables), then by index, zero components last:
+    a head free of x_n is looked up once per prefix, and a zero column
+    filters nothing.  _ratio_table builds the head table on these columns
+    in one pass, and _sampled_chunk reads the heads on them.
     """
     order = sorted(range(len(powers)),
                    key=lambda j: (not powers[j], max(powers[j], default=0), j))
-    return order[:_head_width(len(powers) - 1, p)]
+    return order[:3 if projective_size(2, p) < _HEAD_TABLE_ENTRIES else 2]
 
 
 def _head_index(head, p):
@@ -516,21 +511,24 @@ def _ratio_table(target_rows, columns, p):
     The head of a row is its coordinates on the head columns (_head_columns),
     w of them.  A row can equal a target t in P^n only as c * t, so its head
     is one of c * head(t), c in F_p, on any set of columns; c = 0 gives the
-    zero head, which every base row has.  The raw layout (_head_index) sets
-    all p multiples of every target's head, at most _HEAD_TABLE_ENTRIES
-    entries; the projective layout sets one entry per target head, a point
-    of P^(w-1)(F_p), and the trailing entry for the zero head.
+    zero head, which every base row has.  One pass sets the zero head's
+    and the targets' heads' multiples, by the layout's scales in one
+    broadcast, at most _REDUCE_BLOCK multiples a block: the raw layout
+    (_head_index, at most _HEAD_TABLE_ENTRIES entries) takes c = 1..p-1,
+    the projective one, a point of P^(w-1)(F_p) per head and a trailing
+    entry for the zero head, c = 1 alone.
     """
     width = len(columns)
-    heads = np.ascontiguousarray(target_rows[:, columns].T, dtype=np.int32)
-    if p ** width <= _HEAD_TABLE_ENTRIES:
-        table = np.zeros(p ** width, dtype=bool)
-        for c in range(p):
-            table[_head_index(heads * np.int32(c) % p, p)] = True
-        return table
-    table = np.zeros(projective_size(width - 1, p) + 1, dtype=bool)
-    table[_head_index(heads, p)] = True
-    table[-1] = True
+    raw = p ** width <= _HEAD_TABLE_ENTRIES
+    table = np.zeros(p ** width if raw else projective_size(width - 1, p) + 1,
+                     dtype=bool)
+    scales = np.arange(1, p if raw else 2, dtype=np.int32)[:, None]
+    heads = np.zeros((width, len(target_rows) + 1), dtype=np.int32)
+    heads[:, 1:] = target_rows[:, columns].T
+    step = max(1, _REDUCE_BLOCK // len(scales))
+    for lo in range(0, heads.shape[1], step):
+        multiples = _reduce(heads[:, None, lo:lo + step] * scales, p)
+        table[_head_index(multiples.reshape(width, -1), p)] = True
     return table
 
 
@@ -547,14 +545,14 @@ def _target_counts(index, target_index):
     return np.bincount(positions[hits], minlength=len(target_index))
 
 
-def _sampled_chunk(args):
+def _sampled_chunk(split, n, p, lo, hi, target_index, marked, columns, table,
+                   work):
     """(hits per target, base count) of one task's points.
 
     The scan fixes, once, the sorted target indices, the bitmap of their
     low 16 bits (marked), the head columns, the head table and the
     workspace.  The task's grid is that of _exhaustive_chunk.
     """
-    split, n, p, lo, hi, target_index, marked, columns, table, work = args
     prefixes = _chunk_points(n - 1, p, lo, hi, work)
     t = np.arange(p, dtype=np.int32)
     prefix_tables, powers = split
@@ -597,7 +595,7 @@ def _sampled_chunk(args):
 
 
 def _run_tasks(fn, split, n, p, *extra):
-    """fn((split, n, p, lo, hi, *extra, work)) for every task, in order.
+    """fn(split, n, p, lo, hi, *extra, work) for every task, in order.
 
     split is the caller's _component_tables of its map, work one
     _Workspace for all its tasks, or None for one task, with nothing to
@@ -610,7 +608,7 @@ def _run_tasks(fn, split, n, p, *extra):
     tasks = _block_tasks(n, p)
     work = _Workspace(split, n, p) if len(tasks) > 1 else None
     for lo, hi in tasks:
-        yield fn((split, n, p, lo, hi, *extra, work))
+        yield fn(split, n, p, lo, hi, *extra, work)
 
 
 class _Workspace:
@@ -778,8 +776,9 @@ def scan_sampled(rational_map, p, targets=64, seed=0, workers=1):
     image of a sampled point, so a target counted with an empty fiber
     raises InconsistencyError.
 
-    Only rows that pass the head prefilter (_ratio_table, built once per
-    scan on the head columns) get images (_expand_images), keys and a match.
+    Only rows that pass the head prefilter (_ratio_table, built in one
+    pass per scan from the targets' heads' multiples on the head columns)
+    get images (_expand_images), keys and a match.
     The filter is exact for any choice of head columns: a row equal to a
     target t in P^n is c * t for some c in F_p, so on those columns its
     head is c * head(t), which the table holds (the raw layout sets every

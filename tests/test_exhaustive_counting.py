@@ -225,10 +225,10 @@ def test_tasks_count_every_point_once_and_only_the_last_holds_e_n(
         expected[lo * p:hi * p] = 1
         expected[-1] = hi == prefixes
         fibers = np.zeros(domain, dtype=np.int32)
-        assert oracle._exhaustive_chunk((split, n, p, lo, hi, fibers, work)) == 0
+        assert oracle._exhaustive_chunk(split, n, p, lo, hi, fibers, work) == 0
         assert np.array_equal(fibers, expected), (lo, hi)
         counts, base = oracle._sampled_chunk(
-            (split, n, p, lo, hi, target_index, marked, columns, table, work))
+            split, n, p, lo, hi, target_index, marked, columns, table, work)
         assert np.array_equal(counts, expected) and base == 0, (lo, hi)
         counted += fibers
     assert (counted == 1).all()

@@ -188,6 +188,24 @@ DOMINANCE_CORPUS = [
 ]
 
 
+@functools.cache
+def calibration():
+    """Seconds of a fixed calibration scan in this process, best of 5: 50
+    exhaustive scans of the standard Cremona map at p=61, small scans like
+    those the checks below time.  The checks bound their wall time by a
+    multiple of it, so a machine whose speed drifts moves both alike; each
+    multiple is the earlier absolute bound over the calibration's median of
+    7 runs on a 2-core Xeon VM (10.5 ms)."""
+    cremona = moving_part(parse_arrangement("x0*x1*x2")).moving
+    best = float("inf")
+    for _ in range(5):
+        started = time.monotonic()
+        for _ in range(50):
+            scan_exhaustive(cremona, 61)
+        best = min(best, time.monotonic() - started)
+    return best
+
+
 def test_dominant_is_the_jacobian_rank():
     # dominant reads degree > 0 in both modes; the reference is the rank
     # of the moving map's Jacobian mod 2^61 - 1, which shares no code
@@ -203,7 +221,7 @@ def test_dominant_is_the_jacobian_rank():
                 report = full_verdict(source, primes=(p,), mode=mode)
                 assert report.dominant == reference, (text, mode, p)
     assert expected == [True] * 5 + [False] * 4
-    assert time.monotonic() - started < 0.5
+    assert time.monotonic() - started < 48 * calibration()
 
 
 def census_single_forms():
@@ -238,7 +256,7 @@ def test_no_report_reads_a_degree_of_p_minus_1_or_more():
     assert {(r.degree, r.dominant, r.homaloidal) for r in reports} == {
         (0, False, False)}
     assert len(reports) == 3 * (6 + 26) + 1
-    assert time.monotonic() - started < 0.5
+    assert time.monotonic() - started < 48 * calibration()
 
 
 DEGREE_6 = "x2*(x1-x2)*(x0-x1-x2)*(x0-x2)*(x0+x1)"
@@ -261,7 +279,7 @@ def test_exhaustive_degree_is_the_lattice_degree_on_five_lines():
     wrong = [chosen for chosen, moving in arrangements
              if scan_exhaustive(moving, 61).degree != lattice_degree(chosen)]
     assert wrong == []
-    assert time.monotonic() - started < 1.0
+    assert time.monotonic() - started < 95 * calibration()
 
 
 def test_sampled_degree_never_exceeds_the_lattice_degree():
@@ -272,7 +290,7 @@ def test_sampled_degree_never_exceeds_the_lattice_degree():
     for chosen, moving in arrangements:
         assert scan_sampled(moving, 61, seed=0).degree <= \
             lattice_degree(chosen), chosen
-    assert time.monotonic() - started < 1.0
+    assert time.monotonic() - started < 95 * calibration()
 
 
 def test_degree_6_arrangement_reads_6():

@@ -5,6 +5,7 @@ the targets' low bits before the target search, and the empty-fiber safety
 net."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,9 +47,9 @@ def chunk_images(split, n, p, lo, hi):
 
 
 def task_args(split, n, p, lo, hi, target_index, table):
-    """_sampled_chunk's arguments for one task, as scan_sampled builds
-    them: the targets' low-bit bitmap, the head columns and a workspace
-    added."""
+    """_sampled_chunk's arguments for one task, in order, as scan_sampled
+    and _run_tasks pass them: the targets' low-bit bitmap, the head
+    columns and a workspace added."""
     marked = np.zeros(oracle._MARK_BITS, dtype=bool)
     marked[target_index & (oracle._MARK_BITS - 1)] = True
     return (split, n, p, lo, hi, target_index, marked,
@@ -166,7 +167,7 @@ def counts_match_the_keyed_chunk(split, n, p, tasks, target_keys, table):
     for lo, hi in tasks:
         args = task_args(split, n, p, lo, hi, target_keys, table)
         expected_counts, expected_base = keyed_chunk(args)
-        counts, base = oracle._sampled_chunk(args)
+        counts, base = oracle._sampled_chunk(*args)
         assert counts.dtype == expected_counts.dtype
         assert np.array_equal(counts, expected_counts), (lo, hi)
         assert base == expected_base, (lo, hi)
@@ -310,8 +311,9 @@ def multiples(heads, p):
     (1, 1021, 1021), (1, 1031, 1031),
 ])
 def test_ratio_table_cut(n, p, ratios):
-    # ratios = p^(w-1), the heads with y_0 != 0
-    width = oracle._head_width(n, p)
+    # ratios = p^(w-1), the heads with y_0 != 0; w from the head columns of
+    # n + 1 components free of x_n
+    width = len(oracle._head_columns([[0]] * (n + 1), p))
     assert p ** (width - 1) == ratios
     table = oracle._ratio_table(np.ones((1, n + 1), dtype=np.int32),
                                 list(range(width)), p)
@@ -331,7 +333,17 @@ def test_ratio_table_cut(n, p, ratios):
             [ProjectivePoint([1] * width, p).index(), table.size - 1]
 
 
-def test_ratio_table_entries():
+def seeded_rows(count, p, seed):
+    """count seeded rows of 4 residues mod p: every tenth is zero on its
+    first three columns, and the one after it repeats it."""
+    rows = np.random.default_rng(seed).integers(0, p, size=(count, 4),
+                                                dtype=np.int32)
+    rows[::10, :3] = 0
+    rows[1::10] = rows[::10]
+    return rows
+
+
+def test_ratio_table_entries(monkeypatch):
     p = 7
     # heads (1, 0, 0), (2, 6, 3), (1, 6, 0), (0, 1, 2) with t_0 = 0, and
     # the zero head of a target (w = 3 needs n >= 2)
@@ -366,6 +378,42 @@ def test_ratio_table_entries():
     assert np.flatnonzero(projective).tolist() == \
         sorted(ProjectivePoint(head, q).index() for head in heads[:4]) + \
         [projective_size(2, q)]
+    # more heads than a block of _REDUCE_BLOCK multiples holds: at p=101
+    # (raw, w = 3) a block is 655 heads times c = 1..100, so the zero head
+    # and 2,000 targets fill four blocks, the last one partly
+    p = 101
+    many = seeded_rows(2000, p, 3401)
+    raw = oracle._ratio_table(many, [0, 1, 2], p)
+    assert set(np.flatnonzero(raw).tolist()) == \
+        multiples(many[:, :3].tolist(), p)
+    # projective (p = 1031, w = 3): one multiple a head, so blocks of 512
+    # heads give four again
+    q = 1031
+    monkeypatch.setattr(oracle, "_REDUCE_BLOCK", 512)
+    many = seeded_rows(2000, q, 3402)
+    projective = oracle._ratio_table(many, [0, 1, 2], q)
+    assert projective.size == projective_size(2, q) + 1
+    assert np.flatnonzero(projective).tolist() == sorted(
+        {ProjectivePoint(head, q).index()
+         for head in many[:, :3].tolist() if any(head)}) + \
+        [projective_size(2, q)]
+
+
+def test_ratio_table_memory():
+    # SAMPLED_MAX_TARGETS targets at p=101 (raw, w = 3): 100 multiples of
+    # 65,537 heads would take 75 MiB at once; a block at a time the build
+    # peaks at 3.5 MiB (numpy 2.4): the 1 MiB table, the heads (0.75 MiB)
+    # and their copy off the rows, one block of multiples and its index
+    p = 101
+    rows = seeded_rows(oracle.SAMPLED_MAX_TARGETS, p, 3403)
+    tracemalloc.start()
+    try:
+        table = oracle._ratio_table(rows, [0, 1, 2], p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.size == p ** 3
+    assert peak < 4 << 20
 
 
 def recording_keys(monkeypatch):
@@ -416,7 +464,8 @@ def test_prefilter_keys_exactly_the_rows_with_a_target_head(monkeypatch, extra):
         assert kept_zero_first < (images[:, columns[0]] == 0).sum()
 
     keyed = recording_keys(monkeypatch)
-    oracle._sampled_chunk(task_args(split, n, p, lo, hi, target_keys, table))
+    oracle._sampled_chunk(*task_args(split, n, p, lo, hi, target_keys,
+                                     table))
     assert len(keyed) == 2
     assert np.array_equal(keyed[0], expected)
     # e_4, keyed on its own: a base point, as every component holds three
@@ -472,7 +521,8 @@ def test_prefilter_keys_few_rows(monkeypatch):
 
     keyed = recording_keys(monkeypatch)
     calls = recording_evaluations(monkeypatch)
-    oracle._sampled_chunk(task_args(split, n, p, lo, hi, target_keys, table))
+    oracle._sampled_chunk(*task_args(split, n, p, lo, hi, target_keys,
+                                     table))
     assert len(keyed) == 1
     assert np.array_equal(keyed[0], expected)
     assert len(expected) < (hi - lo) * p // 5
